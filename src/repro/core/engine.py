@@ -38,6 +38,7 @@ from repro.hardware.timeline import CPU, D2H, GPU, H2D, Op, Timeline
 from repro.memory.cache import CacheConfig, build_calibrated_placement
 from repro.memory.placement import ExpertPlacement
 from repro.model.attention import KVCache
+from repro.model.gating import group_by_expert
 from repro.model.sampling import greedy
 from repro.model.serialization import (
     canonical_digest,
@@ -1204,12 +1205,13 @@ class BaseEngine:
 
     def _record_activation_counters(self, ctx: _SequenceContext,
                                     block_idx: int,
-                                    experts: np.ndarray) -> None:
+                                    experts: np.ndarray | list[int]) -> None:
         """Update GPU-residency hit counters for activated experts."""
-        for expert in np.atleast_1d(experts):
-            ctx.counters.activated_total += 1
-            if ctx.placement.is_on_gpu(block_idx, int(expert)):
-                ctx.counters.activated_gpu_resident += 1
+        counters = ctx.counters
+        for expert in np.atleast_1d(experts).tolist():
+            counters.activated_total += 1
+            if ctx.placement.is_on_gpu(block_idx, expert):
+                counters.activated_gpu_resident += 1
 
     # ---- standard prefill / decode skeletons ------------------------------------
     #
@@ -1232,64 +1234,6 @@ class BaseEngine:
                               deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a decode block's activated experts."""
         return BlockPlan()
-
-    def _execute_experts_at_location(
-        self,
-        ctx: _SequenceContext,
-        block_idx: int,
-        h_att: np.ndarray,
-        experts_per_token: np.ndarray,
-        weights: np.ndarray,
-        deps: list[Op],
-        extra_deps: dict[int, list[Op]] | None = None,
-        force_gpu: set[int] | None = None,
-    ) -> tuple[np.ndarray, list[Op]]:
-        """Run each activated expert where it currently resides.
-
-        Args:
-            h_att: post-attention hidden states ``(n_tokens, d)``.
-            experts_per_token: ``(n_tokens, k)`` selected expert ids.
-            weights: ``(n_tokens, k)`` mixing weights.
-            deps: ops every expert execution must wait for.
-            extra_deps: per-expert additional dependencies (uploads).
-            force_gpu: experts executed on the GPU regardless of the
-                placement map (streamed-through scratch buffers).
-
-        Returns:
-            The block output (after combine) and the expert ops.
-        """
-        extra_deps = extra_deps or {}
-        force_gpu = force_gpu or set()
-        block = self.model.blocks[block_idx]
-        n_tokens, top_k = experts_per_token.shape
-        outs = np.zeros(
-            (n_tokens, top_k, h_att.shape[1]), dtype=np.float32
-        )
-        ops: list[Op] = []
-        for expert in np.unique(experts_per_token):
-            expert = int(expert)
-            mask = experts_per_token == expert
-            token_idx = np.nonzero(mask.any(axis=1))[0]
-            expert_deps = deps + extra_deps.get(expert, [])
-            if expert in force_gpu or ctx.placement.is_on_gpu(block_idx, expert):
-                y, op = self._expert_gpu(
-                    ctx, block_idx, expert, h_att, expert_deps,
-                    token_idx=token_idx,
-                )
-            else:
-                y, op = self._expert_cpu(
-                    ctx, block_idx, expert, h_att, expert_deps,
-                    token_idx=token_idx,
-                )
-            ops.append(op)
-            for row, t in enumerate(token_idx):
-                # A router can only select an expert once per token, but a
-                # hand-built (or degraded) selection may repeat an id; every
-                # matching slot gets the output so its weight is honored.
-                for slot in np.nonzero(mask[t])[0]:
-                    outs[t, int(slot)] = y[row]
-        h_out = block.combine(h_att, outs, weights)
-        return h_out, ops
 
     def _prefill_standard(self, ctx: _SequenceContext,
                           prompt_tokens: np.ndarray) -> tuple[np.ndarray, Op]:
@@ -1329,10 +1273,9 @@ class BaseEngine:
             )
             logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
-            for t in range(n_tokens):
-                ctx.trace.record(
-                    PREFILL, block_idx, ctx.position + t, routing.experts[t]
-                )
+            selected = routing.experts.tolist()
+            for t, experts in enumerate(selected):
+                ctx.trace.record(PREFILL, block_idx, ctx.position + t, experts)
             activity = activity_from_routing(
                 routing.experts, self.model.n_experts
             )
@@ -1340,10 +1283,8 @@ class BaseEngine:
                 ctx, block_idx, np.unique(routing.experts), activity,
                 [gate_op],
             )
-            for t in range(n_tokens):
-                self._record_activation_counters(
-                    ctx, block_idx, routing.experts[t]
-                )
+            for experts in selected:
+                self._record_activation_counters(ctx, block_idx, experts)
             h, expert_ops = yield from self._routed_block_work(
                 ctx, block_idx, h_att, routing.experts, routing.weights,
                 [gate_op], plan.extra_deps, plan.force_gpu,
@@ -1366,11 +1307,11 @@ class BaseEngine:
         extra_deps: dict[int, list[Op]] | None = None,
         force_gpu: set[int] | None = None,
     ):
-        """Describe-and-combine analog of ``_execute_experts_at_location``.
+        """Describe one block's routed expert executions, then combine.
 
         A generator: yields one :class:`~repro.core.batching.BlockWork`
-        describing each activated expert's execution (same unique-expert
-        order, dependencies, and locations as the inline path), receives
+        describing each activated expert's execution (ascending expert
+        order, each with its dependencies and location), receives
         the driver's ``(output, op)`` results back, and returns the
         combined block output plus the expert ops.  Use as
         ``h, ops = yield from self._routed_block_work(...)``.
@@ -1379,36 +1320,27 @@ class BaseEngine:
         force_gpu = force_gpu or set()
         block = self.model.blocks[block_idx]
         n_tokens, top_k = experts_per_token.shape
+        groups = group_by_expert(experts_per_token.tolist())
         calls: list[ExpertCall] = []
-        metas: list[tuple[np.ndarray, np.ndarray]] = []
-        for expert in np.unique(experts_per_token):
-            expert = int(expert)
-            mask = experts_per_token == expert
-            token_idx = np.nonzero(mask.any(axis=1))[0]
-            expert_deps = tuple(deps + extra_deps.get(expert, []))
+        for expert, (token_idx, _) in groups.items():
             on_gpu = (expert in force_gpu
                       or ctx.placement.is_on_gpu(block_idx, expert))
             calls.append(ExpertCall(
                 expert=expert,
                 location=GPU_LOC if on_gpu else CPU_LOC,
                 h_att=h_att,
-                deps=expert_deps,
+                deps=tuple(deps + extra_deps.get(expert, [])),
                 token_idx=token_idx,
             ))
-            metas.append((mask, token_idx))
         results = yield BlockWork(block_idx=block_idx, calls=tuple(calls))
         outs = np.zeros(
             (n_tokens, top_k, h_att.shape[1]), dtype=np.float32
         )
         ops: list[Op] = []
-        for (mask, token_idx), (y, op) in zip(metas, results):
+        for (_, slots), (y, op) in zip(groups.values(), results):
             ops.append(op)
-            for row, t in enumerate(token_idx):
-                # A router can only select an expert once per token, but a
-                # hand-built (or degraded) selection may repeat an id; every
-                # matching slot gets the output so its weight is honored.
-                for slot in np.nonzero(mask[t])[0]:
-                    outs[t, int(slot)] = y[row]
+            for t, slot, row in slots:
+                outs[t, slot] = y[row]
         h_out = block.combine(h_att, outs, weights)
         return h_out, ops
 
@@ -1429,12 +1361,9 @@ class BaseEngine:
             )
             logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
-            ctx.trace.record(
-                DECODE, block_idx, ctx.position, routing.experts[0]
-            )
-            self._record_activation_counters(
-                ctx, block_idx, routing.experts[0]
-            )
+            selected = routing.experts[0].tolist()
+            ctx.trace.record(DECODE, block_idx, ctx.position, selected)
+            self._record_activation_counters(ctx, block_idx, selected)
             plan = self._prepare_decode_block(
                 ctx, block_idx, routing.experts[0], [gate_op]
             )

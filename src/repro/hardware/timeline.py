@@ -160,25 +160,22 @@ class Timeline:
             deps: list[Op] | None = None, label: str = "",
             kind: str = "") -> Op:
         """Schedule an op; returns its handle with resolved times."""
-        if resource not in self.clock.free:
+        free = self.clock.free
+        ready = free.get(resource)
+        if ready is None:
             raise ValueError(f"unknown resource {resource!r}")
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        ready = self.clock.free[resource]
+        dep_indices = ()
         if deps:
-            ready = max(ready, max(d.end for d in deps))
-        op = Op(
-            index=len(self.ops),
-            resource=resource,
-            duration=duration,
-            start=ready,
-            end=ready + duration,
-            label=label,
-            kind=kind,
-            dep_indices=tuple(d.index for d in deps) if deps else (),
-        )
+            for dep in deps:
+                if dep.end > ready:
+                    ready = dep.end
+            dep_indices = tuple(dep.index for dep in deps)
+        op = Op(len(self.ops), resource, duration, ready, ready + duration,
+                label, kind, dep_indices)
         self.ops.append(op)
-        self.clock.free[resource] = op.end
+        free[resource] = op.end
         return op
 
     def rebase(self, t0: float) -> None:

@@ -62,7 +62,7 @@ _SUBSTRATE_METHODS = frozenset({
     "finish", "checkpoint_sequence", "restore_sequence",
     "_attention", "_gate", "_expert_gpu", "_expert_cpu",
     "_upload_expert", "_drop_expert", "_lm_head", "_lm_head_batch",
-    "_execute_experts_at_location", "_record_activation_counters",
+    "_record_activation_counters",
     "_prefill_standard", "_prefill_blocks_standard",
     "_decode_step", "_decode_step_standard",
     "_decode_blocks_standard", "_routed_block_work",

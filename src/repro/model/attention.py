@@ -57,8 +57,9 @@ class KVCache:
         self._len += n_new
         self._chunks.append(int(n_new))
         if self._digest_valid:
-            self._digest.update(np.ascontiguousarray(k).tobytes())
-            self._digest.update(np.ascontiguousarray(v).tobytes())
+            # hashlib reads the contiguous buffers directly (no copies).
+            self._digest.update(np.ascontiguousarray(k))
+            self._digest.update(np.ascontiguousarray(v))
 
     @property
     def keys(self) -> np.ndarray:

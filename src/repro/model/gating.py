@@ -80,3 +80,44 @@ class Router:
     def n_params(self) -> int:
         """Number of parameters in the gate."""
         return self.gate.n_params
+
+
+def group_by_expert(experts_per_token: list) -> dict:
+    """Group one block's routing selections by expert, in plain ints.
+
+    Args:
+        experts_per_token: ``[n_tokens][top_k]`` selected expert ids as
+            Python ints (``RoutingDecision.experts.tolist()``).
+
+    Returns:
+        ``{expert: (token_idx, slots)}`` in ascending expert order — the
+        order of ``np.unique`` over the selections.  ``token_idx`` picks,
+        ascending, the token rows the expert's execution reads: ``None``
+        when every token routed to it (the spelling
+        :meth:`~repro.model.moe_block.MoEBlock.expert_forward` keys a
+        full selection on), else an int64 array.  ``slots`` lists every
+        ``(token, slot, row)`` the output scatters back to, ``row``
+        indexing the selected rows.  A router selects an expert at most
+        once per token, but a hand-built (or degraded) selection may
+        repeat an id: every matching slot gets the output so its weight
+        is honoured.
+    """
+    by_expert: dict = {}
+    for t, selected in enumerate(experts_per_token):
+        for slot, expert in enumerate(selected):
+            entry = by_expert.get(expert)
+            if entry is None:
+                entry = by_expert[expert] = ([], [])
+            tokens, slots = entry
+            if not tokens or tokens[-1] != t:
+                tokens.append(t)
+            slots.append((t, slot, len(tokens) - 1))
+    n_tokens = len(experts_per_token)
+    return {
+        expert: (
+            None if len(tokens) == n_tokens
+            else np.array(tokens, dtype=np.int64),
+            slots,
+        )
+        for expert, (tokens, slots) in sorted(by_expert.items())
+    }

@@ -23,7 +23,7 @@ import numpy as np
 from repro.model.attention import GroupedQueryAttention, KVCache
 from repro.model.config import SimSpec
 from repro.model.experts import SwiGLUExpert
-from repro.model.gating import Router, RoutingDecision
+from repro.model.gating import Router, RoutingDecision, group_by_expert
 from repro.model.layers import RMSNorm
 
 
@@ -52,6 +52,11 @@ class MoEBlock:
         # None means "compute directly".
         self.compute_cache = None
         self.cache_scope: str | None = None
+        # Per-stage key prefixes — ``(scope, block_idx, stage)`` digested
+        # once by the attached cache — and one per expert for the expert
+        # stage, whose keys also open with the expert id.
+        self._key_prefixes: dict = {}
+        self._expert_key_prefixes: list = []
         # One-slot identity memo for ffn_norm: (h_att object, normed).
         # Holding the input reference keeps its id() stable and valid.
         self._norm_memo: tuple[np.ndarray, np.ndarray] | None = None
@@ -76,6 +81,18 @@ class MoEBlock:
         """
         self.compute_cache = cache
         self.cache_scope = scope
+        if cache is None:
+            self._key_prefixes = {}
+            self._expert_key_prefixes = []
+        else:
+            self._key_prefixes = {
+                stage: cache.key_prefix(scope, self.block_idx, stage)
+                for stage in ("attn", "ffn_norm", "gate", "route")
+            }
+            self._expert_key_prefixes = [
+                cache.key_prefix(scope, self.block_idx, "expert", expert_idx)
+                for expert_idx in range(self.n_experts)
+            ]
         self._norm_memo = None
         self._digest_memo = None
         memo_factory = getattr(cache, "identity_memo", None)
@@ -126,8 +143,7 @@ class MoEBlock:
             attn_out = self.attention(self.attn_norm(h), cache, positions)
             return h + self.residual_scale * attn_out
         key = tensor_cache.key(
-            self.cache_scope, self.block_idx, "attn", kv_digest,
-            self._arr_digest(h), np.asarray(positions),
+            self._key_prefixes["attn"], kv_digest, h, np.asarray(positions),
         )
         hit = tensor_cache.get(key, "attn")
         if hit is not None:
@@ -168,8 +184,7 @@ class MoEBlock:
             normed = self.ffn_norm(h_att)
         else:
             key = tensor_cache.key(
-                self.cache_scope, self.block_idx, "ffn_norm",
-                self._arr_digest(h_att),
+                self._key_prefixes["ffn_norm"], self._arr_digest(h_att),
             )
             normed = tensor_cache.get(key, "ffn_norm")
             if normed is None:
@@ -187,7 +202,7 @@ class MoEBlock:
         if tensor_cache is None:
             return self.router.logits(self.ffn_normed(h_att))
         key = tensor_cache.key(
-            self.cache_scope, self.block_idx, "gate", self._arr_digest(h_att)
+            self._key_prefixes["gate"], self._arr_digest(h_att)
         )
         logits = tensor_cache.get(key, "gate")
         if logits is None:
@@ -207,7 +222,7 @@ class MoEBlock:
         tensor_cache = self.compute_cache
         if tensor_cache is None:
             return self.router.route_from_logits(logits)
-        key = tensor_cache.key(self.cache_scope, self.block_idx, "route", logits)
+        key = tensor_cache.key(self._key_prefixes["route"], logits)
         hit = tensor_cache.get(key, "route")
         if hit is None:
             decision = self.router.route_from_logits(logits)
@@ -249,8 +264,8 @@ class MoEBlock:
         # ``[batch*k, d]`` input can never alias a ``[k, d]``
         # single-sequence digest.
         key = tensor_cache.key(
-            self.cache_scope, self.block_idx, "expert", int(expert_idx),
-            int(h_att.shape[0]), self._arr_digest(h_att), token_idx,
+            self._expert_key_prefixes[expert_idx], int(h_att.shape[0]),
+            self._arr_digest(h_att), token_idx,
         )
         out = tensor_cache.get(key, "expert")
         if out is None:
@@ -300,24 +315,22 @@ class MoEBlock:
                 positions: np.ndarray) -> tuple[np.ndarray, RoutingDecision]:
         """Reference (exact) forward pass through the whole block.
 
-        Experts dispatch grouped per expert id — the same order and
-        batching as the engines' ``_execute_experts_at_location`` and
-        :meth:`MoETransformer.forward_exact` — so the reference path
-        produces (and, with a cache attached, shares) the exact tensors
-        the scheduled paths do.
+        Experts dispatch grouped per expert id by
+        :func:`~repro.model.gating.group_by_expert` — the same order and
+        row selections as the engines' routed block work — so the
+        reference path produces (and, with a cache attached, shares) the
+        exact tensors the scheduled paths do.
         """
         h_att = self.attention_part(h, cache, positions)
         decision = self.route(h_att)
         outs = np.empty(
             (h_att.shape[0], self.top_k, self.sim.d_model), dtype=np.float32
         )
-        for expert_idx in np.unique(decision.experts):
-            mask = decision.experts == expert_idx
-            token_idx = np.nonzero(mask.any(axis=1))[0]
-            out = self.expert_forward(int(expert_idx), h_att, token_idx=token_idx)
-            for row, t in enumerate(token_idx):
-                for slot in np.nonzero(mask[t])[0]:
-                    outs[t, int(slot)] = out[row]
+        groups = group_by_expert(decision.experts.tolist())
+        for expert_idx, (token_idx, slots) in groups.items():
+            out = self.expert_forward(expert_idx, h_att, token_idx=token_idx)
+            for t, slot, row in slots:
+                outs[t, slot] = out[row]
         return self.combine(h_att, outs, decision.weights), decision
 
     @property

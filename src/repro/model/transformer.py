@@ -44,6 +44,8 @@ class MoETransformer:
         # None means every stage computes directly.
         self.compute_cache = None
         self._weights_fingerprint: str | None = None
+        # ``(fingerprint, "lm_head")`` digested once by the attached cache.
+        self._lm_head_key_prefix = None
 
     # ---- compute-cache plumbing ----------------------------------------------
 
@@ -68,18 +70,22 @@ class MoETransformer:
     def attach_compute_cache(self, cache) -> None:
         """Route every block stage and the LM head through ``cache``.
 
-        ``cache`` is duck-typed (``key``/``get``/``put`` — normally a
-        ``repro.perf.TensorCache``) so the model layer never imports the
-        perf package.  Keys are namespaced by :meth:`weights_fingerprint`.
+        ``cache`` is duck-typed (``key``/``key_prefix``/``get``/``put`` —
+        normally a ``repro.perf.TensorCache``) so the model layer never
+        imports the perf package.  Keys are namespaced by
+        :meth:`weights_fingerprint`, folded into per-stage key prefixes
+        once here rather than re-digested by every lookup.
         """
         scope = self.weights_fingerprint()
         self.compute_cache = cache
+        self._lm_head_key_prefix = cache.key_prefix(scope, "lm_head")
         for block in self.blocks:
             block.set_compute_cache(cache, scope)
 
     def detach_compute_cache(self) -> None:
         """Restore direct (uncached) computation on every stage."""
         self.compute_cache = None
+        self._lm_head_key_prefix = None
         for block in self.blocks:
             block.set_compute_cache(None, None)
 
@@ -129,7 +135,7 @@ class MoETransformer:
         cache = self.compute_cache
         if cache is None:
             return self.final_norm(h) @ self.embedding.T
-        key = cache.key(self.weights_fingerprint(), "lm_head", h)
+        key = cache.key(self._lm_head_key_prefix, h)
         logits = cache.get(key, "lm_head")
         if logits is None:
             logits = cache.put(
@@ -177,22 +183,7 @@ class MoETransformer:
         h = self.embed(tokens)
         decisions: list[RoutingDecision] = []
         for block, cache in zip(self.blocks, caches):
-            h_att = block.attention_part(h, cache, positions)
-            decision = block.route(h_att)
-            outs = np.empty(
-                (h_att.shape[0], self.top_k, self.profile.sim.d_model),
-                dtype=np.float32,
-            )
-            for expert_idx in np.unique(decision.experts):
-                mask = decision.experts == expert_idx
-                token_idx = np.nonzero(mask.any(axis=1))[0]
-                out = block.expert_forward(
-                    int(expert_idx), h_att, token_idx=token_idx
-                )
-                for row, t in enumerate(token_idx):
-                    slot = int(np.nonzero(mask[t])[0][0])
-                    outs[t, slot] = out[row]
-            h = block.combine(h_att, outs, decision.weights)
+            h, decision = block.forward(h, cache, positions)
             decisions.append(decision)
         return h, decisions
 

@@ -20,7 +20,9 @@ never imports this package) and shared across engines by
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -67,6 +69,31 @@ class StageCounters:
         return (self.hits + self.memo_hits) / self.lookups
 
 
+def _tag_head(tag: bytes) -> bytes:
+    """Length-prefixed type tag opening one encoded key part."""
+    return len(tag).to_bytes(4, "big") + tag
+
+
+_NONE_PART = _tag_head(b"N") + (0).to_bytes(8, "big")
+_BYTES_HEAD = _tag_head(b"B")
+_STR_HEAD = _tag_head(b"S")
+_BOOL_HEAD = _tag_head(b"O")
+_INT_HEAD = _tag_head(b"I")
+_FLOAT_HEAD = _tag_head(b"F")
+
+
+@functools.lru_cache(maxsize=256)
+def _array_head(dtype: np.dtype, shape: tuple) -> bytes:
+    """Tag, dtype, shape and byte count opening one array part.
+
+    A workload presents a handful of distinct ``(dtype, shape)`` pairs
+    millions of times, so the encoding is formatted once per pair.
+    """
+    tag = b"A" + f"{dtype.str}|{shape}|".encode("ascii")
+    nbytes = dtype.itemsize * math.prod(shape)
+    return _tag_head(tag) + nbytes.to_bytes(8, "big")
+
+
 def _update_part(digest: "hashlib._Hash", part: object) -> None:
     """Fold one key part into ``digest`` with an unambiguous encoding.
 
@@ -75,30 +102,50 @@ def _update_part(digest: "hashlib._Hash", part: object) -> None:
     concatenation (``("ab", "c")`` vs ``("a", "bc")``) or by type
     confusion (``1`` vs ``"1"`` vs a 0-d array).
     """
-    if part is None:
-        tag, payload = b"N", b""
-    elif isinstance(part, np.ndarray):
+    if isinstance(part, np.ndarray):
         a = np.ascontiguousarray(part)
-        tag = b"A" + f"{a.dtype.str}|{a.shape}|".encode("ascii")
+        digest.update(_array_head(a.dtype, a.shape))
         # Hash straight from the array buffer — no tobytes() copy.
-        digest.update(len(tag).to_bytes(4, "big") + tag
-                      + a.nbytes.to_bytes(8, "big"))
         digest.update(a)
         return
-    elif isinstance(part, (bytes, bytearray)):
-        tag, payload = b"B", bytes(part)
+    if part is None:
+        digest.update(_NONE_PART)
+        return
+    if isinstance(part, (bytes, bytearray)):
+        head, payload = _BYTES_HEAD, bytes(part)
     elif isinstance(part, str):
-        tag, payload = b"S", part.encode("utf-8")
+        head, payload = _STR_HEAD, part.encode("utf-8")
     elif isinstance(part, bool):
-        tag, payload = b"O", (b"1" if part else b"0")
+        head, payload = _BOOL_HEAD, (b"1" if part else b"0")
     elif isinstance(part, (int, np.integer)):
-        tag, payload = b"I", str(int(part)).encode("ascii")
+        head, payload = _INT_HEAD, str(int(part)).encode("ascii")
     elif isinstance(part, float):
-        tag, payload = b"F", np.float64(part).tobytes()
+        head, payload = _FLOAT_HEAD, np.float64(part).tobytes()
     else:
         raise TypeError(f"unhashable cache key part of type {type(part)!r}")
-    digest.update(len(tag).to_bytes(4, "big") + tag
-                  + len(payload).to_bytes(8, "big") + payload)
+    digest.update(head + len(payload).to_bytes(8, "big") + payload)
+
+
+class KeyPrefix:
+    """The constant leading parts of a family of keys, digested once.
+
+    A model stage's keys all open with the same ``(scope, block,
+    stage)`` parts; a prefix folds them into a BLAKE2 state once, and
+    each key then copies that state and digests only its varying parts.
+    ``content_key(KeyPrefix(*head), *tail)`` equals
+    ``content_key(*head, *tail)`` byte for byte.
+    """
+
+    __slots__ = ("_digest",)
+
+    def __init__(self, *parts: object) -> None:
+        self._digest = hashlib.blake2b(digest_size=16)
+        for part in parts:
+            _update_part(self._digest, part)
+
+    def fork(self) -> "hashlib._Hash":
+        """A fresh BLAKE2 state positioned just after the prefix."""
+        return self._digest.copy()
 
 
 def content_key(*parts: object) -> bytes:
@@ -106,9 +153,15 @@ def content_key(*parts: object) -> bytes:
 
     Accepted parts: ``None``, ``str``, ``bytes``, ``bool``, ``int``,
     ``float``, and ``np.ndarray`` (hashed with dtype and shape, so equal
-    bytes under different shapes do not collide).
+    bytes under different shapes do not collide).  The first part may
+    be a :class:`KeyPrefix`, which stands for the parts it was built
+    from.
     """
-    digest = hashlib.blake2b(digest_size=16)
+    if parts and isinstance(parts[0], KeyPrefix):
+        digest = parts[0].fork()
+        parts = parts[1:]
+    else:
+        digest = hashlib.blake2b(digest_size=16)
     for part in parts:
         _update_part(digest, part)
     return digest.digest()
@@ -150,6 +203,15 @@ class TensorCache:
     def key(*parts: object) -> bytes:
         """Build a content-addressed key; see :func:`content_key`."""
         return content_key(*parts)
+
+    @staticmethod
+    def key_prefix(*parts: object) -> KeyPrefix:
+        """Digest the leading parts shared by a family of keys once.
+
+        Pass the result as the first part of :meth:`key`; the key is the
+        one the parts spelled out in full would give.
+        """
+        return KeyPrefix(*parts)
 
     # ---- lookup / insert -----------------------------------------------------
 

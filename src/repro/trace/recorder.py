@@ -17,6 +17,11 @@ DECODE = "decode"
 PHASES = (PREFILL, DECODE)
 
 
+def _int_tuple(experts) -> tuple[int, ...]:
+    """Expert ids (a scalar, list or array) as a tuple of plain ints."""
+    return tuple(map(int, np.atleast_1d(experts).tolist()))
+
+
 @dataclass
 class RoutingEvent:
     """Expert activations of one token at one block."""
@@ -76,10 +81,10 @@ class ActivationTrace:
                 phase=phase,
                 block=block,
                 token_pos=token_pos,
-                experts=tuple(int(e) for e in np.atleast_1d(experts)),
+                experts=_int_tuple(experts),
                 executed_experts=(
                     None if executed_experts is None
-                    else tuple(int(e) for e in np.atleast_1d(executed_experts))
+                    else _int_tuple(executed_experts)
                 ),
                 predicted=predicted,
             )

@@ -156,17 +156,17 @@ def test_duplicate_expert_ids_fill_every_slot(tiny_bundle, platform):
     ).astype(np.float32)
     dup_experts = np.array([[1, 1], [1, 1]])
 
-    ctx = fresh_ctx(engine)
-    h_dup, ops = engine._execute_experts_at_location(
-        ctx, 0, h_att, dup_experts, np.array([[0.6, 0.4], [0.3, 0.7]]), []
-    )
+    def run_block(weights):
+        ctx = fresh_ctx(engine)
+        return engine._drive_blocks(ctx, engine._routed_block_work(
+            ctx, 0, h_att, dup_experts, weights, []
+        ))
+
+    h_dup, ops = run_block(np.array([[0.6, 0.4], [0.3, 0.7]]))
     # One op per *unique* expert, matching counter-conservation.
     assert len(ops) == 1
 
     # Both slots hold the same expert output, so the duplicate pair must
     # combine exactly like the full weight on a single slot.
-    ctx = fresh_ctx(engine)
-    h_full, _ = engine._execute_experts_at_location(
-        ctx, 0, h_att, dup_experts, np.array([[1.0, 0.0], [1.0, 0.0]]), []
-    )
+    h_full, _ = run_block(np.array([[1.0, 0.0], [1.0, 0.0]]))
     np.testing.assert_allclose(h_dup, h_full, rtol=1e-5)

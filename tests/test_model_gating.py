@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.gating import Router
+from repro.model.gating import Router, group_by_expert
 
 
 @pytest.fixture()
@@ -93,3 +93,48 @@ def test_topk_selection_never_repeats_an_expert(rng):
     tied = router.route_from_logits(np.zeros((8, 4)))
     for row in tied.experts:
         assert len(set(row.tolist())) == len(row)
+
+
+def _numpy_grouping(experts_per_token: np.ndarray) -> dict:
+    """Reference grouping: the ``np.unique``/mask spelling it replaces."""
+    groups = {}
+    for expert in np.unique(experts_per_token):
+        mask = experts_per_token == expert
+        token_idx = np.nonzero(mask.any(axis=1))[0]
+        slots = [
+            (int(t), int(slot), row)
+            for row, t in enumerate(token_idx)
+            for slot in np.nonzero(mask[t])[0]
+        ]
+        groups[int(expert)] = (token_idx, slots)
+    return groups
+
+
+def test_group_by_expert_matches_numpy_grouping(rng):
+    for _ in range(200):
+        n_tokens = int(rng.integers(1, 9))
+        top_k = int(rng.integers(1, 4))
+        # Small id range so tokens repeat ids across (and within) rows.
+        experts = rng.integers(0, 5, size=(n_tokens, top_k))
+        groups = group_by_expert(experts.tolist())
+        reference = _numpy_grouping(experts)
+        assert list(groups) == list(reference)
+        assert all(type(e) is int for e in groups)
+        for expert, (token_idx, slots) in groups.items():
+            ref_idx, ref_slots = reference[expert]
+            assert slots == ref_slots
+            # A full selection is spelled None, a partial one as int64.
+            if len(ref_idx) == n_tokens:
+                assert token_idx is None
+            else:
+                assert token_idx.dtype == np.int64
+                np.testing.assert_array_equal(token_idx, ref_idx)
+
+
+def test_group_by_expert_repeated_id_scatters_to_every_slot():
+    groups = group_by_expert([[3, 3], [1, 3]])
+    assert list(groups) == [1, 3]
+    token_idx, slots = groups[1]
+    np.testing.assert_array_equal(token_idx, [1])
+    assert slots == [(1, 0, 0)]
+    assert groups[3] == (None, [(0, 0, 0), (0, 1, 0), (1, 1, 1)])

@@ -13,7 +13,7 @@ from repro.model.config import SimSpec
 from repro.model.moe_block import MoEBlock
 from repro.model.quantization import quantize_experts
 from repro.model.zoo import build_tiny_moe
-from repro.perf import TensorCache
+from repro.perf import TensorCache, content_key
 
 
 @pytest.fixture()
@@ -195,6 +195,26 @@ def test_expert_token_idx_canonicalization(block, rng):
         block.set_compute_cache(None, None)
     assert cache.stage_counters["expert"].hits == 1
     np.testing.assert_array_equal(a, b)
+
+
+def test_stage_keys_keep_the_flat_spelling(block, rng):
+    """Prefix-seeded stage keys are the keys the parts spelled out give."""
+    h_att = rng.standard_normal((3, 32)).astype(np.float32)
+    cache = TensorCache()
+    block.set_compute_cache(cache, "scope")
+    try:
+        block.expert_forward(2, h_att)
+        logits = block.gate_logits(h_att)
+        block.route_from_logits(logits)
+    finally:
+        block.set_compute_cache(None, None)
+    digest = content_key(h_att)
+    for key, stage in [
+        (content_key("scope", 5, "expert", 2, 3, digest, None), "expert"),
+        (content_key("scope", 5, "gate", digest), "gate"),
+        (content_key("scope", 5, "route", logits), "route"),
+    ]:
+        assert cache.get(key, stage) is not None, stage
 
 
 # ---- model-level plumbing ----------------------------------------------------

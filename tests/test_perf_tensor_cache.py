@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.perf import DEFAULT_MAX_BYTES, StageCounters, TensorCache, content_key
+from repro.perf.tensor_cache import KeyPrefix
 
 
 # ---- key construction --------------------------------------------------------
@@ -45,6 +46,34 @@ def test_key_covers_dtype_and_shape():
     assert content_key(m[:, ::2]) == content_key(
         np.ascontiguousarray(m[:, ::2])
     )
+
+
+def test_key_prefix_equals_flat_spelling(rng):
+    """A prefix stands for its parts: the key bytes do not change."""
+    a = rng.standard_normal((2, 8)).astype(np.float32)
+    digest = content_key(a)
+    tails = [(), (a,), (7, digest, None), (digest, np.arange(3)),
+             (1.5, True, "x")]
+    for head in [("fp" * 16, 3, "attn"), ("fp", 0, "expert", 5), ()]:
+        prefix = TensorCache.key_prefix(*head)
+        for tail in tails:
+            assert TensorCache.key(prefix, *tail) == content_key(*head, *tail)
+        # Forking leaves the prefix reusable.
+        assert content_key(prefix, a) == content_key(prefix, a)
+
+
+def test_key_prefix_only_leads():
+    prefix = KeyPrefix("s")
+    with pytest.raises(TypeError):
+        content_key("s", prefix)
+
+
+def test_array_header_encoding_is_per_shape_and_dtype():
+    """The memoized array header still tells shapes and dtypes apart."""
+    zeros = np.zeros(4, dtype=np.float32)
+    assert content_key(zeros) == content_key(np.zeros(4, dtype=np.float32))
+    assert content_key(zeros) != content_key(zeros.reshape(1, 4))
+    assert content_key(zeros) != content_key(zeros.view(np.int32))
 
 
 def test_key_rejects_unhashable_parts():

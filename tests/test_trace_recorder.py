@@ -79,3 +79,16 @@ def test_window_validation(trace):
 def test_empty_trace(trace):
     assert trace.decode_window_matrices(15) == []
     assert trace.activation_matrix(DECODE).sum() == 0
+
+
+def test_record_stores_plain_int_tuples(trace):
+    """Lists, arrays and scalars of expert ids record identically."""
+    trace.record(DECODE, 0, 0, [1, 2], executed_experts=[1, 3])
+    trace.record(DECODE, 0, 1, np.array([1, 2]),
+                 executed_experts=np.array([1, 3], dtype=np.int32))
+    first, second = trace.events
+    assert first.experts == second.experts == (1, 2)
+    assert first.executed_experts == second.executed_experts == (1, 3)
+    assert all(type(e) is int for e in second.experts + second.executed_experts)
+    trace.record(DECODE, 1, 0, np.int64(3))
+    assert trace.events[-1].experts == (3,)
