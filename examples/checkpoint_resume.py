@@ -29,12 +29,8 @@ import numpy as np
 
 from repro import build_tiny_moe, default_platform
 from repro.core import build_engine, calibrate_activation_probs
-from repro.serving import (
-    ServingSimulator,
-    load_checkpoint,
-    poisson_arrivals,
-    save_checkpoint,
-)
+from repro.scenarios.arrivals import poisson_arrivals
+from repro.serving import ServingSimulator, load_checkpoint, save_checkpoint
 from repro.workloads import SHAREGPT, SequenceGenerator
 from repro.workloads.requests import RequestSpec
 

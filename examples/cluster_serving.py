@@ -34,7 +34,7 @@ from repro.cluster import (
 )
 from repro.core import build_engine, calibrate_activation_probs
 from repro.metrics import format_table
-from repro.serving import bursty_arrivals, poisson_arrivals
+from repro.scenarios.arrivals import bursty_arrivals, poisson_arrivals
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 N_REPLICAS = 2

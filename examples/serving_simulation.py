@@ -15,7 +15,8 @@ import numpy as np
 from repro import build_mixtral_8x7b_sim, default_platform
 from repro.core import build_engine, calibrate_activation_probs
 from repro.metrics import format_table
-from repro.serving import ServingSimulator, bursty_arrivals
+from repro.scenarios.arrivals import bursty_arrivals
+from repro.serving import ServingSimulator
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 N_REQUESTS = 8

@@ -39,11 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.audit.invariants import AuditReport, audit_generation
+from repro.audit.resume import timeline_signature
 from repro.core import ENGINE_NAMES, build_engine
 from repro.core.engine import GenerationResult, SequenceRequest
 from repro.hardware.platform import Platform
 from repro.model.zoo import ModelBundle
-from repro.sched.scheduler import GATHERED, ContinuousBatchScheduler
+from repro.sched.scheduler import ContinuousBatchScheduler
 from repro.trace.recorder import DECODE
 from repro.workloads import C4, SequenceGenerator
 
@@ -198,14 +199,6 @@ def block_divergence_accounting(result: GenerationResult) -> list:
     ]
 
 
-def _timeline_signature(result: GenerationResult) -> list:
-    """Per-op timeline fingerprint (resource, timing, kind, label)."""
-    return [
-        (op.resource, op.duration, op.start, op.end, op.kind, op.label)
-        for op in result.timeline.ops
-    ]
-
-
 def cache_parity_problems(baseline: GenerationResult,
                           cached: GenerationResult) -> list:
     """Bitwise differences between a cache-off and a cache-on generation.
@@ -228,7 +221,8 @@ def cache_parity_problems(baseline: GenerationResult,
             )
     if baseline.timeline.makespan != cached.timeline.makespan:
         problems.append("cache parity: makespan differs from cache-off run")
-    if _timeline_signature(baseline) != _timeline_signature(cached):
+    if (timeline_signature(baseline.timeline)
+            != timeline_signature(cached.timeline)):
         problems.append(
             "cache parity: per-op timeline differs from cache-off run"
         )
@@ -448,7 +442,7 @@ class StepParityReport:
 def _check_parity(comparison: StepParityComparison, path: str,
                   reference: GenerationResult,
                   candidate: GenerationResult) -> None:
-    """Assert one step-path result reproduces ``generate()`` exactly."""
+    """Assert one step-path result reproduces ``generate()`` op by op."""
     if not np.array_equal(reference.tokens, candidate.tokens):
         comparison.problems.append(
             f"{path}: token stream differs from generate()"
@@ -464,16 +458,19 @@ def _check_parity(comparison: StepParityComparison, path: str,
             comparison.problems.append(
                 f"{path}: {attr} {got!r} != generate()'s {ref!r}"
             )
-    if reference.timeline.makespan != candidate.timeline.makespan:
+    ref_ops = timeline_signature(reference.timeline)
+    got_ops = timeline_signature(candidate.timeline)
+    if len(ref_ops) != len(got_ops):
         comparison.problems.append(
-            f"{path}: makespan {candidate.timeline.makespan!r} != "
-            f"generate()'s {reference.timeline.makespan!r}"
+            f"{path}: op count {len(got_ops)} != generate()'s "
+            f"{len(ref_ops)}"
         )
-    if len(reference.timeline.ops) != len(candidate.timeline.ops):
-        comparison.problems.append(
-            f"{path}: op count {len(candidate.timeline.ops)} != "
-            f"generate()'s {len(reference.timeline.ops)}"
-        )
+    for index, (ref, got) in enumerate(zip(ref_ops, got_ops)):
+        if ref != got:
+            comparison.problems.append(
+                f"{path}: op {index} {got!r} != generate()'s {ref!r}"
+            )
+            break
 
 
 def run_step_parity_audit(
@@ -558,7 +555,7 @@ def run_step_parity_audit(
                     engine.generate(p, max_new_tokens) for p in prompts[1:]
                 ]
                 gathered = ContinuousBatchScheduler(
-                    engine, max_batch=len(prompts), mode=GATHERED
+                    engine, max_batch=len(prompts)
                 )
                 batch4 = gathered.run([
                     SequenceRequest(prompt_tokens=p,
@@ -566,7 +563,7 @@ def run_step_parity_audit(
                     for i, p in enumerate(prompts)
                 ])
                 gather = batch4.gather
-                if gather is None or gather.prefill_expert_kernels == 0:
+                if gather.prefill_expert_kernels == 0:
                     comparison.problems.append(
                         "gathered@4: prefill kernels were not gathered "
                         "(bucketing did not form a cohort)"

@@ -47,11 +47,8 @@ from repro.model.zoo import (
     build_phi_3_5_moe_sim,
     build_tiny_moe,
 )
-from repro.serving import (
-    ServingSimulator,
-    bursty_arrivals,
-    poisson_arrivals,
-)
+from repro.scenarios.arrivals import bursty_arrivals, poisson_arrivals
+from repro.serving import ServingSimulator
 from repro.trace.export import timeline_to_chrome_trace
 from repro.workloads import SequenceGenerator, get_dataset, get_task
 
@@ -243,8 +240,7 @@ def cmd_serve(args) -> int:
             get_dataset(args.dataset), bundle.vocab, seed=args.seed + 5
         )
         simulator = ServingSimulator(engine, generator,
-                                     concurrency=args.concurrency,
-                                     mode=args.mode)
+                                     concurrency=args.concurrency)
         arrivals = poisson_arrivals(
             args.rate, args.requests,
             np.random.default_rng(args.seed + 6),
@@ -307,7 +303,6 @@ def cmd_serve_cluster(args) -> int:
             ),
             slo=SLOTarget(ttft_s=args.slo_ttft, tpot_s=args.slo_tpot),
             concurrency=args.concurrency,
-            mode=args.mode,
         )
         report = simulator.run(arrivals, args.input_len, args.output_len,
                                sample_indices=sample_indices)
@@ -349,8 +344,7 @@ def cmd_watch(args) -> int:
         get_dataset(args.dataset), bundle.vocab, seed=args.seed + 5
     )
     simulator = ServingSimulator(engine, generator,
-                                 concurrency=args.concurrency,
-                                 mode=args.mode)
+                                 concurrency=args.concurrency)
     counts: dict = {}
 
     def on_event(event) -> None:
@@ -374,7 +368,7 @@ def cmd_watch(args) -> int:
         f"{kind}={counts[kind]}" for kind in EVENT_KINDS if kind in counts
     )
     print(f"watched {report.n_requests} request(s) on {args.engine} "
-          f"({args.mode}, concurrency {args.concurrency}): "
+          f"(concurrency {args.concurrency}): "
           f"{sum(counts.values())} event(s) [{breakdown}]")
     return 0
 
@@ -407,13 +401,11 @@ def _scenario_backend(args, bundle, platform, calibration):
         return ClusterSimulator(
             engines, None, build_policy(args.policy),
             concurrency=args.concurrency,
-            mode=args.mode,
         )
     engine = build_engine(args.engine, bundle, platform,
                           expert_cache_ratio=args.ecr,
                           calibration_probs=calibration)
-    return ServingSimulator(engine, concurrency=args.concurrency,
-                            mode=args.mode)
+    return ServingSimulator(engine, concurrency=args.concurrency)
 
 
 def _scenarios_compare(paths) -> int:
@@ -602,12 +594,18 @@ def _length_pairs(input_lens: list, output_lens: list) -> list:
 
 
 def cmd_bench_batch(args) -> int:
-    """Benchmark continuous batching across lengths, batch sizes, modes."""
+    """Benchmark continuous batching across lengths and batch sizes.
+
+    Every ``max_batch > 1`` run is compared against the ``max_batch=1``
+    run of the same engine and lengths (when 1 is among the batch
+    sizes): the speedup gathered cohorts buy over batch-size-one
+    service.
+    """
     import json
 
     from repro.core.engine import SequenceRequest
     from repro.hardware.timeline import GPU
-    from repro.sched import GATHERED, INTERLEAVED, ContinuousBatchScheduler
+    from repro.sched import ContinuousBatchScheduler
 
     bundle = _build(args)
     platform = default_platform()
@@ -625,7 +623,6 @@ def cmd_bench_batch(args) -> int:
         "runs": [],
         "comparison": [],
     }
-    throughput: dict = {}
     for name in args.engines:
         for input_len, output_len in pairs:
             generator = SequenceGenerator(
@@ -642,52 +639,47 @@ def cmd_bench_batch(args) -> int:
                     forced_tokens=sequence.continuation_tokens,
                     seq_id=i,
                 ))
+            throughput = {}
             for batch_size in args.batch_sizes:
-                for mode in args.modes:
-                    engine = build_engine(name, bundle, platform,
-                                          expert_cache_ratio=args.ecr,
-                                          calibration_probs=calibration)
-                    scheduler = ContinuousBatchScheduler(
-                        engine, max_batch=batch_size, mode=mode
-                    )
-                    report = scheduler.run(requests)
-                    throughput[(name, input_len, output_len,
-                                batch_size, mode)] = \
-                        report.throughput_tokens_per_s
-                    prefill = report.phase_gather_stats()["prefill"]
-                    rows.append([
-                        name, f"{input_len}/{output_len}", batch_size, mode,
-                        report.makespan_s,
-                        f"{100 * report.overlap_ratio:.1f}%",
-                        report.throughput_tokens_per_s,
-                        report.mean_ttft_s(),
-                        f"{report.n_expert_kernels}/{report.n_expert_ops}",
-                        f"{prefill['expert_kernels']}"
-                        f"/{prefill['expert_ops']}",
-                        f"{100 * report.occupancy(GPU):.0f}%",
-                    ])
-                    run = json.loads(report.to_json())
-                    run["input_len"] = input_len
-                    run["output_len"] = output_len
-                    payload["runs"].append(run)
-            if set(args.modes) >= {GATHERED, INTERLEAVED}:
-                for batch_size in args.batch_sizes:
-                    base = throughput[(name, input_len, output_len,
-                                       batch_size, INTERLEAVED)]
-                    gath = throughput[(name, input_len, output_len,
-                                       batch_size, GATHERED)]
-                    payload["comparison"].append({
-                        "engine": name,
-                        "input_len": input_len,
-                        "output_len": output_len,
-                        "max_batch": batch_size,
-                        "interleaved_tokens_per_s": base,
-                        "gathered_tokens_per_s": gath,
-                        "gathered_speedup": gath / base if base > 0 else 0.0,
-                    })
+                engine = build_engine(name, bundle, platform,
+                                      expert_cache_ratio=args.ecr,
+                                      calibration_probs=calibration)
+                report = ContinuousBatchScheduler(
+                    engine, max_batch=batch_size
+                ).run(requests)
+                throughput[batch_size] = report.throughput_tokens_per_s
+                prefill = report.phase_gather_stats()["prefill"]
+                rows.append([
+                    name, f"{input_len}/{output_len}", batch_size,
+                    report.makespan_s,
+                    f"{100 * report.overlap_ratio:.1f}%",
+                    report.throughput_tokens_per_s,
+                    report.mean_ttft_s(),
+                    f"{report.n_expert_kernels}/{report.n_expert_ops}",
+                    f"{prefill['expert_kernels']}"
+                    f"/{prefill['expert_ops']}",
+                    f"{100 * report.occupancy(GPU):.0f}%",
+                ])
+                run = json.loads(report.to_json())
+                run["input_len"] = input_len
+                run["output_len"] = output_len
+                payload["runs"].append(run)
+            base = throughput.get(1)
+            for batch_size, gath in throughput.items():
+                if base is None or batch_size == 1:
+                    continue
+                payload["comparison"].append({
+                    "engine": name,
+                    "input_len": input_len,
+                    "output_len": output_len,
+                    "max_batch": batch_size,
+                    "batch1_tokens_per_s": base,
+                    "gathered_tokens_per_s": gath,
+                    "gathered_speedup": gath / base if base > 0 else 0.0,
+                })
     lengths_label = ", ".join(f"{il}/{ol}" for il, ol in pairs)
     print(format_table(
-        ["engine", "in/out", "batch", "mode", "makespan (s)", "overlap",
+        ["engine", "in/out", "batch", "makespan (s)", "overlap",
          "tok/s", "mean TTFT (s)", "kernels/ops", "prefill k/ops",
          "GPU busy"],
         rows,
@@ -698,8 +690,8 @@ def cmd_bench_batch(args) -> int:
         print(
             f"{entry['engine']} @ {entry['input_len']}/"
             f"{entry['output_len']} batch {entry['max_batch']}: gathered "
-            f"{entry['gathered_tokens_per_s']:.2f} tok/s vs interleaved "
-            f"{entry['interleaved_tokens_per_s']:.2f} tok/s "
+            f"{entry['gathered_tokens_per_s']:.2f} tok/s vs batch 1 "
+            f"{entry['batch1_tokens_per_s']:.2f} tok/s "
             f"({entry['gathered_speedup']:.2f}x)"
         )
     if args.json:
@@ -947,9 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--output-len", type=int, default=48)
     p_serve.add_argument("--concurrency", type=int, default=1,
                          help="concurrent sequences per engine")
-    p_serve.add_argument("--mode", choices=("gathered", "interleaved"),
-                         default="gathered",
-                         help="scheduler execution mode")
     p_serve.set_defaults(func=cmd_serve)
 
     p_watch = sub.add_parser(
@@ -965,9 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_watch.add_argument("--output-len", type=int, default=12)
     p_watch.add_argument("--concurrency", type=int, default=2,
                          help="concurrent sequences per engine")
-    p_watch.add_argument("--mode", choices=("gathered", "interleaved"),
-                         default="gathered",
-                         help="scheduler execution mode")
     p_watch.add_argument("--kinds", nargs="+", default=None,
                          help="only stream these event kinds "
                               "(default: all)")
@@ -1013,9 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "JSON here")
     p_cluster.add_argument("--concurrency", type=int, default=1,
                            help="concurrent sequences per replica")
-    p_cluster.add_argument("--mode", choices=("gathered", "interleaved"),
-                           default="gathered",
-                           help="per-replica scheduler execution mode")
     p_cluster.set_defaults(func=cmd_serve_cluster)
 
     p_scen = sub.add_parser(
@@ -1052,9 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--workload", default=None,
                         help="recorded workload file to replay "
                              "(replay action)")
-    p_scen.add_argument("--mode", choices=("gathered", "interleaved"),
-                        default="gathered",
-                        help="backend scheduler execution mode")
     p_scen.add_argument("--pause-after", type=int, default=None,
                         metavar="TICKS",
                         help="pause the (single) scenario after this many "
@@ -1084,10 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--output-len", type=int, nargs="+", default=[16],
                          help="decode lengths to sweep (pairs with "
                               "--input-len; one value broadcasts)")
-    p_batch.add_argument("--modes", nargs="+",
-                         default=("interleaved", "gathered"),
-                         choices=("interleaved", "gathered"),
-                         help="scheduler execution modes to compare")
     p_batch.add_argument("--json", default=None,
                          help="write the full batch report JSON here")
     p_batch.set_defaults(func=cmd_bench_batch)

@@ -263,9 +263,9 @@ class ClusterReport:
     def replica_gather_stats(self, replica: int) -> GatherStats:
         """Cumulative kernel-amortization stats of one replica.
 
-        Populated by the cluster simulator when its scheduler runs in
-        gathered mode; replicas of an interleaved (or pre-gather) run
-        report the all-zero accumulator, whose amortization is 1.0.
+        Populated by the cluster simulator; a report rebuilt without
+        per-replica stats reads the all-zero accumulator, whose
+        amortization is 1.0.
         """
         if replica < len(self.replica_gather):
             return self.replica_gather[replica]

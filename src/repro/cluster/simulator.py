@@ -69,7 +69,7 @@ from repro.model.serialization import (
     encode_array,
     encode_optional_array,
 )
-from repro.sched.scheduler import GATHERED, INTERLEAVED, ContinuousBatchScheduler
+from repro.sched.scheduler import ContinuousBatchScheduler
 from repro.serving.checkpoint import (
     CLUSTER_KIND,
     CheckpointError,
@@ -168,16 +168,11 @@ class ClusterSimulator:
             the engine's initial placement per request (an ablation).
         concurrency: requests a replica serves concurrently per dispatch
             (a *gang*): the replica pulls up to this many queued requests
-            at once and interleaves them through the engine's step
-            machine via :class:`ContinuousBatchScheduler`, dispatching
+            at once and batches them in gathered cohorts via
+            :class:`ContinuousBatchScheduler`, dispatching
             the next gang only once the whole gang has completed.  The
             default of 1 is the sequential one-request-at-a-time service
             of the paper's regime.
-        mode: scheduler execution mode within each gang —
-            :data:`~repro.sched.scheduler.GATHERED` (default) merges
-            same-expert decode work across gang members into shared
-            kernels; :data:`~repro.sched.scheduler.INTERLEAVED`
-            round-robins independent steps.
     """
 
     def __init__(
@@ -189,17 +184,11 @@ class ClusterSimulator:
         slo: SLOTarget | None = None,
         carry_placement: bool = True,
         concurrency: int = 1,
-        mode: str = GATHERED,
     ) -> None:
         if not engines:
             raise ValueError("at least one engine replica is required")
         if concurrency < 1:
             raise ValueError("concurrency must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
         self.engines = list(engines)
         self.generator = generator
         self.policy = policy
@@ -207,7 +196,6 @@ class ClusterSimulator:
         self.slo = slo or SLOTarget()
         self.carry_placement = carry_placement
         self.concurrency = concurrency
-        self.mode = mode
         self.events = EventBus()
         # Snapshot so repeated run() calls replay from identical state.
         self._base_placements = [
@@ -411,7 +399,6 @@ class ClusterSimulator:
         payload = {
             "n_replicas": len(self.engines),
             "concurrency": self.concurrency,
-            "mode": self.mode,
             "carry_placement": self.carry_placement,
             "policy": {
                 "name": self.policy.name,
@@ -476,7 +463,6 @@ class ClusterSimulator:
         expected = {
             "n_replicas": len(self.engines),
             "concurrency": self.concurrency,
-            "mode": self.mode,
             "carry_placement": self.carry_placement,
             "policy": self.policy.name,
             "engine": ",".join(sorted({e.name for e in self.engines})),
@@ -488,7 +474,6 @@ class ClusterSimulator:
         recorded = {
             "n_replicas": payload["n_replicas"],
             "concurrency": payload["concurrency"],
-            "mode": payload["mode"],
             "carry_placement": payload["carry_placement"],
             "policy": payload["policy"]["name"],
             "engine": checkpoint.engine,
@@ -664,7 +649,7 @@ class ClusterSimulator:
                 )
             )
         scheduler = ContinuousBatchScheduler(
-            engine, max_batch=self.concurrency, mode=self.mode
+            engine, max_batch=self.concurrency
         )
         if self.events.active:
             self.events.emit(
@@ -677,8 +662,7 @@ class ClusterSimulator:
             engine.events.unsubscribe(self._forward_event)
             engine.events.subscribe(self._forward_event)
         batch = scheduler.run(seq_requests)
-        if batch.gather is not None:
-            session.gather[replica_idx].merge(batch.gather)
+        session.gather[replica_idx].merge(batch.gather)
         if self.carry_placement:
             last = max(batch.records,
                        key=lambda rec: (rec.finish_s, rec.seq_id))

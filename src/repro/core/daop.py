@@ -201,11 +201,10 @@ class DAOPEngine(BaseEngine):
                        deps: list[Op]):
         """DAOP decode policy as a block-work generator.
 
-        Yields one :class:`~repro.core.batching.BlockWork` per block so
-        the same policy runs under the solo driver (bitwise identical to
-        the pre-protocol inline path) and under
-        :meth:`~repro.core.engine.BaseEngine.step_batch` (routed expert
-        executions gathered across sequences).  The predictive
+        Yields one :class:`~repro.core.batching.BlockWork` per block;
+        :meth:`~repro.core.engine.BaseEngine._step_cohort` gathers the
+        routed expert executions across a cohort's sequences and, in a
+        cohort of one, runs them in slot order.  The predictive
         pre-calculation round-trips stay per-sequence — they are policy-
         internal work issued a block early, not routed executions.
         """

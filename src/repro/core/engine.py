@@ -342,8 +342,8 @@ class SequenceState:
         Engine policy state is serialized by the owning engine
         (:meth:`BaseEngine.checkpoint_sequence`) because only the engine
         knows its shape.  States are checkpointable exactly *between*
-        step calls: decode-policy generators live only inside
-        ``step``/``step_batch``, so position/phase/generated plus the
+        step calls: block-work generators live only inside one
+        ``_step_cohort`` call, so position/phase/generated plus the
         last op fully determine the resume point.
 
         Args:
@@ -566,7 +566,7 @@ class BaseEngine:
         return state
 
     def step(self, state: SequenceState) -> StepResult:
-        """Advance one sequence by one unit of work.
+        """Advance one sequence by one unit of work: a cohort of one.
 
         In the ``prefill`` phase this runs the whole prompt through the
         model (plus the LM head) and samples the first token; in the
@@ -576,71 +576,21 @@ class BaseEngine:
         Raises:
             RuntimeError: if the sequence is already done.
         """
-        if state.phase == SEQ_DONE:
-            raise RuntimeError(
-                f"sequence {state.seq_id} is done; call finish()"
-            )
-        request = state.request
-        if state.phase == SEQ_PREFILL:
-            h_last, last_op = self._prefill(state, request.prompt_tokens)
-            logits, last_op = self._lm_head(state, h_last, [last_op])
-            state.prefill_time_s = last_op.end
-            phase_run = SEQ_PREFILL
-        else:
-            forced = request.forced_tokens
-            step_idx = len(state.generated) - 1
-            step_input = (
-                int(forced[step_idx]) if forced is not None
-                else state.generated[-1]
-            )
-            h_last, last_op = self._decode_step(
-                state, step_input, [state.last_op]
-            )
-            logits, last_op = self._lm_head(state, h_last, [last_op])
-            phase_run = SEQ_DECODE
-        state.last_op = last_op
-        token = int(state.sampler(logits))
-        state.generated.append(token)
-        if len(state.generated) >= request.max_new_tokens:
-            state.phase = SEQ_DONE
-        else:
-            state.phase = SEQ_DECODE
-        if self.events.active:
-            self.events.emit(
-                ENGINE_STEP, last_op.end, engine=self.name,
-                seq_id=state.seq_id, phase=phase_run, token=token,
-                n_generated=len(state.generated), done=state.done,
-            )
-        return StepResult(
-            phase=phase_run,
-            token=token,
-            done=state.done,
-            n_generated=len(state.generated),
-        )
+        return self._step_cohort([state])[0]
 
     def step_batch(self, states: list, gather_stats=None) -> list:
-        """Advance several decode-phase sequences one token each, batched.
+        """Advance several decode-phase sequences one token each, gathered.
 
-        Tokens routed to the same expert *across sequences* execute as
-        one gathered kernel: the decode policies run block-locked (one
-        :class:`~repro.core.batching.BlockWork` yield per block per
-        sequence), same-``(block, expert, device)`` calls group into a
-        single simulated launch charged the cost model's batched time,
-        and the final LM head runs once over all last-token rows.  Each
-        participant's functional values are evaluated row-by-row through
-        the cache-aware stage API, so every sequence's token stream is
-        identical to its solo run token for token; only the simulated
-        schedule changes.  With a single state the gathered path
-        degenerates to exactly the ops :meth:`step` schedules, so
-        batch=1 stays bitwise-identical to ``generate()``.
+        The decode cohort entry of :meth:`_step_cohort`: tokens routed
+        to the same expert *across sequences* execute as one gathered
+        kernel, and the final LM head runs once over all last-token
+        rows.  Every sequence's token stream is identical to its solo
+        run; only the simulated schedule changes.
 
         Args:
-            states: decode-phase sequence states, in admission order
-                (the stable per-sequence gather order).  When more than
-                one, all must share one
-                :class:`~repro.hardware.timeline.ResourceClock` — the
-                scheduler regime; private clocks cannot express a
-                shared kernel.
+            states: decode-phase sequence states, in admission order.
+                When more than one, all must share one
+                :class:`~repro.hardware.timeline.ResourceClock`.
             gather_stats: optional
                 :class:`~repro.core.batching.GatherStats` accumulating
                 physical-kernel counts.
@@ -652,198 +602,146 @@ class BaseEngine:
             ValueError: for an empty batch or mixed resource clocks.
             RuntimeError: for a state not in the decode phase.
         """
-        if not states:
-            raise ValueError("step_batch needs at least one state")
-        for state in states:
-            if state.phase == SEQ_DONE:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is done; call finish()"
-                )
-            if state.phase != SEQ_DECODE:
-                raise RuntimeError(
-                    f"sequence {state.seq_id} is in phase "
-                    f"{state.phase!r}; step_batch serves decode-phase "
-                    "sequences — run prefill via step()"
-                )
-        if len(states) > 1:
-            clocks = {id(state.timeline.clock) for state in states}
-            if len(clocks) != 1:
-                raise ValueError(
-                    "batched stepping requires all states to share one "
-                    "ResourceClock (scheduler-built timelines); private "
-                    "clocks cannot express a gathered kernel"
-                )
-        gens = []
-        for state in states:
-            forced = state.request.forced_tokens
-            step_idx = len(state.generated) - 1
-            step_input = (
-                int(forced[step_idx]) if forced is not None
-                else state.generated[-1]
-            )
-            gens.append(self._decode_blocks(
-                state, step_input, [state.last_op]
-            ))
-        results: list = [None] * len(states)
-        for _round in range(self.model.n_blocks):
-            works = []
-            for i, gen in enumerate(gens):
-                try:
-                    works.append((states[i], gen.send(results[i])))
-                except StopIteration:
-                    raise RuntimeError(
-                        f"decode policy of {self.name!r} yielded fewer "
-                        f"than n_blocks work sets"
-                    ) from None
-            results = self._execute_block_work_gathered(works, gather_stats)
-        finals = []
-        for i, gen in enumerate(gens):
-            try:
-                gen.send(results[i])
-            except StopIteration as stop:
-                finals.append(stop.value)
-            else:
-                raise RuntimeError(
-                    f"decode policy of {self.name!r} yielded more than "
-                    f"n_blocks work sets"
-                )
-        logits_rows, lm_ops = self._lm_head_batch(
-            states, [h for h, _ in finals], [op for _, op in finals],
-            gather_stats,
-        )
-        step_results = []
-        for state, logits, lm_op in zip(states, logits_rows, lm_ops):
-            state.last_op = lm_op
-            token = int(state.sampler(logits))
-            state.generated.append(token)
-            if len(state.generated) >= state.request.max_new_tokens:
-                state.phase = SEQ_DONE
-            else:
-                state.phase = SEQ_DECODE
-            if self.events.active:
-                self.events.emit(
-                    ENGINE_STEP, lm_op.end, engine=self.name,
-                    seq_id=state.seq_id, phase=SEQ_DECODE, token=token,
-                    n_generated=len(state.generated), done=state.done,
-                    batched=len(states),
-                )
-            step_results.append(StepResult(
-                phase=SEQ_DECODE,
-                token=token,
-                done=state.done,
-                n_generated=len(state.generated),
-            ))
-        return step_results
+        return self._step_cohort(states, gather_stats, SEQ_DECODE)
 
     def step_prefill_batch(self, states: list, gather_stats=None) -> list:
-        """Advance several prefill-phase sequences one full pass, batched.
+        """Advance several prefill-phase sequences one full pass, gathered.
 
-        A prompt-length cohort's prefill passes run block-locked through
-        the same gathered driver as :meth:`step_batch`: every sequence's
-        :meth:`_prefill_blocks` generator yields one
-        :class:`~repro.core.batching.BlockWork` per block, same-``(block,
-        expert, device)`` calls merge into one simulated kernel, and the
-        final LM head runs once over all last-token rows.  Attention and
-        gate ops cannot merge across sequences functionally (each works
-        on its own hidden states), but a cohort's are priced as shares
-        of one batched launch via the cost model's
+        The prefill cohort entry of :meth:`_step_cohort`: a
+        prompt-length cohort's passes run block-locked, same-expert
+        calls merge into one kernel, and attention and gate ops are
+        priced as shares of one batched launch.  Arguments, return value
+        and errors mirror :meth:`step_batch`, for prefill-phase states.
+        """
+        return self._step_cohort(states, gather_stats, SEQ_PREFILL)
+
+    def _step_cohort(self, states: list, gather_stats=None,
+                     phase: str | None = None) -> list:
+        """Advance a same-phase cohort by one unit of work each.
+
+        The one execution path of the engine.  Every state's block-work
+        generator (:meth:`_prefill_blocks` or :meth:`_decode_blocks`)
+        runs block-locked: each block's :class:`~repro.core.batching.
+        BlockWork` items execute through
+        :meth:`_execute_block_work_gathered`, where same-``(block,
+        expert, device)`` calls of different sequences merge into one
+        simulated kernel, and the final LM head runs once over all
+        last-token rows.  Functional values are evaluated per sequence
+        through the cache-aware stage API, so token bytes, cache keys,
+        traces and counters never depend on the cohort.
+
+        In a prefill cohort of two or more, attention and gate ops
+        cannot merge functionally (each works on its own hidden
+        states), but they are priced as shares of one batched launch:
+        each op's solo duration is scaled by ``eff(total cohort rows) /
+        eff(own rows)`` from the cost model's
         ``attention_batch_efficiency`` / ``gate_batch_efficiency``
-        curves: each op's solo duration is scaled by ``eff(total cohort
-        rows) / eff(own rows)``, so the cohort's summed time equals one
-        kernel over all rows.  Functional values are still evaluated
-        per-sequence through the cache-aware stage API, so token bytes,
-        cache keys, traces, and counters are bitwise identical to solo
-        prefill; a cohort of one degenerates to exactly the ops
-        :meth:`step` schedules (the pricing ratio is identically 1.0).
+        curves, so the cohort's summed time equals one kernel over all
+        rows.
+
+        A cohort of one is the paper's batch-size-one step: one
+        participant per group, nothing to price or hold.
 
         Args:
-            states: prefill-phase sequence states, in admission order.
-                When more than one, all must share one
-                :class:`~repro.hardware.timeline.ResourceClock`.
+            states: sequence states in admission order (the stable
+                per-sequence gather order).
             gather_stats: optional
-                :class:`~repro.core.batching.GatherStats` accumulating
-                physical-kernel counts (prefill-phase fields included).
+                :class:`~repro.core.batching.GatherStats` accumulator.
+            phase: the phase every state must be in; ``None`` takes the
+                first state's.
 
         Returns:
             One :class:`StepResult` per state, aligned with ``states``.
 
         Raises:
-            ValueError: for an empty batch or mixed resource clocks.
-            RuntimeError: for a state not in the prefill phase.
+            ValueError: for an empty cohort, or several states on
+                different resource clocks (private clocks cannot express
+                a shared kernel).
+            RuntimeError: for a done state or a state in another phase.
         """
         if not states:
-            raise ValueError("step_prefill_batch needs at least one state")
+            raise ValueError("a cohort needs at least one state")
+        phase = phase or states[0].phase
         for state in states:
             if state.phase == SEQ_DONE:
                 raise RuntimeError(
                     f"sequence {state.seq_id} is done; call finish()"
                 )
-            if state.phase != SEQ_PREFILL:
+            if state.phase != phase:
                 raise RuntimeError(
                     f"sequence {state.seq_id} is in phase "
-                    f"{state.phase!r}; step_prefill_batch serves "
-                    "prefill-phase sequences — run decode via "
-                    "step_batch()"
+                    f"{state.phase!r}; this cohort serves {phase}-phase "
+                    "sequences"
                 )
-        if len(states) > 1:
-            clocks = {id(state.timeline.clock) for state in states}
-            if len(clocks) != 1:
-                raise ValueError(
-                    "batched stepping requires all states to share one "
-                    "ResourceClock (scheduler-built timelines); private "
-                    "clocks cannot express a gathered kernel"
+        if len(states) > 1 and len(
+                {id(state.timeline.clock) for state in states}) != 1:
+            raise ValueError(
+                "batched stepping requires all states to share one "
+                "ResourceClock (scheduler-built timelines); private "
+                "clocks cannot express a gathered kernel"
+            )
+        prefill = phase == SEQ_PREFILL
+        if prefill:
+            if len(states) > 1:
+                rows_total = sum(
+                    int(state.request.prompt_tokens.size) for state in states
                 )
-        rows_total = sum(
-            int(state.request.prompt_tokens.size) for state in states
-        )
-        gens = []
-        for state in states:
-            state.extra["gather_pricing"] = {"rows_total": rows_total}
-            gens.append(self._prefill_blocks(
-                state, state.request.prompt_tokens
-            ))
+                for state in states:
+                    state.extra["gather_pricing"] = {"rows_total": rows_total}
+            gens = [self._prefill_blocks(state, state.request.prompt_tokens)
+                    for state in states]
+        else:
+            gens = []
+            for state in states:
+                forced = state.request.forced_tokens
+                token = (int(forced[len(state.generated) - 1])
+                         if forced is not None else state.generated[-1])
+                gens.append(self._decode_blocks(state, token,
+                                                [state.last_op]))
         try:
             results: list = [None] * len(states)
             for _round in range(self.model.n_blocks):
                 works = []
-                for i, gen in enumerate(gens):
+                for state, gen, result in zip(states, gens, results):
                     try:
-                        works.append((states[i], gen.send(results[i])))
+                        works.append((state, gen.send(result)))
                     except StopIteration:
                         raise RuntimeError(
-                            f"prefill pass of {self.name!r} yielded "
-                            f"fewer than n_blocks work sets"
+                            f"{phase} pass of {self.name!r} yielded fewer "
+                            "than n_blocks work sets"
                         ) from None
-                if gather_stats is not None:
+                if prefill and gather_stats is not None:
                     gather_stats.attn_kernels += 1
                     gather_stats.attn_ops += len(states)
                     gather_stats.gate_kernels += 1
                     gather_stats.gate_ops += len(states)
                 results = self._execute_block_work_gathered(
-                    works, gather_stats, phase=SEQ_PREFILL
+                    works, gather_stats, phase
                 )
             finals = []
-            for i, gen in enumerate(gens):
+            for gen, result in zip(gens, results):
                 try:
-                    gen.send(results[i])
+                    gen.send(result)
                 except StopIteration as stop:
                     finals.append(stop.value)
                 else:
                     raise RuntimeError(
-                        f"prefill pass of {self.name!r} yielded more "
-                        f"than n_blocks work sets"
+                        f"{phase} pass of {self.name!r} yielded more than "
+                        "n_blocks work sets"
                     )
-            logits_rows, lm_ops = self._lm_head_batch(
-                states, [h for h, _ in finals], [op for _, op in finals],
-                gather_stats, phase=SEQ_PREFILL,
-            )
         finally:
-            for state in states:
-                state.extra.pop("gather_pricing", None)
+            if prefill and len(states) > 1:
+                for state in states:
+                    del state.extra["gather_pricing"]
+        logits_rows, lm_ops = self._lm_head_batch(
+            states, [h for h, _ in finals], [op for _, op in finals],
+            gather_stats, phase,
+        )
         step_results = []
         for state, logits, lm_op in zip(states, logits_rows, lm_ops):
             state.last_op = lm_op
-            state.prefill_time_s = lm_op.end
+            if prefill:
+                state.prefill_time_s = lm_op.end
             token = int(state.sampler(logits))
             state.generated.append(token)
             if len(state.generated) >= state.request.max_new_tokens:
@@ -853,12 +751,12 @@ class BaseEngine:
             if self.events.active:
                 self.events.emit(
                     ENGINE_STEP, lm_op.end, engine=self.name,
-                    seq_id=state.seq_id, phase=SEQ_PREFILL, token=token,
+                    seq_id=state.seq_id, phase=phase, token=token,
                     n_generated=len(state.generated), done=state.done,
                     batched=len(states),
                 )
             step_results.append(StepResult(
-                phase=SEQ_PREFILL,
+                phase=phase,
                 token=token,
                 done=state.done,
                 n_generated=len(state.generated),
@@ -1065,8 +963,7 @@ class BaseEngine:
             # Gathered-prefill pricing: scaling each cohort member's solo
             # duration by eff(R)/eff(own rows) makes the cohort's summed
             # attention time equal one batched kernel over all R rows.
-            # A cohort of one has R == n_tokens, so the ratio is exactly
-            # 1.0 and the op stays bitwise identical to a solo step.
+            # Only cohorts of two or more carry pricing.
             duration *= (
                 self.cost_model.attention_batch_efficiency(
                     self.platform.gpu, int(pricing["rows_total"]),
@@ -1109,29 +1006,6 @@ class BaseEngine:
         )
         return logits, op
 
-    def _expert_gpu(self, ctx: _SequenceContext, block_idx: int,
-                    expert: int, x: np.ndarray, deps: list[Op],
-                    token_idx: np.ndarray | None = None) -> tuple[np.ndarray, Op]:
-        """Execute one expert on the GPU.
-
-        ``token_idx`` optionally selects rows of ``x`` (the block-level
-        hidden states); passing the full array plus indices lets all
-        experts of a block share one ``ffn_norm``.
-        """
-        y = self.model.blocks[block_idx].expert_forward(
-            expert, x, token_idx=token_idx
-        )
-        n_tokens = x.shape[0] if token_idx is None else len(token_idx)
-        duration = self.framework_overhead_s + self.cost_model.expert_time(
-            self.platform.gpu, n_tokens
-        )
-        op = ctx.timeline.add(
-            GPU, duration, deps=deps,
-            label=f"E{expert}@B{block_idx} gpu", kind="expert_gpu",
-        )
-        ctx.counters.gpu_expert_execs += 1
-        return y, op
-
     def _expert_cpu(self, ctx: _SequenceContext, block_idx: int,
                     expert: int, x: np.ndarray, deps: list[Op],
                     stale_input: bool = False,
@@ -1142,8 +1016,10 @@ class BaseEngine:
         and the result returns host-to-device; per the paper these
         activation transfers are ~1/10000 the size of the expert weights.
         ``token_idx`` optionally selects rows of ``x`` as in
-        :meth:`_expert_gpu`.  Returns the output and the H2D op that lands
-        it back on the GPU.
+        :meth:`~repro.model.moe_block.MoEBlock.expert_forward`.  Returns
+        the output and the H2D op that lands it back on the GPU.  Routed
+        CPU executions run gathered (:meth:`_execute_block_work_gathered`);
+        this single-sequence form serves DAOP's pre-calculation.
         """
         n_tokens = x.shape[0] if token_idx is None else len(token_idx)
         d2h = ctx.timeline.add(
@@ -1191,18 +1067,6 @@ class BaseEngine:
         """Free a device copy (host copy of inference weights stays valid)."""
         ctx.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
-    def _lm_head(self, ctx: _SequenceContext, h_last: np.ndarray,
-                 deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """Final norm + LM head on the GPU for the last token."""
-        logits = self.model.lm_logits(h_last.reshape(1, -1))[0]
-        duration = self.framework_overhead_s + self.cost_model.lm_head_time(
-            self.platform.gpu, 1
-        )
-        op = ctx.timeline.add(
-            GPU, duration, deps=deps, label="lm_head", kind="lm_head",
-        )
-        return logits, op
-
     def _record_activation_counters(self, ctx: _SequenceContext,
                                     block_idx: int,
                                     experts: np.ndarray | list[int]) -> None:
@@ -1235,20 +1099,12 @@ class BaseEngine:
         """Hook: arrange residency for a decode block's activated experts."""
         return BlockPlan()
 
-    def _prefill_standard(self, ctx: _SequenceContext,
-                          prompt_tokens: np.ndarray) -> tuple[np.ndarray, Op]:
-        """Shared prefill under the solo driver (one inline-order pass)."""
-        return self._drive_blocks(
-            ctx, self._prefill_blocks_standard(ctx, prompt_tokens)
-        )
-
     # ---- block-work protocol ------------------------------------------------------
     #
     # Decode policies and the shared prefill pass are generators
-    # yielding one BlockWork per block (see repro.core.batching); a
-    # driver decides how the described expert executions run —
-    # immediately (solo) or gathered with the same-expert calls of
-    # other in-flight sequences (step_batch / step_prefill_batch).
+    # yielding one BlockWork per block (see repro.core.batching);
+    # _step_cohort executes the described expert work, gathered with
+    # the same-expert calls of the cohort's other sequences.
 
     def _prefill_blocks_standard(self, ctx: _SequenceContext,
                                  prompt_tokens: np.ndarray):
@@ -1256,9 +1112,7 @@ class BaseEngine:
 
         Per block: attend -> gate -> prepare -> describe the routed
         expert executions.  Yields exactly ``n_blocks``
-        :class:`BlockWork` items and returns ``(h_last, done_op)``;
-        under the solo driver the op schedule is identical to the
-        historical inline prefill, and under the gathered driver a
+        :class:`BlockWork` items and returns ``(h_last, done_op)``; a
         prompt-length cohort's same-expert calls merge into shared
         kernels.
         """
@@ -1349,9 +1203,7 @@ class BaseEngine:
         """Shared decode policy: true gate, experts run where they live.
 
         A generator yielding exactly ``n_blocks`` :class:`BlockWork`
-        items and returning ``(h_last, done_op)``; the dataflow (and,
-        under the solo driver, the op schedule) is identical to the
-        pre-protocol ``_decode_step_standard``.
+        items and returning ``(h_last, done_op)``.
         """
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
@@ -1377,56 +1229,23 @@ class BaseEngine:
         )
         return h[-1], done
 
-    def _execute_block_work_solo(self, ctx: _SequenceContext,
-                                 work) -> list:
-        """Execute one sequence's block work immediately, in call order.
-
-        Returns ``(output, op)`` per call — the faithful inline
-        execution the pre-protocol engines performed, so a solo-driven
-        sequence schedules exactly the same ops at the same times.
-        """
-        results = []
-        for call in work.calls:
-            if call.location == GPU_LOC:
-                y, op = self._expert_gpu(
-                    ctx, work.block_idx, call.expert, call.h_att,
-                    list(call.deps), token_idx=call.token_idx,
-                )
-            else:
-                y, op = self._expert_cpu(
-                    ctx, work.block_idx, call.expert, call.h_att,
-                    list(call.deps), token_idx=call.token_idx,
-                )
-            results.append((y, op))
-        return results
-
-    def _drive_blocks(self, ctx: _SequenceContext,
-                      gen) -> tuple[np.ndarray, Op]:
-        """Run one block-work generator (decode or prefill) solo."""
-        results = None
-        while True:
-            try:
-                work = gen.send(results)
-            except StopIteration as stop:
-                return stop.value
-            results = self._execute_block_work_solo(ctx, work)
-
-    # ---- gathered (cross-sequence) execution --------------------------------------
-
-    @staticmethod
-    def _group_barrier(works: list, participants: list) -> float:
-        """Latest dependency end among a gathered group's calls (seconds)."""
-        barrier = 0.0
-        for i, j in participants:
-            call = works[i][1].calls[j]
-            if call.deps:
-                barrier = max(barrier, max(d.end for d in call.deps))
-        return barrier
+    # ---- cohort execution ---------------------------------------------------------
 
     def _execute_block_work_gathered(self, works: list,
                                      gather_stats=None,
                                      phase: str = SEQ_DECODE) -> list:
-        """Execute one round of block work gathered across sequences.
+        """Execute one block round of a cohort, gathered across sequences.
+
+        Calls that target the same ``(block, expert, location)`` run as
+        one simulated kernel charged the cost model's batched time over
+        all participants' rows (weight bytes read once, one framework
+        overhead), sliced into per-sequence ops.  A CPU group's three
+        stages (activations device-to-host, CPU execution, result
+        host-to-device) each run as one such kernel.  Functional values
+        are evaluated segment by segment through
+        :meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`, so
+        each sequence's outputs and compute-cache keys never depend on
+        the cohort.
 
         Args:
             works: ``(state, BlockWork)`` per sequence, admission order.
@@ -1438,143 +1257,95 @@ class BaseEngine:
 
         Returns:
             Per sequence, the ``(output, op)`` list aligned with its
-            calls.  Groups execute in deterministic ``(block, expert,
-            location)`` order; within a group, participants keep
-            admission order, so the whole schedule is reproducible.
+            calls.  Groups execute in first-request order (sequence,
+            then call: the insertion order of
+            :func:`~repro.core.batching.group_block_work`), so a cohort
+            of one runs its calls in exactly the order its policy
+            yielded them, and the whole schedule is reproducible.
         """
+        overhead = self.framework_overhead_s
+        cost = self.cost_model
         results = [[None] * len(work.calls) for _, work in works]
         groups = group_block_work([work for _, work in works])
-        for key in sorted(groups):
-            block_idx, expert, location = key
-            participants = groups[key]
+        for (block_idx, expert, location), participants in groups.items():
+            states, segments, deps = [], [], []
+            for i, j in participants:
+                state, work = works[i]
+                call = work.calls[j]
+                states.append(state)
+                segments.append((call.h_att, call.token_idx))
+                deps.append(call.deps)
+            ys = self.model.blocks[block_idx].expert_forward_rows(
+                expert, segments
+            )
+            counts = [y.shape[0] for y in ys]
+            rows = sum(counts)
             if location == GPU_LOC:
-                self._gathered_expert_gpu(
-                    works, results, block_idx, expert, participants,
-                    gather_stats, phase,
+                ops = self._add_slices(
+                    GPU, states, counts,
+                    overhead + cost.expert_time(self.platform.gpu, rows),
+                    deps, f"E{expert}@B{block_idx} gpu", "expert_gpu",
                 )
+                for state in states:
+                    state.counters.gpu_expert_execs += 1
             else:
-                self._gathered_expert_cpu(
-                    works, results, block_idx, expert, participants,
-                    gather_stats, phase,
+                act = overhead + cost.activation_transfer_time(rows)
+                ops = self._add_slices(D2H, states, counts, act, deps,
+                                       f"act>cpu B{block_idx}", "act_d2h")
+                ops = self._add_slices(
+                    CPU, states, counts,
+                    overhead + cost.expert_time(self.platform.cpu, rows),
+                    ops, f"E{expert}@B{block_idx} cpu", "expert_cpu",
                 )
+                ops = self._add_slices(H2D, states, counts, act, ops,
+                                       f"act>gpu B{block_idx}", "act_h2d")
+                for state in states:
+                    state.counters.cpu_expert_execs += 1
+            for (i, j), y, (op,) in zip(participants, ys, ops):
+                results[i][j] = (y, op)
+            if gather_stats is not None:
+                gather_stats.expert_kernels += 1
+                gather_stats.expert_ops += len(participants)
+                gather_stats.gathered_rows += rows
+                gather_stats.max_group_size = max(
+                    gather_stats.max_group_size, len(participants)
+                )
+                if phase == SEQ_PREFILL:
+                    gather_stats.prefill_expert_kernels += 1
+                    gather_stats.prefill_expert_ops += len(participants)
         return results
 
-    def _gathered_rows(self, block_idx: int, expert: int, works: list,
-                       participants: list) -> tuple[list, int]:
-        """Evaluate a gathered group's functional values, row-stable.
+    @staticmethod
+    def _add_slices(resource: str, states: list, counts: list,
+                    total: float, deps: list, label: str, kind: str) -> list:
+        """Record one gathered kernel as one slice op per participant.
 
-        Delegates to :meth:`~repro.model.moe_block.MoEBlock.
-        expert_forward_rows` — functionally the single batched matmul of
-        the gathered kernel, evaluated segment-by-segment so each
-        sequence's values (and compute-cache keys) stay bitwise
-        identical to its solo run.  Returns the per-participant outputs
-        and the total row count.
+        Participant ``k`` records ``total * (counts[k] / rows)`` seconds,
+        its share of the kernel's ``rows = sum(counts)``, in its *own*
+        timeline with its *own* dependencies ``deps[k]``, so
+        per-sequence counter conservation, energy integration and
+        causality audits hold unchanged; the coupling between sequences
+        flows through the shared clock.  With several participants the
+        lane is first held to their latest dependency end, so the
+        shared kernel starts once every input is ready.  A lone
+        participant takes the whole kernel (``total * (r / r)`` is
+        exactly ``total``) and needs no hold: its op waits on its own
+        dependencies anyway.  Returns each participant's op as a one-op
+        dependency tuple, ready to chain the next stage.
         """
-        block = self.model.blocks[block_idx]
-        segments = []
-        for i, j in participants:
-            call = works[i][1].calls[j]
-            segments.append((call.h_att, call.token_idx))
-        ys = block.expert_forward_rows(expert, segments)
-        rows = sum(y.shape[0] for y in ys)
-        return ys, rows
-
-    def _note_gathered_kernel(self, gather_stats, participants: list,
-                              rows: int, phase: str = SEQ_DECODE) -> None:
-        """Account one physical gathered kernel launch."""
-        if gather_stats is None:
-            return
-        gather_stats.expert_kernels += 1
-        gather_stats.expert_ops += len(participants)
-        gather_stats.gathered_rows += rows
-        gather_stats.max_group_size = max(
-            gather_stats.max_group_size, len(participants)
-        )
-        if phase == SEQ_PREFILL:
-            gather_stats.prefill_expert_kernels += 1
-            gather_stats.prefill_expert_ops += len(participants)
-
-    def _gathered_expert_gpu(self, works: list, results: list,
-                             block_idx: int, expert: int,
-                             participants: list, gather_stats=None,
-                             phase: str = SEQ_DECODE) -> None:
-        """One gathered GPU expert kernel over all participants' rows.
-
-        The kernel is charged once at the cost model's batched time
-        (weight bytes read once, one framework overhead) and starts at
-        the group's dependency barrier; each participant records a
-        proportional slice in its *own* timeline with its *own*
-        dependencies, so per-sequence counter conservation, energy
-        integration, and causality audits all hold unchanged.
-        """
-        ys, rows = self._gathered_rows(block_idx, expert, works,
-                                       participants)
-        duration = self.framework_overhead_s + self.cost_model.expert_time(
-            self.platform.gpu, rows
-        )
-        clock = works[0][0].timeline.clock
-        clock.hold(GPU, self._group_barrier(works, participants))
-        for (i, j), y in zip(participants, ys):
-            state, work = works[i]
-            call = work.calls[j]
-            op = state.timeline.add(
-                GPU, duration * y.shape[0] / rows, deps=list(call.deps),
-                label=f"E{expert}@B{block_idx} gpu", kind="expert_gpu",
-            )
-            state.counters.gpu_expert_execs += 1
-            results[i][j] = (y, op)
-        self._note_gathered_kernel(gather_stats, participants, rows, phase)
-
-    def _gathered_expert_cpu(self, works: list, results: list,
-                             block_idx: int, expert: int,
-                             participants: list, gather_stats=None,
-                             phase: str = SEQ_DECODE) -> None:
-        """One gathered CPU expert execution with batched round-trips.
-
-        The three stages of the solo path (activations device-to-host,
-        CPU execution, result host-to-device) each run as one batched
-        transfer/kernel over every participant's rows, sliced into
-        per-sequence ops exactly like the GPU path; each stage's lane is
-        held to the previous stage's group barrier.
-        """
-        ys, rows = self._gathered_rows(block_idx, expert, works,
-                                       participants)
-        act_total = (
-            self.framework_overhead_s
-            + self.cost_model.activation_transfer_time(rows)
-        )
-        exec_total = (
-            self.framework_overhead_s
-            + self.cost_model.expert_time(self.platform.cpu, rows)
-        )
-        clock = works[0][0].timeline.clock
-        clock.hold(D2H, self._group_barrier(works, participants))
-        d2h_ops = []
-        for (i, j), y in zip(participants, ys):
-            state, work = works[i]
-            call = work.calls[j]
-            d2h_ops.append(state.timeline.add(
-                D2H, act_total * y.shape[0] / rows, deps=list(call.deps),
-                label=f"act>cpu B{block_idx}", kind="act_d2h",
-            ))
-        clock.hold(CPU, max(op.end for op in d2h_ops))
-        exec_ops = []
-        for (i, j), y, d2h in zip(participants, ys, d2h_ops):
-            state, _ = works[i]
-            exec_ops.append(state.timeline.add(
-                CPU, exec_total * y.shape[0] / rows, deps=[d2h],
-                label=f"E{expert}@B{block_idx} cpu", kind="expert_cpu",
-            ))
-            state.counters.cpu_expert_execs += 1
-        clock.hold(H2D, max(op.end for op in exec_ops))
-        for (i, j), y, exec_op in zip(participants, ys, exec_ops):
-            state, _ = works[i]
-            h2d = state.timeline.add(
-                H2D, act_total * y.shape[0] / rows, deps=[exec_op],
-                label=f"act>gpu B{block_idx}", kind="act_h2d",
-            )
-            results[i][j] = (y, h2d)
-        self._note_gathered_kernel(gather_stats, participants, rows, phase)
+        if len(states) == 1:
+            return [(states[0].timeline.add(
+                resource, total, deps=deps[0], label=label, kind=kind,
+            ),)]
+        rows = sum(counts)
+        states[0].timeline.clock.hold(resource, max(
+            (op.end for ops in deps for op in ops), default=0.0
+        ))
+        return [
+            (state.timeline.add(resource, total * (count / rows),
+                                deps=ops, label=label, kind=kind),)
+            for state, count, ops in zip(states, counts, deps)
+        ]
 
     def _lm_head_batch(self, states: list, h_lasts: list, done_ops: list,
                        gather_stats=None,
@@ -1590,46 +1361,28 @@ class BaseEngine:
         duration = self.framework_overhead_s + self.cost_model.lm_head_time(
             self.platform.gpu, n
         )
-        clock = states[0].timeline.clock
-        clock.hold(GPU, max(op.end for op in done_ops))
-        ops = []
-        for state, done in zip(states, done_ops):
-            ops.append(state.timeline.add(
-                GPU, duration / n, deps=[done], label="lm_head",
-                kind="lm_head",
-            ))
+        ops = self._add_slices(
+            GPU, states, [1] * n, duration, [(done,) for done in done_ops],
+            "lm_head", "lm_head",
+        )
         if gather_stats is not None:
             gather_stats.lm_head_kernels += 1
             gather_stats.lm_head_ops += n
             if phase == SEQ_PREFILL:
                 gather_stats.prefill_lm_head_kernels += 1
                 gather_stats.prefill_lm_head_ops += n
-        return logits_rows, ops
-
-    def _decode_step_standard(self, ctx: _SequenceContext, token: int,
-                              deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """Shared decode step: the standard policy under the solo driver."""
-        return self._drive_blocks(
-            ctx, self._decode_blocks_standard(ctx, token, deps)
-        )
+        return logits_rows, [op for op, in ops]
 
     # Default implementations: engines that follow the standard dataflow
     # simply inherit these.
-
-    def _prefill(self, ctx: _SequenceContext,
-                 prompt_tokens: np.ndarray) -> tuple[np.ndarray, Op]:
-        return self._drive_blocks(
-            ctx, self._prefill_blocks(ctx, prompt_tokens)
-        )
 
     def _prefill_blocks(self, ctx: _SequenceContext,
                         prompt_tokens: np.ndarray):
         """Policy hook: the prefill block-work generator for one prompt.
 
-        An engine with a custom prefill policy overrides *this* instead
-        of ``_prefill``, so one policy serves both the solo and the
-        gathered driver.  Must yield exactly ``n_blocks``
-        :class:`BlockWork` items and return ``(h_last, done_op)``.
+        An engine with a custom prefill policy overrides this.  Must
+        yield exactly ``n_blocks`` :class:`BlockWork` items and return
+        ``(h_last, done_op)``.
         """
         return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
 
@@ -1638,16 +1391,8 @@ class BaseEngine:
         """Policy hook: the decode block-work generator for one token.
 
         Engines with a custom decode policy (DAOP's predictive
-        pre-calculation, Pre-gated's prefetch) override *this* instead
-        of ``_decode_step``, so one policy serves both the solo and the
-        gathered driver.  Must yield exactly ``n_blocks``
-        :class:`BlockWork` items and return ``(h_last, done_op)``.
+        pre-calculation, Pre-gated's prefetch) override this.  Must
+        yield exactly ``n_blocks`` :class:`BlockWork` items and return
+        ``(h_last, done_op)``.
         """
         return (yield from self._decode_blocks_standard(ctx, token, deps))
-
-    def _decode_step(self, ctx: _SequenceContext, token: int,
-                     deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """One decode token under the solo driver (substrate; not a hook)."""
-        return self._drive_blocks(
-            ctx, self._decode_blocks(ctx, token, deps)
-        )

@@ -120,7 +120,6 @@ class EngineContractGuard:
         if self._originals:
             return self
         self._wrap("generate", self._guarded_generate)
-        self._wrap("_prefill", self._guarded_prefill)
         self._wrap("_upload_expert", self._guarded_upload)
         return self
 
@@ -166,18 +165,11 @@ class EngineContractGuard:
             )
         return result
 
-    def _guarded_prefill(self, original, *args, **kwargs):
-        self.phase = "prefill"
-        try:
-            return original(*args, **kwargs)
-        finally:
-            self.phase = "decode"
-
     def _guarded_upload(self, original, *args, **kwargs):
         # The sequence state carries its own phase, which stays correct
-        # when a scheduler interleaves several sequences (one may be in
+        # when a scheduler batches several sequences (one may be in
         # decode while another is still prefilling); the guard-level
-        # phase is the fallback for direct primitive calls.
+        # phase is the fallback for calls without a state.
         phase = self.phase
         if args:
             phase = getattr(args[0], "phase", phase)

@@ -8,7 +8,7 @@ same cost model, timeline semantics, and trace instrumentation as DAOP
    (Algorithm 1, SS IV-B) -- the data-aware allocation *is* the
    contribution under test, so baselines must not call it;
 2. a baseline overriding the shared substrate primitives (``generate``,
-   ``_expert_gpu``, ``_upload_expert``, ...) instead of the policy hooks,
+   ``_expert_cpu``, ``_upload_expert``, ...) instead of the policy hooks,
    which would let it charge different costs for the same op;
 3. any engine-layer code reaching into ``_``-private attributes of the
    Timeline / CostModel / ExpertPlacement objects, bypassing the public
@@ -54,22 +54,17 @@ _MIGRATION_NAMES = frozenset({
 #: BaseEngine substrate primitives baselines may use but never redefine.
 #: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
 #: they are the *policy* hooks of the block-work protocol (engines
-#: describe routed expert work there), while the drivers that execute
-#: the described work — solo (``_decode_step``, ``_prefill``) and
-#: gathered (``step_batch``, ``step_prefill_batch``) — are substrate.
+#: describe routed expert work there), while the one step body that
+#: executes the described work (``_step_cohort`` and its entries
+#: ``step``, ``step_batch``, ``step_prefill_batch``) is substrate.
 _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
-    "finish", "checkpoint_sequence", "restore_sequence",
-    "_attention", "_gate", "_expert_gpu", "_expert_cpu",
-    "_upload_expert", "_drop_expert", "_lm_head", "_lm_head_batch",
-    "_record_activation_counters",
-    "_prefill_standard", "_prefill_blocks_standard",
-    "_decode_step", "_decode_step_standard",
-    "_decode_blocks_standard", "_routed_block_work",
-    "_drive_blocks", "_execute_block_work_solo",
-    "_execute_block_work_gathered", "_group_barrier", "_gathered_rows",
-    "_note_gathered_kernel", "_gathered_expert_gpu",
-    "_gathered_expert_cpu", "_device_spec",
+    "_step_cohort", "finish", "checkpoint_sequence", "restore_sequence",
+    "_attention", "_gate", "_expert_cpu", "_upload_expert",
+    "_drop_expert", "_lm_head_batch", "_record_activation_counters",
+    "_prefill_blocks_standard", "_decode_blocks_standard",
+    "_routed_block_work", "_execute_block_work_gathered",
+    "_add_slices", "_device_spec",
 })
 
 #: The checkpoint policy-hook pair every engine implements together.

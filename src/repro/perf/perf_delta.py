@@ -12,7 +12,7 @@ while catching real cost-model or batching regressions).
 Two artifact kinds are understood, auto-detected by shape:
 
 - **batch** (``repro bench-batch --json``): runs are keyed by
-  ``(engine, max_batch, mode)`` and compared on
+  ``(engine, input_len, output_len, max_batch)`` and compared on
   ``throughput_tokens_per_s`` — the decode-throughput surface the
   continuous-batch scheduler owns;
 - **compute** (``repro bench-compute --json``): the warm-cache speedups
@@ -44,7 +44,7 @@ class MetricDelta:
 
     Attributes:
         metric: human-readable metric path, e.g.
-            ``"daop/max_batch=4/gathered throughput_tokens_per_s"``.
+            ``"daop/in=32/out=16/max_batch=4 throughput_tokens_per_s"``.
         baseline: the baseline artifact's value.
         candidate: the candidate artifact's value.
     """
@@ -132,20 +132,20 @@ def _run_lengths(run: dict, payload: dict) -> tuple:
 
 
 def _batch_throughputs(payload: dict) -> dict:
-    """Throughput keyed by ``(engine, input_len, output_len, max_batch,
-    mode)``."""
+    """Throughput keyed by ``(engine, input_len, output_len,
+    max_batch)``."""
     return {
         (run["engine"],) + _run_lengths(run, payload)
-        + (int(run["max_batch"]), run["mode"]):
+        + (int(run["max_batch"]),):
         float(run["throughput_tokens_per_s"])
         for run in payload.get("runs", [])
     }
 
 
 def _batch_key_label(key: tuple) -> str:
-    engine, input_len, output_len, max_batch, mode = key
+    engine, input_len, output_len, max_batch = key
     return (f"{engine}/in={input_len}/out={output_len}"
-            f"/max_batch={max_batch}/{mode}")
+            f"/max_batch={max_batch}")
 
 
 def diff_batch_bench(baseline: dict, candidate: dict,

@@ -98,7 +98,6 @@ class ScenarioReport:
     engine: str
     mode: str
     seed: int
-    backend_mode: str = ""
     concurrency: int = 1
     requests: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
@@ -179,11 +178,10 @@ class ScenarioReport:
             "mode": self.mode,
             "seed": self.seed,
             # Backend execution knobs are part of the report identity:
-            # two runs that schedule differently (gathered vs
-            # interleaved kernels, different admission width) must never
-            # alias to one digest even when their metrics happen to tie.
+            # two runs that schedule differently (different admission
+            # width) must never alias to one digest even when their
+            # metrics happen to tie.
             "backend": {
-                "mode": self.backend_mode,
                 "concurrency": self.concurrency,
             },
             "summary": {

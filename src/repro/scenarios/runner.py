@@ -267,7 +267,6 @@ class ScenarioRunner:
             mode="cluster" if hasattr(backend_report, "rejected")
             else "serving",
             seed=self.seed,
-            backend_mode=str(getattr(simulator, "mode", "")),
             concurrency=int(getattr(simulator, "concurrency", 1)),
         )
         for served in sorted(backend_report.requests,

@@ -1,8 +1,6 @@
 """Continuous batching of resumable sequences on one engine."""
 
 from repro.sched.scheduler import (
-    GATHERED,
-    INTERLEAVED,
     BatchReport,
     ContinuousBatchScheduler,
     SequenceRecord,
@@ -11,7 +9,5 @@ from repro.sched.scheduler import (
 __all__ = [
     "BatchReport",
     "ContinuousBatchScheduler",
-    "GATHERED",
-    "INTERLEAVED",
     "SequenceRecord",
 ]

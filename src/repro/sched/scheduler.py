@@ -17,9 +17,12 @@ Scheduling discipline (deterministic by construction):
   later than the GPU lane's availability (all sequence work enters
   through a GPU attention op, so the GPU lane is the admission clock);
   when the batch is empty the clock fast-forwards to the next arrival.
-- Stepping is round-robin in admission order: each resident sequence
-  advances one unit (a whole prefill pass or one decode token) per
-  round, then finished sequences retire and new ones are admitted.
+- Stepping runs in cohorts: each round, the prefill-phase sequences of
+  each prompt-length bucket (:mod:`repro.core.bucketing`) advance one
+  whole pass together, then every decode-phase sequence advances one
+  token together, each cohort through one gathered engine step (a
+  singleton bucket is a cohort of one).  Then finished sequences retire
+  and new ones are admitted.
 - When the batch drains completely, every lane synchronizes to the last
   finish before new work starts -- so at ``max_batch=1`` the schedule
   degenerates to the sequential FIFO service of
@@ -58,19 +61,9 @@ from repro.hardware.timeline import (
 from repro.model.serialization import canonical_digest
 
 #: Version of the scheduler-session checkpoint layout; restore rejects
-#: other versions instead of misreading them.  Version 2 added the
-#: ``gathered_prefill`` capability flag to the body.
-SCHED_CHECKPOINT_VERSION = 2
-
-#: Execution modes for a batch round.  ``GATHERED`` (the default) steps
-#: every decode-phase sequence through one
-#: :meth:`~repro.core.engine.BaseEngine.step_batch` call, merging
-#: same-expert tokens across sequences into shared kernels;
-#: ``INTERLEAVED`` is the legacy round-robin of independent
-#: :meth:`~repro.core.engine.BaseEngine.step` calls.  Both produce the
-#: same token streams; only the simulated schedule differs.
-GATHERED = "gathered"
-INTERLEAVED = "interleaved"
+#: other versions instead of misreading them.  Version 3 dropped the
+#: execution-mode fields: the scheduler has one mode.
+SCHED_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -158,8 +151,7 @@ class BatchReport:
     engine: str
     max_batch: int
     records: list = field(default_factory=list)
-    mode: str = GATHERED
-    gather: GatherStats | None = None
+    gather: GatherStats = field(default_factory=GatherStats)
 
     @property
     def n_sequences(self) -> int:
@@ -234,13 +226,9 @@ class BatchReport:
     def n_expert_kernels(self) -> int:
         """Physical expert kernel launches the schedule actually paid for.
 
-        Equals :attr:`n_expert_ops` under interleaved execution; under
-        gathered execution, every logical op that joined a shared
-        cross-sequence launch is replaced by its group's single kernel
-        (prefill and any solo-stepped ops keep one kernel per op).
+        Every logical op that joined a shared cross-sequence launch is
+        replaced by its group's single kernel.
         """
-        if self.gather is None:
-            return self.n_expert_ops
         return (self.n_expert_ops - self.gather.expert_ops
                 + self.gather.expert_kernels)
 
@@ -269,10 +257,9 @@ class BatchReport:
         """Per-phase (prefill/decode) gathered kernel and op counts.
 
         Splits the gather accumulator so the two regimes' amortization
-        is separable in reports; all-zero counts with unit amortization
-        when the run gathered nothing (interleaved mode).
+        is separable in reports.
         """
-        gather = self.gather if self.gather is not None else GatherStats()
+        gather = self.gather
         return {
             "prefill": {
                 "expert_ops": gather.prefill_expert_ops,
@@ -303,13 +290,9 @@ class BatchReport:
         payload = {
             "engine": self.engine,
             "max_batch": self.max_batch,
-            "mode": self.mode,
             "n_expert_ops": self.n_expert_ops,
             "n_expert_kernels": self.n_expert_kernels,
-            "expert_amortization": (
-                self.gather.expert_amortization
-                if self.gather is not None else 1.0
-            ),
+            "expert_amortization": self.gather.expert_amortization,
             "phases": self.phase_gather_stats(),
             "n_sequences": self.n_sequences,
             "makespan_s": self.makespan_s,
@@ -378,46 +361,19 @@ class BatchSession:
 
 
 class ContinuousBatchScheduler:
-    """Interleave up to ``max_batch`` sequences on one engine.
+    """Batch up to ``max_batch`` sequences on one engine.
 
     Args:
         engine: any registered engine; its policy hooks run per sequence
             on per-sequence state, so baselines and DAOP batch alike.
         max_batch: maximum concurrently resident sequences (>= 1).
-        mode: :data:`GATHERED` (default) merges same-expert decode work
-            across sequences into shared kernels via
-            :meth:`~repro.core.engine.BaseEngine.step_batch`;
-            :data:`INTERLEAVED` round-robins independent ``step`` calls.
-        gathered_prefill: whether prefill-phase sequences in the same
-            prompt-length bucket (:mod:`repro.core.bucketing`) advance
-            together through
-            :meth:`~repro.core.engine.BaseEngine.step_prefill_batch`.
-            Defaults to on in :data:`GATHERED` mode; forbidden in
-            :data:`INTERLEAVED` mode (which by definition runs
-            independent steps).
     """
 
-    def __init__(self, engine: BaseEngine, max_batch: int = 4,
-                 mode: str = GATHERED,
-                 gathered_prefill: bool | None = None) -> None:
+    def __init__(self, engine: BaseEngine, max_batch: int = 4) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
-        if gathered_prefill is None:
-            gathered_prefill = mode == GATHERED
-        if gathered_prefill and mode == INTERLEAVED:
-            raise ValueError(
-                "gathered_prefill requires gathered mode; interleaved "
-                "rounds run independent step() calls by definition"
-            )
         self.engine = engine
         self.max_batch = max_batch
-        self.mode = mode
-        self.gathered_prefill = bool(gathered_prefill)
         #: Instance-scoped event bus (admission / retirement events).
         self.events = EventBus()
 
@@ -448,12 +404,8 @@ class ContinuousBatchScheduler:
         queue = deque(
             (requests[int(i)], float(arrivals[int(i)])) for i in order
         )
-        report = BatchReport(
-            engine=self.engine.name,
-            max_batch=self.max_batch,
-            mode=self.mode,
-            gather=GatherStats() if self.mode == GATHERED else None,
-        )
+        report = BatchReport(engine=self.engine.name,
+                             max_batch=self.max_batch)
         return BatchSession(
             queue=queue, clock=ResourceClock(), active=[], report=report,
         )
@@ -527,8 +479,6 @@ class ContinuousBatchScheduler:
             "version": SCHED_CHECKPOINT_VERSION,
             "engine": self.engine.name,
             "max_batch": self.max_batch,
-            "mode": self.mode,
-            "gathered_prefill": self.gathered_prefill,
             "clock": session.clock.to_state_dict(),
             "queue": [
                 {"request": request.to_state_dict(), "arrival_s": arrival}
@@ -547,10 +497,7 @@ class ContinuousBatchScheduler:
                 record.to_state_dict()
                 for record in session.report.records
             ],
-            "gather": (
-                None if session.report.gather is None
-                else session.report.gather.to_state_dict()
-            ),
+            "gather": session.report.gather.to_state_dict(),
         }
         body["digest"] = canonical_digest(body)
         return body
@@ -571,9 +518,8 @@ class ContinuousBatchScheduler:
             )
         body = {
             key: payload[key]
-            for key in ("version", "engine", "max_batch", "mode",
-                        "gathered_prefill", "clock", "queue", "active",
-                        "records", "gather")
+            for key in ("version", "engine", "max_batch", "clock",
+                        "queue", "active", "records", "gather")
         }
         digest = canonical_digest(body)
         if digest != payload.get("digest"):
@@ -587,17 +533,11 @@ class ContinuousBatchScheduler:
                 f"checkpoint belongs to engine {payload['engine']!r}; "
                 f"this scheduler drives {self.engine.name!r}"
             )
-        if (payload["max_batch"] != self.max_batch
-                or payload["mode"] != self.mode
-                or payload["gathered_prefill"] != self.gathered_prefill):
+        if payload["max_batch"] != self.max_batch:
             raise ValueError(
                 "scheduler configuration mismatch: checkpoint was taken "
-                f"with max_batch={payload['max_batch']} "
-                f"mode={payload['mode']!r} "
-                f"gathered_prefill={payload['gathered_prefill']}, this "
-                f"scheduler runs max_batch={self.max_batch} "
-                f"mode={self.mode!r} "
-                f"gathered_prefill={self.gathered_prefill}"
+                f"with max_batch={payload['max_batch']}, this scheduler "
+                f"runs max_batch={self.max_batch}"
             )
         clock = ResourceClock.from_state_dict(payload["clock"])
         queue = deque(
@@ -617,15 +557,11 @@ class ContinuousBatchScheduler:
         report = BatchReport(
             engine=self.engine.name,
             max_batch=self.max_batch,
-            mode=self.mode,
             records=[
                 SequenceRecord.from_state_dict(record)
                 for record in payload["records"]
             ],
-            gather=(
-                None if payload["gather"] is None
-                else GatherStats.from_state_dict(payload["gather"])
-            ),
+            gather=GatherStats.from_state_dict(payload["gather"]),
         )
         return BatchSession(
             queue=queue, clock=clock, active=active, report=report,
@@ -634,56 +570,28 @@ class ContinuousBatchScheduler:
     # ---- internals -------------------------------------------------------------
 
     def _step_round(self, active: list, report: BatchReport) -> None:
-        """Advance every resident sequence one unit of work.
+        """Advance every resident sequence one unit of work, in cohorts.
 
-        Interleaved mode round-robins independent ``step`` calls in
-        admission order.  Gathered mode groups prefill-phase sequences
-        into prompt-length buckets — cohorts of two or more advance
-        together through one
-        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call
-        (solo, admission-ordered ``step`` calls when
-        ``gathered_prefill`` is off or a bucket holds one sequence) —
-        and advances all decode-phase sequences together through one
-        :meth:`~repro.core.engine.BaseEngine.step_batch` call.  Either
-        way each active sequence steps exactly once per round.
+        Prefill-phase sequences group into prompt-length buckets, each
+        advancing through one
+        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call;
+        buckets follow first-appearance (admission) order and members
+        keep admission order within a bucket.  Then all decode-phase
+        sequences advance together through one
+        :meth:`~repro.core.engine.BaseEngine.step_batch` call.  Each
+        active sequence steps exactly once per round, and the schedule
+        is deterministic.
         """
-        if self.mode == INTERLEAVED:
-            for entry in active:
-                self.engine.step(entry.state)
-            return
-        prefill_states = []
-        decode_states = []
-        for entry in active:
-            if entry.state.phase == SEQ_PREFILL:
-                prefill_states.append(entry.state)
-            else:
-                decode_states.append(entry.state)
-        if prefill_states:
-            self._step_prefills(prefill_states, report)
-        if decode_states:
-            self.engine.step_batch(decode_states, gather_stats=report.gather)
-
-    def _step_prefills(self, states: list, report: BatchReport) -> None:
-        """Run one round's prefill passes, bucketed when enabled.
-
-        Buckets follow first-appearance (admission) order and members
-        keep admission order within a bucket, so the schedule stays
-        deterministic; singleton buckets take the solo path, which is
-        bitwise identical to ``step()`` by construction.
-        """
-        if not self.gathered_prefill:
-            for state in states:
-                self.engine.step(state)
-            return
-        lengths = [int(s.request.prompt_tokens.size) for s in states]
+        prefill = [e.state for e in active if e.state.phase == SEQ_PREFILL]
+        decode = [e.state for e in active if e.state.phase != SEQ_PREFILL]
+        lengths = [int(s.request.prompt_tokens.size) for s in prefill]
         for bucket in bucket_prompt_lengths(lengths):
-            cohort = [states[i] for i in bucket.indices]
-            if bucket.is_cohort:
-                self.engine.step_prefill_batch(
-                    cohort, gather_stats=report.gather
-                )
-            else:
-                self.engine.step(cohort[0])
+            self.engine.step_prefill_batch(
+                [prefill[i] for i in bucket.indices],
+                gather_stats=report.gather,
+            )
+        if decode:
+            self.engine.step_batch(decode, gather_stats=report.gather)
 
     def _admit(self, queue: deque, active: list, clock: ResourceClock) -> None:
         """Admit queued requests into the batch, FIFO in arrival order."""

@@ -1,6 +1,6 @@
 """Request-level serving simulation (queueing on top of the engines)."""
 
-from repro.serving.arrivals import (
+from repro.scenarios.arrivals import (
     bursty_arrivals,
     poisson_arrivals,
     uniform_arrivals,

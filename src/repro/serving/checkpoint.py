@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from repro.model.serialization import canonical_digest
 
 #: Version of the on-disk checkpoint envelope; bumped whenever the
-#: envelope schema changes shape.
-SIM_CHECKPOINT_VERSION = 1
+#: envelope or a simulator payload changes shape.  Version 2 dropped the
+#: execution-mode field from the serving and cluster configs.
+SIM_CHECKPOINT_VERSION = 2
 
 #: Registered simulator kinds.
 SERVING_KIND = "serving"

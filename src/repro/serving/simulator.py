@@ -23,12 +23,7 @@ import numpy as np
 from repro.core.engine import BaseEngine, SequenceRequest
 from repro.events import CHECKPOINT_RESTORE, CHECKPOINT_SAVE, EventBus
 from repro.hardware.timeline import GPU
-from repro.sched.scheduler import (
-    GATHERED,
-    INTERLEAVED,
-    BatchSession,
-    ContinuousBatchScheduler,
-)
+from repro.sched.scheduler import BatchSession, ContinuousBatchScheduler
 from repro.serving.checkpoint import (
     SERVING_KIND,
     CheckpointError,
@@ -169,29 +164,17 @@ class ServingSimulator:
         generator: deterministic workload source.
         concurrency: maximum concurrently resident sequences.  The
             default of 1 reproduces the paper's batch-size-one FIFO
-            regime; larger values interleave requests on the engine's
-            step machine.
-        mode: scheduler execution mode —
-            :data:`~repro.sched.scheduler.GATHERED` (default) merges
-            same-expert decode work across resident sequences into
-            shared kernels; :data:`~repro.sched.scheduler.INTERLEAVED`
-            round-robins independent steps.
+            regime; larger values batch requests in gathered cohorts.
     """
 
     def __init__(self, engine: BaseEngine,
                  generator: SequenceGenerator | None = None,
-                 concurrency: int = 1, mode: str = GATHERED) -> None:
+                 concurrency: int = 1) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be positive")
-        if mode not in (GATHERED, INTERLEAVED):
-            raise ValueError(
-                f"mode must be {GATHERED!r} or {INTERLEAVED!r}, "
-                f"got {mode!r}"
-            )
         self.engine = engine
         self.generator = generator
         self.concurrency = concurrency
-        self.mode = mode
         #: Instance-scoped event bus; when anything subscribes, engine
         #: and scheduler events are forwarded here for live observation.
         self.events = EventBus()
@@ -203,7 +186,7 @@ class ServingSimulator:
     def _build_scheduler(self) -> ContinuousBatchScheduler:
         """Per-session scheduler, bridged onto the simulator's bus."""
         scheduler = ContinuousBatchScheduler(
-            self.engine, max_batch=self.concurrency, mode=self.mode,
+            self.engine, max_batch=self.concurrency
         )
         if self.events.active:
             scheduler.events.subscribe(self._forward_event)
@@ -319,7 +302,6 @@ class ServingSimulator:
             engine=self.engine.name,
             payload={
                 "concurrency": self.concurrency,
-                "mode": self.mode,
                 "scheduler": session.scheduler.checkpoint_session(
                     session.batch
                 ),
@@ -348,13 +330,11 @@ class ServingSimulator:
                 "serving simulator"
             )
         payload = checkpoint.payload
-        if (payload["concurrency"] != self.concurrency
-                or payload["mode"] != self.mode):
+        if payload["concurrency"] != self.concurrency:
             raise CheckpointError(
                 "serving configuration mismatch: checkpoint was taken "
-                f"with concurrency={payload['concurrency']} "
-                f"mode={payload['mode']!r}, this simulator runs "
-                f"concurrency={self.concurrency} mode={self.mode!r}"
+                f"with concurrency={payload['concurrency']}, this "
+                f"simulator runs concurrency={self.concurrency}"
             )
         scheduler = self._build_scheduler()
         try:

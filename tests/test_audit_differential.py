@@ -270,3 +270,32 @@ def test_step_parity_audit_with_shared_cache(tiny_bundle, platform,
     assert report.ok, report.format()
     assert cache.hits > 0
     assert tiny_bundle.model.compute_cache is None
+
+
+def test_step_parity_check_compares_op_by_op(tiny_bundle, platform,
+                                             tiny_calibration):
+    """Equal makespan and op count are not enough: a reordered schedule
+    (two ops swapped) is reported at its first differing op."""
+    from dataclasses import replace
+
+    from repro.audit.differential import StepParityComparison, _check_parity
+
+    engine = build_engine("fiddler", tiny_bundle, platform, 0.5,
+                          tiny_calibration)
+    prompt = SequenceGenerator(C4, tiny_bundle.vocab, seed=0) \
+        .sample_sequence(10, 4).prompt_tokens
+    reference = engine.generate(prompt, 4)
+    candidate = engine.generate(prompt, 4)
+    clean = StepParityComparison(engine="fiddler", seed=0)
+    _check_parity(clean, "path", reference, candidate)
+    assert clean.ok
+
+    ops = candidate.timeline.ops
+    first, second = ops[1], ops[2]
+    ops[1] = replace(second, index=first.index)
+    ops[2] = replace(first, index=second.index)
+    assert candidate.timeline.makespan == reference.timeline.makespan
+    swapped = StepParityComparison(engine="fiddler", seed=0)
+    _check_parity(swapped, "path", reference, candidate)
+    assert len(swapped.problems) == 1
+    assert swapped.problems[0].startswith("path: op 1 ")

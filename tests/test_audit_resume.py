@@ -12,9 +12,10 @@ if it happens to stay resume-consistent — such a change must bump
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.audit import run_resume_parity_audit
+from repro.audit import run_resume_parity_audit, timeline_signature
 from repro.core import ENGINE_NAMES, build_engine
 from repro.core.engine import SequenceRequest
 from repro.workloads import C4, SequenceGenerator
@@ -64,6 +65,45 @@ def test_golden_checkpoint_digest(name, tiny_bundle, platform,
     assert payload["digest"] == GOLDEN_CHECKPOINT_DIGESTS[name]
     # The payload is genuinely plain data: real JSON bytes round-trip.
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
+
+
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_cohort_of_one_matches_generate_op_for_op(name, tiny_bundle, platform,
+                                                 tiny_calibration):
+    """A cohort of one is the solo step.
+
+    On the golden recipe, one sequence driven through the cohort entries
+    (``step_prefill_batch([s])`` once, then ``step_batch([s])``) must
+    checkpoint to the golden digest after three steps and schedule
+    exactly the ops of ``generate()``: same order, timing, labels and
+    dependency edges.
+    """
+    engine = build_engine(name, tiny_bundle, platform, 0.5,
+                          tiny_calibration)
+    sequence = SequenceGenerator(C4, tiny_bundle.vocab,
+                                 seed=3).sample_sequence(12, 6)
+    reference = engine.generate(sequence.prompt_tokens, 6,
+                                forced_tokens=sequence.continuation_tokens)
+    state = engine.start(SequenceRequest(
+        prompt_tokens=sequence.prompt_tokens,
+        max_new_tokens=6,
+        forced_tokens=sequence.continuation_tokens,
+    ))
+    engine.step_prefill_batch([state])
+    for _ in range(2):
+        engine.step_batch([state])
+    payload = engine.checkpoint_sequence(state)
+    assert payload["digest"] == GOLDEN_CHECKPOINT_DIGESTS[name]
+    while not state.done:
+        engine.step_batch([state])
+    result = engine.finish(state)
+
+    assert np.array_equal(result.tokens, reference.tokens)
+    assert result.stats.to_state_dict() == reference.stats.to_state_dict()
+    assert (timeline_signature(result.timeline)
+            == timeline_signature(reference.timeline))
+    assert ([op.dep_indices for op in result.timeline.ops]
+            == [op.dep_indices for op in reference.timeline.ops])
 
 
 class TestSequenceCheckpointRejection:

@@ -11,7 +11,7 @@ from repro.cluster import (
     warm_hit_rate,
 )
 from repro.core import build_engine
-from repro.serving import uniform_arrivals
+from repro.scenarios.arrivals import uniform_arrivals
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 # Three-cluster request pattern: non-cyclic, so round-robin's rotation

@@ -125,28 +125,7 @@ def test_duplicate_expert_ids_fill_every_slot(tiny_bundle, platform):
     weight slots (real routers never emit duplicates -- see
     test_model_gating -- but degraded selections may).
     """
-    from repro.core.engine import (
-        EngineCounters,
-        SequenceRequest,
-        SequenceState,
-    )
-    from repro.hardware.timeline import Timeline
-    from repro.model.sampling import greedy
-    from repro.trace.recorder import ActivationTrace
-
-    def fresh_ctx(engine):
-        return SequenceState(
-            request=SequenceRequest(
-                prompt_tokens=np.array([0]), max_new_tokens=1
-            ),
-            sampler=greedy,
-            placement=engine.initial_placement.copy(),
-            caches=engine.model.new_caches(),
-            timeline=Timeline(),
-            trace=ActivationTrace(engine.model.n_blocks,
-                                  engine.model.n_experts),
-            counters=EngineCounters(),
-        )
+    from repro.core.engine import SequenceRequest
 
     engine = build_engine("official", tiny_bundle, platform,
                           expert_cache_ratio=1.0)
@@ -157,10 +136,28 @@ def test_duplicate_expert_ids_fill_every_slot(tiny_bundle, platform):
     dup_experts = np.array([[1, 1], [1, 1]])
 
     def run_block(weights):
-        ctx = fresh_ctx(engine)
-        return engine._drive_blocks(ctx, engine._routed_block_work(
-            ctx, 0, h_att, dup_experts, weights, []
+        """Drive one decode cohort whose every block routes the
+        hand-built selection; returns block 0's ``(h, expert ops)``."""
+        state = engine.start(SequenceRequest(
+            prompt_tokens=np.array([0]), max_new_tokens=2
         ))
+        engine.step(state)  # prefill; the state is now in decode
+        blocks = []
+
+        def dup_blocks(ctx, token, deps):
+            for block_idx in range(engine.model.n_blocks):
+                h, ops = yield from engine._routed_block_work(
+                    ctx, block_idx, h_att, dup_experts, weights, list(deps)
+                )
+                blocks.append((h, ops))
+            return h[-1], ops[-1]
+
+        engine._decode_blocks = dup_blocks
+        try:
+            engine._step_cohort([state])
+        finally:
+            del engine._decode_blocks
+        return blocks[0]
 
     h_dup, ops = run_block(np.array([[0.6, 0.4], [0.3, 0.7]]))
     # One op per *unique* expert, matching counter-conservation.

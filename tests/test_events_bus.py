@@ -17,7 +17,8 @@ from repro.events import (
     SimEvent,
     format_event,
 )
-from repro.serving import ServingSimulator, poisson_arrivals
+from repro.scenarios.arrivals import poisson_arrivals
+from repro.serving import ServingSimulator
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 

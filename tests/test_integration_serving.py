@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import build_engine
-from repro.serving import ServingSimulator, uniform_arrivals
+from repro.scenarios.arrivals import uniform_arrivals
+from repro.serving import ServingSimulator
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 N_REQUESTS = 5

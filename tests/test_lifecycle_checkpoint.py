@@ -78,7 +78,7 @@ def json_round_trip(checkpoint):
 class TestSimCheckpointEnvelope:
     def _checkpoint(self):
         return SimCheckpoint(kind=SERVING_KIND, engine="daop",
-                             payload={"concurrency": 2, "mode": "gathered",
+                             payload={"concurrency": 2,
                                       "scheduler": {"x": [1, 2]}})
 
     def test_round_trip_through_json(self):
@@ -102,6 +102,15 @@ class TestSimCheckpointEnvelope:
         data["version"] = 99
         with pytest.raises(CheckpointError,
                            match="unsupported checkpoint version 99"):
+            SimCheckpoint.from_dict(data)
+
+    def test_mode_carrying_version_1_rejected(self):
+        """Version 1 envelopes carry the removed execution-mode field."""
+        data = SimCheckpoint(kind=SERVING_KIND, engine="daop", version=1,
+                             payload={"concurrency": 2, "mode": "gathered",
+                                      "scheduler": {}}).to_dict()
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 1"):
             SimCheckpoint.from_dict(data)
 
     def test_corruption_rejected(self):
@@ -138,10 +147,10 @@ class TestSimCheckpointEnvelope:
 
 class TestServingResumeParity:
     def _simulator(self, tiny_bundle, platform, tiny_calibration,
-                   engine="daop", concurrency=2, mode="gathered"):
+                   engine="daop", concurrency=2):
         built = build_engine(engine, tiny_bundle, platform, 0.5,
                              tiny_calibration)
-        return ServingSimulator(built, concurrency=concurrency, mode=mode)
+        return ServingSimulator(built, concurrency=concurrency)
 
     @pytest.mark.parametrize("cut", [1, 3, 6])
     def test_resume_matches_uninterrupted_run(
@@ -177,12 +186,6 @@ class TestServingResumeParity:
         with pytest.raises(CheckpointError,
                            match="serving configuration mismatch"):
             narrower.restore(checkpoint)
-        other_mode = self._simulator(tiny_bundle, platform,
-                                     tiny_calibration, concurrency=2,
-                                     mode="interleaved")
-        with pytest.raises(CheckpointError,
-                           match="serving configuration mismatch"):
-            other_mode.restore(checkpoint)
 
     def test_foreign_engine_rejected(self, tiny_bundle, platform,
                                      tiny_calibration):

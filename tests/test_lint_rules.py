@@ -167,7 +167,7 @@ def test_baseline_may_not_override_substrate_primitives():
         class Sneaky(BaseEngine):
             """Doc."""
 
-            def _expert_gpu(self, ctx, block_idx, expert, x, deps):
+            def _expert_cpu(self, ctx, block_idx, expert, x, deps):
                 """Doc."""
                 return None
 

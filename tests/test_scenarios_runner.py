@@ -193,11 +193,10 @@ class TestLifecycle:
     SPEC = "mixed-interactive-batch"
 
     def _simulator(self, tiny_bundle, platform, tiny_calibration,
-                   concurrency=2, mode="gathered"):
+                   concurrency=2):
         engine = build_engine("daop", tiny_bundle, platform, 0.5,
                               tiny_calibration)
-        return ServingSimulator(engine, concurrency=concurrency,
-                                mode=mode)
+        return ServingSimulator(engine, concurrency=concurrency)
 
     def _runner(self, tiny_bundle, seed=7):
         return ScenarioRunner(get_scenario(self.SPEC), tiny_bundle.vocab,
@@ -245,24 +244,17 @@ class TestLifecycle:
             self, tiny_bundle, platform, tiny_calibration):
         """Runs that scheduled differently must never alias."""
         runner = self._runner(tiny_bundle)
-        gathered = runner.run(self._simulator(
-            tiny_bundle, platform, tiny_calibration, mode="gathered"))
-        interleaved = runner.run(self._simulator(
-            tiny_bundle, platform, tiny_calibration, mode="interleaved"))
+        batched = runner.run(self._simulator(
+            tiny_bundle, platform, tiny_calibration, concurrency=2))
         solo = runner.run(self._simulator(
             tiny_bundle, platform, tiny_calibration, concurrency=1))
-        digests = {gathered.content_digest(),
-                   interleaved.content_digest(),
-                   solo.content_digest()}
-        assert len(digests) == 3
+        assert batched.content_digest() != solo.content_digest()
 
     def test_report_records_backend_config(self, tiny_bundle, platform,
                                            tiny_calibration):
         runner = self._runner(tiny_bundle)
         report = runner.run(self._simulator(
             tiny_bundle, platform, tiny_calibration, concurrency=2))
-        assert report.backend_mode == "gathered"
         assert report.concurrency == 2
         payload = json.loads(report.to_json())
-        assert payload["backend"] == {"mode": "gathered",
-                                      "concurrency": 2}
+        assert payload["backend"] == {"concurrency": 2}

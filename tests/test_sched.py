@@ -1,4 +1,4 @@
-"""Continuous-batch scheduler: admission, interleaving, reports, audits."""
+"""Continuous-batch scheduler: admission, cohorts, reports, audits."""
 
 from __future__ import annotations
 
@@ -11,12 +11,8 @@ import pytest
 
 from repro.core import build_engine
 from repro.core.engine import SequenceRequest
-from repro.sched import (
-    GATHERED,
-    INTERLEAVED,
-    BatchReport,
-    ContinuousBatchScheduler,
-)
+from repro.hardware.timeline import ResourceClock, Timeline
+from repro.sched import BatchReport, ContinuousBatchScheduler
 
 PROMPT_LEN = 10
 MAX_NEW = 5
@@ -237,9 +233,7 @@ class _StepCountingEngine:
         )
 
 
-@pytest.mark.parametrize("mode", [INTERLEAVED, GATHERED])
-def test_every_active_sequence_steps_once_per_round(
-        fiddler, tiny_bundle, mode):
+def test_every_active_sequence_steps_once_per_round(fiddler, tiny_bundle):
     """Mid-round finishes must never skip or double-step a survivor.
 
     Each sequence needs exactly ``max_new_tokens`` step units (one
@@ -258,8 +252,7 @@ def test_every_active_sequence_steps_once_per_round(
         for i, n in enumerate(lengths)
     ]
     counting = _StepCountingEngine(fiddler)
-    report = ContinuousBatchScheduler(counting, max_batch=4,
-                                      mode=mode).run(requests)
+    report = ContinuousBatchScheduler(counting, max_batch=4).run(requests)
     assert report.n_sequences == len(lengths)
     assert dict(counting.step_counts) == {
         i: n for i, n in enumerate(lengths)
@@ -271,9 +264,31 @@ def test_every_active_sequence_steps_once_per_round(
 # ---- gathered cross-sequence execution ---------------------------------------
 
 
-def test_mode_validated(daop):
-    with pytest.raises(ValueError):
-        ContinuousBatchScheduler(daop, max_batch=2, mode="turbo")
+def _interleaved(engine, requests, max_batch):
+    """Reference schedule: independent ``step`` calls on a shared clock.
+
+    Requests (all arriving at t=0, equal lengths) are served in waves
+    of ``max_batch``; within a wave every sequence steps alone,
+    round-robin in admission order.  Returns ``(results, makespan)``.
+    """
+    clock = ResourceClock()
+    results = []
+    for first in range(0, len(requests), max_batch):
+        states = [engine.start(request, timeline=Timeline(clock=clock))
+                  for request in requests[first:first + max_batch]]
+        while not all(state.done for state in states):
+            for state in states:
+                if not state.done:
+                    engine.step(state)
+        finish = max(op.end for s in states for op in s.timeline.ops)
+        results.extend(engine.finish(state) for state in states)
+        clock.advance_all(finish)
+    return results, finish
+
+
+def _op_signature(result) -> list:
+    return [(op.resource, op.duration, op.start, op.end, op.kind, op.label)
+            for op in result.timeline.ops]
 
 
 @pytest.mark.parametrize("engine_fixture", ["fiddler", "daop"])
@@ -281,58 +296,47 @@ def test_gathered_matches_interleaved_tokens_and_beats_it_on_time(
         engine_fixture, tiny_bundle, request):
     engine = request.getfixturevalue(engine_fixture)
     requests = _requests(tiny_bundle)
-    interleaved = ContinuousBatchScheduler(
-        engine, max_batch=4, mode=INTERLEAVED
-    ).run(requests)
-    gathered = ContinuousBatchScheduler(
-        engine, max_batch=4, mode=GATHERED
-    ).run(requests)
+    interleaved, interleaved_makespan = _interleaved(engine, requests, 4)
+    gathered = ContinuousBatchScheduler(engine, max_batch=4).run(requests)
     # Identical token streams: gathering only changes the schedule.
-    for a, b in zip(interleaved.records, gathered.records):
-        assert np.array_equal(a.result.tokens, b.result.tokens)
-        assert a.result.stats.counters == b.result.stats.counters
-    # Acceptance: gathered decode is strictly faster at batch 4 and
-    # physically launches fewer expert kernels than logical ops.
-    assert gathered.makespan_s < interleaved.makespan_s
-    assert (gathered.throughput_tokens_per_s
-            > interleaved.throughput_tokens_per_s)
+    for a, b in zip(interleaved, gathered.records):
+        assert np.array_equal(a.tokens, b.result.tokens)
+        assert a.stats.counters == b.result.stats.counters
+    # Acceptance: gathered cohorts are strictly faster at batch 4 and
+    # physically launch fewer expert kernels than logical ops.
+    assert gathered.makespan_s < interleaved_makespan
     assert gathered.n_expert_kernels < gathered.n_expert_ops
-    assert interleaved.n_expert_kernels == interleaved.n_expert_ops
     assert gathered.gather.expert_amortization > 1.0
     assert gathered.gather.max_group_size > 1
 
 
 def test_gathered_batch1_equals_interleaved_batch1(daop, tiny_bundle):
-    """With one resident sequence there is nothing to gather: the two
-    modes must produce identical schedules."""
+    """With one resident sequence there is nothing to gather: batch-1
+    cohorts must schedule exactly the ops of independent steps."""
     requests = _requests(tiny_bundle, n=2)
-    interleaved = ContinuousBatchScheduler(
-        daop, max_batch=1, mode=INTERLEAVED
-    ).run(requests)
-    gathered = ContinuousBatchScheduler(
-        daop, max_batch=1, mode=GATHERED
-    ).run(requests)
-    assert interleaved.makespan_s == gathered.makespan_s
-    for a, b in zip(interleaved.records, gathered.records):
-        assert np.array_equal(a.result.tokens, b.result.tokens)
-        assert a.finish_s == b.finish_s
+    interleaved, interleaved_makespan = _interleaved(daop, requests, 1)
+    gathered = ContinuousBatchScheduler(daop, max_batch=1).run(requests)
+    assert interleaved_makespan == gathered.makespan_s
+    for a, b in zip(interleaved, gathered.records):
+        assert np.array_equal(a.tokens, b.result.tokens)
+        assert _op_signature(a) == _op_signature(b.result)
 
 
 def test_gathered_results_pass_invariant_audit(
         fiddler, tiny_bundle, audit_result):
     report = ContinuousBatchScheduler(
-        fiddler, max_batch=4, mode=GATHERED
+        fiddler, max_batch=4
     ).run(_requests(tiny_bundle))
     for record in report.records:
         audit_result(fiddler, record.result)
 
 
-def test_batch_report_json_carries_mode_and_kernels(fiddler, tiny_bundle):
+def test_batch_report_json_carries_kernels(fiddler, tiny_bundle):
     report = ContinuousBatchScheduler(
-        fiddler, max_batch=4, mode=GATHERED
+        fiddler, max_batch=4
     ).run(_requests(tiny_bundle))
     payload = json.loads(report.to_json())
-    assert payload["mode"] == GATHERED
+    assert "mode" not in payload
     assert payload["n_expert_kernels"] < payload["n_expert_ops"]
     assert payload["expert_amortization"] > 1.0
 
@@ -340,41 +344,20 @@ def test_batch_report_json_carries_mode_and_kernels(fiddler, tiny_bundle):
 # ---- gathered prefill --------------------------------------------------------
 
 
-def test_gathered_prefill_defaults_follow_mode(daop):
-    assert ContinuousBatchScheduler(
-        daop, max_batch=2, mode=GATHERED
-    ).gathered_prefill
-    assert not ContinuousBatchScheduler(
-        daop, max_batch=2, mode=INTERLEAVED
-    ).gathered_prefill
-
-
-def test_gathered_prefill_rejected_in_interleaved_mode(daop):
-    with pytest.raises(ValueError):
-        ContinuousBatchScheduler(daop, max_batch=2, mode=INTERLEAVED,
-                                 gathered_prefill=True)
-
-
-def test_gathered_prefill_opt_out_leaves_prefill_solo(daop, tiny_bundle):
-    """Opting out keeps decode gathering but never forms prefill cohorts."""
-    requests = _requests(tiny_bundle)
-    solo_prefill = ContinuousBatchScheduler(
-        daop, max_batch=4, mode=GATHERED, gathered_prefill=False
-    ).run(requests)
-    assert solo_prefill.gather.prefill_expert_kernels == 0
-    assert solo_prefill.gather.expert_kernels < solo_prefill.gather.expert_ops
-    cohort = ContinuousBatchScheduler(
-        daop, max_batch=4, mode=GATHERED
-    ).run(requests)
-    assert cohort.gather.prefill_expert_kernels > 0
-    # Either way the token streams match.
-    for a, b in zip(solo_prefill.records, cohort.records):
-        assert np.array_equal(a.result.tokens, b.result.tokens)
+def test_singleton_prefill_bucket_is_a_cohort_of_one(daop, tiny_bundle):
+    """A lone prompt in its bucket still runs as a (counted) cohort."""
+    report = ContinuousBatchScheduler(daop, max_batch=1).run(
+        _requests(tiny_bundle, n=2)
+    )
+    gather = report.gather
+    assert gather.prefill_lm_head_kernels == gather.prefill_lm_head_ops == 2
+    assert gather.attn_kernels == gather.attn_ops > 0
+    assert gather.prefill_expert_kernels == gather.prefill_expert_ops > 0
 
 
 def test_batch_report_json_carries_phase_stats(fiddler, tiny_bundle):
     report = ContinuousBatchScheduler(
-        fiddler, max_batch=4, mode=GATHERED
+        fiddler, max_batch=4
     ).run(_requests(tiny_bundle))
     payload = json.loads(report.to_json())
     phases = payload["phases"]
@@ -387,3 +370,25 @@ def test_batch_report_json_carries_phase_stats(fiddler, tiny_bundle):
     assert decode["expert_kernels"] < decode["expert_ops"]
     assert (prefill["expert_ops"] + decode["expert_ops"]
             == payload["n_expert_ops"])
+
+
+def test_session_checkpoint_rejects_mode_carrying_version_2(daop,
+                                                          tiny_bundle):
+    """Version-2 checkpoints carry the removed execution-mode fields."""
+    from repro.model.serialization import canonical_digest
+    from repro.sched.scheduler import SCHED_CHECKPOINT_VERSION
+
+    scheduler = ContinuousBatchScheduler(daop, max_batch=2)
+    session = scheduler.begin(_requests(tiny_bundle, n=2))
+    scheduler.tick(session)
+    payload = scheduler.checkpoint_session(session)
+    assert SCHED_CHECKPOINT_VERSION == 3
+    assert "mode" not in payload and "gathered_prefill" not in payload
+    old = {key: value for key, value in payload.items() if key != "digest"}
+    old.update(version=2, mode="gathered", gathered_prefill=True)
+    old["digest"] = canonical_digest(old)
+    with pytest.raises(ValueError, match="scheduler-checkpoint version 2"):
+        scheduler.restore_session(old)
+    # The current payload still round-trips through JSON bytes.
+    restored = scheduler.restore_session(json.loads(json.dumps(payload)))
+    assert len(restored.active) == len(session.active)

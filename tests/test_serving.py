@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import build_engine
-from repro.serving import (
-    ServingSimulator,
+from repro.scenarios.arrivals import (
     bursty_arrivals,
     poisson_arrivals,
     uniform_arrivals,
 )
+from repro.serving import ServingSimulator
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 

@@ -20,7 +20,7 @@ from repro.core.engine import (
     SEQ_PREFILL,
     SequenceRequest,
 )
-from repro.sched import GATHERED, ContinuousBatchScheduler
+from repro.sched import ContinuousBatchScheduler
 
 PROMPT_LEN = 12
 MAX_NEW = 6
@@ -89,7 +89,7 @@ def test_gathered_batch4_matches_solo_runs_token_for_token(
     prompts = [_prompt(tiny_bundle, seed=s) for s in range(4)]
     references = [engine.generate(p, MAX_NEW) for p in prompts]
 
-    scheduler = ContinuousBatchScheduler(engine, max_batch=4, mode=GATHERED)
+    scheduler = ContinuousBatchScheduler(engine, max_batch=4)
     report = scheduler.run([
         SequenceRequest(prompt_tokens=p, max_new_tokens=MAX_NEW, seq_id=i)
         for i, p in enumerate(prompts)
