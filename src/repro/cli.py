@@ -293,13 +293,6 @@ def cmd_serve_cluster(args) -> int:
             admission=AdmissionController(
                 max_queue_len=args.max_queue,
                 ttft_deadline_s=args.ttft_deadline,
-                batch_hold_s=args.batch_hold,
-                # Prompts at/above the crossover saturate a solo kernel
-                # already, so holding them buys nothing.
-                crossover_tokens=(
-                    engines[0].cost_model.batch_crossover_tokens(platform.gpu)
-                    if args.batch_hold > 0 else 0
-                ),
             ),
             slo=SLOTarget(ttft_s=args.slo_ttft, tpot_s=args.slo_tpot),
             concurrency=args.concurrency,
@@ -648,7 +641,7 @@ def cmd_bench_batch(args) -> int:
                     engine, max_batch=batch_size
                 ).run(requests)
                 throughput[batch_size] = report.throughput_tokens_per_s
-                prefill = report.phase_gather_stats()["prefill"]
+                prefill = report.gather.phase_stats()["prefill"]
                 rows.append([
                     name, f"{input_len}/{output_len}", batch_size,
                     report.makespan_s,
@@ -986,10 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--ttft-deadline", type=float, default=None,
                            help="expire queued requests past this TTFT "
                                 "deadline (seconds)")
-    p_cluster.add_argument("--batch-hold", type=float, default=0.0,
-                           help="hold a lone sub-crossover prefill this "
-                                "many seconds hoping a batchmate arrives "
-                                "(0 = dispatch immediately)")
     p_cluster.add_argument("--slo-ttft", type=float, default=30.0,
                            help="TTFT SLO target in seconds")
     p_cluster.add_argument("--slo-tpot", type=float, default=1.0,

@@ -11,15 +11,6 @@ that can no longer meet its SLO only delays work that still can.
 :class:`SLOTarget` doubles as the reporting vocabulary: goodput and
 SLO-attainment in :mod:`repro.cluster.report` are defined against its
 TTFT and TPOT targets.
-
-Admission is also *batch-aware*: gathered prefill amortizes expert and
-weight traffic across a cohort, but only below the hardware's batch
-crossover (:meth:`~repro.hardware.cost_model.CostModel.
-batch_crossover_tokens`) — past it the op is compute-bound and gathers
-for free no longer.  :meth:`AdmissionController.should_hold` therefore
-lets a free replica briefly hold a *lone sub-crossover* prefill in
-queue, trading a bounded slice of its TTFT budget for the chance to
-dispatch a cohort instead of a solo pass.
 """
 
 from __future__ import annotations
@@ -49,7 +40,10 @@ class SLOTarget:
 
 @dataclass(frozen=True)
 class AdmissionController:
-    """Bounded queues, deadline shedding, and crossover-aware holds.
+    """Per-replica admission: a queue bound plus a TTFT deadline.
+
+    A free replica always dispatches at once; it never holds a request
+    back waiting for a batchmate.
 
     Attributes:
         max_queue_len: waiting-request bound per replica; an arrival
@@ -57,34 +51,16 @@ class AdmissionController:
         ttft_deadline_s: if set, a queued request whose wait already
             exceeds this deadline (simulated seconds) when a replica
             becomes free is expired instead of served.
-        batch_hold_s: if positive, a replica with exactly one queued
-            *sub-crossover* prefill may hold dispatch up to this long
-            (simulated seconds, from the request's arrival) waiting for
-            a second request to form a gathered-prefill cohort.  The
-            hold is bounded — see :meth:`hold_window_s` — so TTFT SLOs
-            still hold; ``0.0`` (the default) disables holding.
-        crossover_tokens: the batch-crossover row count of the target
-            hardware (:meth:`~repro.hardware.cost_model.CostModel.
-            batch_crossover_tokens`).  A prompt at or past it is already
-            compute-bound, gains little from gathering, and is never
-            held.  ``0`` means "never compute-bound": every lone
-            prefill is worth holding for when ``batch_hold_s`` is set.
     """
 
     max_queue_len: int = 8
     ttft_deadline_s: float | None = None
-    batch_hold_s: float = 0.0
-    crossover_tokens: int = 0
 
     def __post_init__(self) -> None:
         if self.max_queue_len < 1:
             raise ValueError("max_queue_len must be positive")
         if self.ttft_deadline_s is not None and self.ttft_deadline_s <= 0:
             raise ValueError("ttft_deadline_s must be positive")
-        if self.batch_hold_s < 0:
-            raise ValueError("batch_hold_s must be non-negative")
-        if self.crossover_tokens < 0:
-            raise ValueError("crossover_tokens must be non-negative")
 
     def admit(self, queue_len: int) -> bool:
         """Whether a replica with ``queue_len`` waiting requests may
@@ -97,36 +73,3 @@ class AdmissionController:
         if self.ttft_deadline_s is None:
             return False
         return (now - arrival_s) > self.ttft_deadline_s
-
-    @property
-    def hold_window_s(self) -> float:
-        """Effective hold budget per request (simulated seconds).
-
-        ``batch_hold_s`` capped at half the TTFT deadline when one is
-        set, so a held request still has at least half its deadline
-        budget left for the prefill itself.
-        """
-        if self.ttft_deadline_s is None:
-            return self.batch_hold_s
-        return min(self.batch_hold_s, self.ttft_deadline_s / 2.0)
-
-    def should_hold(self, n_queued: int, prompt_tokens: int,
-                    queued_s: float) -> bool:
-        """Whether a free replica should wait instead of dispatching.
-
-        Holds exactly when all of: holding is enabled, the queue holds
-        one lone request (two or more already form a cohort), the
-        prompt is below the batch crossover (``crossover_tokens == 0``
-        treats every prompt as sub-crossover), and the request has been
-        queued less than the hold window.
-
-        Args:
-            n_queued: requests waiting at the replica.
-            prompt_tokens: the head request's prompt length.
-            queued_s: how long the head request has waited so far.
-        """
-        if self.batch_hold_s <= 0.0 or n_queued != 1:
-            return False
-        if 0 < self.crossover_tokens <= prompt_tokens:
-            return False
-        return queued_s < self.hold_window_s

@@ -144,11 +144,10 @@ class RequestInfo:
     Attributes:
         request_id: arrival-order identifier.
         arrival_s: arrival time in simulated seconds.
-        sample_idx: payload key of the request's tokens — the
-            workload-generator sample index in the uniform regime, or a
-            content-dedup key (first request id with that content) when
-            built from :class:`~repro.workloads.requests.RequestSpec`
-            lists.  Requests sharing a key serve identical tokens.
+        sample_idx: payload key of the request's tokens: the id of the
+            first request with the same content (prompt, forced tokens
+            and decode length).  Requests sharing a key serve identical
+            tokens.
         fingerprint: per-(block, expert) prefill activation counts of the
             request's prompt (see
             :func:`repro.cluster.simulator.prefill_fingerprint`), used by

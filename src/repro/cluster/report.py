@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.admission import EXPIRED, SHED, SLOTarget
 from repro.core.batching import GatherStats
-from repro.serving.simulator import ServedRequest, percentile_or_zero
+from repro.serving.simulator import RequestAggregates, ServedRequest
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class RejectedRequest:
 
 
 @dataclass
-class ClusterReport:
+class ClusterReport(RequestAggregates):
     """Aggregate metrics of one multi-replica serving simulation."""
 
     engine: str
@@ -162,15 +162,10 @@ class ClusterReport:
 
     # ---- time base ------------------------------------------------------------
 
-    @property
-    def makespan_s(self) -> float:
-        """Simulated seconds from first arrival to last completion."""
-        arrivals = [r.arrival_s for r in self.requests]
-        arrivals += [r.arrival_s for r in self.rejected]
-        finishes = [r.finish_s for r in self.requests]
-        if not arrivals or not finishes:
-            return 0.0
-        return max(finishes) - min(arrivals)
+    def _offered_arrivals(self) -> list:
+        """Arrival times of served and rejected requests alike."""
+        return ([r.arrival_s for r in self.requests]
+                + [r.arrival_s for r in self.rejected])
 
     # ---- SLO accounting -------------------------------------------------------
 
@@ -178,14 +173,6 @@ class ClusterReport:
         """Whether one served request met both TTFT and TPOT targets."""
         return (request.ttft_s <= self.slo.ttft_s
                 and request.tpot_s <= self.slo.tpot_s)
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        """Generated-token throughput over all served requests."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return sum(r.n_generated for r in self.requests) / span
 
     @property
     def goodput_tokens_per_s(self) -> float:
@@ -204,25 +191,6 @@ class ClusterReport:
             return 0.0
         met = sum(1 for r in self.requests if self.meets_slo(r))
         return met / self.n_offered
-
-    def ttft_percentile(self, q: float) -> float:
-        """TTFT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.ttft_s for r in self.requests], q)
-
-    def tpot_percentile(self, q: float) -> float:
-        """TPOT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.tpot_s for r in self.requests], q)
-
-    def latency_percentile(self, q: float) -> float:
-        """End-to-end latency percentile (seconds) over served requests."""
-        return percentile_or_zero([r.latency_s for r in self.requests], q)
-
-    @property
-    def mean_queue_delay_s(self) -> float:
-        """Mean time served requests waited for a replica."""
-        if not self.requests:
-            return 0.0
-        return sum(r.queue_delay_s for r in self.requests) / self.n_served
 
     # ---- fleet health ---------------------------------------------------------
 
@@ -271,35 +239,6 @@ class ClusterReport:
             return self.replica_gather[replica]
         return GatherStats()
 
-    def replica_phase_stats(self, replica: int) -> dict:
-        """Per-phase (prefill/decode) gathered kernel counts of one
-        replica, so the two regimes' amortization is separable."""
-        gather = self.replica_gather_stats(replica)
-        return {
-            "prefill": {
-                "expert_ops": gather.prefill_expert_ops,
-                "expert_kernels": gather.prefill_expert_kernels,
-                "expert_amortization": gather.prefill_expert_amortization,
-                "lm_head_ops": gather.prefill_lm_head_ops,
-                "lm_head_kernels": gather.prefill_lm_head_kernels,
-                "attn_ops": gather.attn_ops,
-                "attn_kernels": gather.attn_kernels,
-                "gate_ops": gather.gate_ops,
-                "gate_kernels": gather.gate_kernels,
-            },
-            "decode": {
-                "expert_ops": gather.decode_expert_ops,
-                "expert_kernels": gather.decode_expert_kernels,
-                "expert_amortization": gather.decode_expert_amortization,
-                "lm_head_ops": (
-                    gather.lm_head_ops - gather.prefill_lm_head_ops
-                ),
-                "lm_head_kernels": (
-                    gather.lm_head_kernels - gather.prefill_lm_head_kernels
-                ),
-            },
-        }
-
     # ---- serialization --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -343,7 +282,7 @@ class ClusterReport:
                         self.replica_gather_stats(i).gathered_rows,
                     "max_group_size":
                         self.replica_gather_stats(i).max_group_size,
-                    "phases": self.replica_phase_stats(i),
+                    "phases": self.replica_gather_stats(i).phase_stats(),
                 }
                 for i, (busy, util) in enumerate(
                     zip(self.replica_busy_s, self.replica_utilization())

@@ -58,7 +58,6 @@ from repro.events import (
     CLUSTER_ARRIVAL,
     CLUSTER_COMPLETION,
     CLUSTER_DISPATCH,
-    CLUSTER_HOLD,
     CLUSTER_REJECT,
     EventBus,
 )
@@ -76,7 +75,7 @@ from repro.serving.checkpoint import (
     SimCheckpoint,
 )
 from repro.workloads.generator import SequenceGenerator
-from repro.workloads.requests import RequestSpec
+from repro.workloads.requests import RequestSpec, uniform_requests
 
 
 def prefill_fingerprint(model, prompt_tokens: np.ndarray) -> np.ndarray:
@@ -152,20 +151,22 @@ class ClusterSession:
 class ClusterSimulator:
     """Serve one arrival trace across N engine replicas.
 
+    Each replica's expert placement always carries from gang to gang:
+    DAOP's per-sequence allocation (Algorithm 1) leaves the GPU cache
+    tuned to the traffic a replica served, which is what routing
+    competes on.
+
     Args:
         engines: one constructed engine per replica (they are mutated:
-            each replica's placement is carried across requests when
-            ``carry_placement`` is on).
-        generator: workload generator; request ``i`` with sample index
-            ``s`` serves ``generator.sample_sequence(..., sample_idx=s)``
-            so all policies serve byte-identical work.
+            each replica's placement is carried across requests).
+        generator: workload generator for :meth:`run`; request ``i``
+            with sample index ``s`` serves
+            ``generator.sample_sequence(..., sample_idx=s)`` so all
+            policies serve byte-identical work.
         policy: routing policy instance (reset at each ``run``).
-        admission: queue bounds and deadlines; defaults to
+        admission: queue bound and TTFT deadline; defaults to
             ``AdmissionController()``.
         slo: targets for goodput / SLO-attainment accounting.
-        carry_placement: keep each replica's expert placement warm
-            across requests (on, the point of the subsystem) or reset to
-            the engine's initial placement per request (an ablation).
         concurrency: requests a replica serves concurrently per dispatch
             (a *gang*): the replica pulls up to this many queued requests
             at once and batches them in gathered cohorts via
@@ -182,7 +183,6 @@ class ClusterSimulator:
         policy: RoutingPolicy,
         admission: AdmissionController | None = None,
         slo: SLOTarget | None = None,
-        carry_placement: bool = True,
         concurrency: int = 1,
     ) -> None:
         if not engines:
@@ -194,7 +194,6 @@ class ClusterSimulator:
         self.policy = policy
         self.admission = admission or AdmissionController()
         self.slo = slo or SLOTarget()
-        self.carry_placement = carry_placement
         self.concurrency = concurrency
         self.events = EventBus()
         # Snapshot so repeated run() calls replay from identical state.
@@ -217,48 +216,10 @@ class ClusterSimulator:
                 templates) — the regime where cache-affinity routing
                 pays off.
         """
-        if self.generator is None:
-            raise ValueError(
-                "run() needs a workload generator; construct the "
-                "simulator with one or call run_requests() directly"
-            )
-        arrival_times = np.sort(
-            np.asarray(arrival_times, dtype=np.float64)
-        )
-        n_requests = arrival_times.size
-        if sample_indices is None:
-            sample_indices = list(range(n_requests))
-        if len(sample_indices) != n_requests:
-            raise ValueError(
-                "sample_indices must match arrival_times in length"
-            )
-
-        model = self.engines[0].model
-        sequences = {}
-        fingerprints = {}
-        for idx in sample_indices:
-            if idx not in sequences:
-                sequences[idx] = self.generator.sample_sequence(
-                    prompt_len, output_len, sample_idx=idx
-                )
-                fingerprints[idx] = prefill_fingerprint(
-                    model, sequences[idx].prompt_tokens
-                )
-        requests = {
-            i: RequestInfo(
-                request_id=i,
-                arrival_s=float(arrival_times[i]),
-                sample_idx=int(sample_indices[i]),
-                fingerprint=fingerprints[int(sample_indices[i])],
-            )
-            for i in range(n_requests)
-        }
-        payloads = {
-            idx: (sequence.prompt_tokens, sequence.continuation_tokens,
-                  output_len)
-            for idx, sequence in sequences.items()
-        }
-        return self._drain(self._begin(requests, payloads))
+        return self.run_requests(uniform_requests(
+            self.generator, arrival_times, prompt_len, output_len,
+            sample_indices,
+        ))
 
     def run_requests(self, specs: list[RequestSpec]) -> ClusterReport:
         """Simulate the fleet over fully-materialized requests.
@@ -266,7 +227,10 @@ class ClusterSimulator:
         Equivalent to :meth:`begin_session` followed by :meth:`tick`
         until drained and :meth:`finish_session`.
         """
-        return self._drain(self.begin_session(specs))
+        session = self.begin_session(specs)
+        while self.tick(session):
+            pass
+        return self.finish_session(session)
 
     def begin_session(self, specs: list[RequestSpec]) -> ClusterSession:
         """Open a resumable session over fully-materialized requests.
@@ -311,18 +275,6 @@ class ClusterSimulator:
                 sample_idx=key,
                 fingerprint=fingerprints[key],
             )
-        return self._begin(requests, payloads)
-
-    def _begin(self, requests: dict, payloads: dict) -> ClusterSession:
-        """Build a fresh session over prepared requests.
-
-        Args:
-            requests: ``request_id -> RequestInfo``, inserted in arrival
-                order (ties broken by request id); each info's
-                ``sample_idx`` is the key of its payload.
-            payloads: payload key -> ``(prompt_tokens, forced_tokens,
-                output_len)`` served when a request dispatches.
-        """
         replicas = [ReplicaState() for _ in self.engines]
         warm = [placement.copy() for placement in self._base_placements]
         for engine, placement in zip(self.engines, warm):
@@ -380,12 +332,6 @@ class ClusterSimulator:
         session.report.replica_gather = list(session.gather)
         return session.report
 
-    def _drain(self, session: ClusterSession) -> ClusterReport:
-        """Tick a session to completion and seal it."""
-        while self.tick(session):
-            pass
-        return self.finish_session(session)
-
     # ---- checkpoint / restore --------------------------------------------------
 
     def checkpoint(self, session: ClusterSession) -> SimCheckpoint:
@@ -399,7 +345,6 @@ class ClusterSimulator:
         payload = {
             "n_replicas": len(self.engines),
             "concurrency": self.concurrency,
-            "carry_placement": self.carry_placement,
             "policy": {
                 "name": self.policy.name,
                 "state": self.policy.state_dict(),
@@ -407,8 +352,6 @@ class ClusterSimulator:
             "admission": {
                 "max_queue_len": self.admission.max_queue_len,
                 "ttft_deadline_s": self.admission.ttft_deadline_s,
-                "batch_hold_s": self.admission.batch_hold_s,
-                "crossover_tokens": self.admission.crossover_tokens,
             },
             "heap": session.heap.to_state_dict(),
             "replicas": [replica.to_state_dict()
@@ -463,28 +406,18 @@ class ClusterSimulator:
         expected = {
             "n_replicas": len(self.engines),
             "concurrency": self.concurrency,
-            "carry_placement": self.carry_placement,
             "policy": self.policy.name,
             "engine": ",".join(sorted({e.name for e in self.engines})),
             "max_queue_len": self.admission.max_queue_len,
             "ttft_deadline_s": self.admission.ttft_deadline_s,
-            "batch_hold_s": self.admission.batch_hold_s,
-            "crossover_tokens": self.admission.crossover_tokens,
         }
         recorded = {
             "n_replicas": payload["n_replicas"],
             "concurrency": payload["concurrency"],
-            "carry_placement": payload["carry_placement"],
             "policy": payload["policy"]["name"],
             "engine": checkpoint.engine,
             "max_queue_len": payload["admission"]["max_queue_len"],
             "ttft_deadline_s": payload["admission"]["ttft_deadline_s"],
-            # Pre-hold checkpoints default to hold-off, which matches a
-            # simulator configured without the feature.
-            "batch_hold_s": payload["admission"].get("batch_hold_s", 0.0),
-            "crossover_tokens": payload["admission"].get(
-                "crossover_tokens", 0
-            ),
         }
         for key, want in expected.items():
             if recorded[key] != want:
@@ -590,29 +523,6 @@ class ClusterSimulator:
         if not replica.idle or not replica.queue:
             return  # stale dispatch event
         now = heap.now
-        head = session.requests[replica.queue[0]]
-        # The window-expiry guard must use the *same* float expression
-        # as the fallback push below: (arrival + window) - arrival can
-        # round below window, so comparing `now - arrival < window`
-        # would re-hold forever when the fallback dispatch fires.
-        hold_until_s = head.arrival_s + self.admission.hold_window_s
-        if (self.concurrency > 1 and now < hold_until_s
-                and self.admission.should_hold(
-                    len(replica.queue),
-                    int(session.payloads[head.sample_idx][0].size),
-                    now - head.arrival_s)):
-            # A lone sub-crossover prefill: wait (bounded) for a second
-            # request so the prefills dispatch as a gathered cohort.
-            # The fallback dispatch below fires at the hold window's
-            # end; an arrival in the meantime pushes an immediate
-            # dispatch, and whichever fires second hits the stale guard.
-            heap.push(hold_until_s, DISPATCH, replica=replica_idx)
-            if self.events.active:
-                self.events.emit(
-                    CLUSTER_HOLD, now, request_id=head.request_id,
-                    replica=replica_idx, until_s=hold_until_s,
-                )
-            return
         request = session.requests[replica.queue.popleft()]
         if self.admission.expired(request.arrival_s, now):
             self._reject(session, request, replica_idx, EXPIRED)
@@ -634,8 +544,7 @@ class ClusterSimulator:
                                              member.fingerprint)
             for member in gang
         }
-        if self.carry_placement:
-            engine.initial_placement = warm[replica_idx]
+        engine.initial_placement = warm[replica_idx]
         seq_requests = []
         for member in gang:
             prompt_tokens, forced_tokens, member_output_len = \
@@ -663,10 +572,8 @@ class ClusterSimulator:
             engine.events.subscribe(self._forward_event)
         batch = scheduler.run(seq_requests)
         session.gather[replica_idx].merge(batch.gather)
-        if self.carry_placement:
-            last = max(batch.records,
-                       key=lambda rec: (rec.finish_s, rec.seq_id))
-            warm[replica_idx] = last.result.placement
+        last = max(batch.records, key=lambda rec: (rec.finish_s, rec.seq_id))
+        warm[replica_idx] = last.result.placement
 
         batch_span = max(rec.finish_s for rec in batch.records)
         replica.in_service = gang[0].request_id

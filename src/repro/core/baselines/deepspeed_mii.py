@@ -16,7 +16,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import Op
 from repro.memory.placement import ExpertPlacement
@@ -46,7 +46,7 @@ class DeepSpeedMIIEngine(BaseEngine):
         )
         super().__init__(bundle, platform, initial_placement=placement)
 
-    def _stream_experts(self, ctx: _SequenceContext, block_idx: int,
+    def _stream_experts(self, ctx: SequenceState, block_idx: int,
                         activated: np.ndarray,
                         deps: list[Op]) -> BlockPlan:
         extra: dict[int, list[Op]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import GPU, Op
 from repro.memory.cache import CacheConfig
@@ -55,7 +55,7 @@ class MixtralOffloadingEngine(BaseEngine):
         self.quant_ratio = quant_ratio
         self.stream_overhead = stream_overhead
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         lru: list[LRUExpertCache] = []
         probs = self.calibration_probs
         for block_idx in range(self.model.n_blocks):
@@ -78,7 +78,7 @@ class MixtralOffloadingEngine(BaseEngine):
             for cache in payload["lru"]
         ]
 
-    def _ensure_resident(self, ctx: _SequenceContext, block_idx: int,
+    def _ensure_resident(self, ctx: SequenceState, block_idx: int,
                          activated: np.ndarray,
                          deps: list[Op]) -> BlockPlan:
         extra: dict[int, list[Op]] = {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import Op
 from repro.memory.cache import CacheConfig
@@ -65,7 +65,7 @@ class MoEInfinityEngine(BaseEngine):
         self.lookahead = lookahead
         self.score_decay = score_decay
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         lru: list[LRUExpertCache] = []
         probs = self.calibration_probs
         for block_idx in range(self.model.n_blocks):
@@ -107,14 +107,14 @@ class MoEInfinityEngine(BaseEngine):
             },
         )
 
-    def _observe(self, ctx: _SequenceContext, block_idx: int,
+    def _observe(self, ctx: SequenceState, block_idx: int,
                  experts) -> None:
         """Exponential-moving-average update of the sequence's pattern."""
         ctx.policy.scores[block_idx] *= self.score_decay
         for expert in np.atleast_1d(experts):
             ctx.policy.scores[block_idx, int(expert)] += 1.0
 
-    def _upload_with_lru(self, ctx: _SequenceContext, block_idx: int,
+    def _upload_with_lru(self, ctx: SequenceState, block_idx: int,
                          expert: int, deps: list[Op]) -> Op | None:
         cache = ctx.policy.lru[block_idx]
         if cache.capacity == 0:

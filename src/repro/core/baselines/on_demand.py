@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import Op
 from repro.memory.cache import CacheConfig
@@ -46,7 +46,7 @@ class MoEOnDemandEngine(BaseEngine):
         )
         self.eviction_policy = eviction_policy
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         # Per-block policy cache over the GPU-resident experts, seeded from
         # the calibrated placement (coldest first so hot experts survive).
         caches: list[EvictionPolicyCache] = []
@@ -75,7 +75,7 @@ class MoEOnDemandEngine(BaseEngine):
             for cache in payload["caches"]
         ]
 
-    def _ensure_resident(self, ctx: _SequenceContext, block_idx: int,
+    def _ensure_resident(self, ctx: SequenceState, block_idx: int,
                          activated: np.ndarray,
                          deps: list[Op]) -> BlockPlan:
         extra: dict[int, list[Op]] = {}

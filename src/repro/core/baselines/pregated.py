@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.core.predictor import NextLayerPredictor
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import GPU, Op
@@ -60,7 +60,7 @@ class PreGatedMoEEngine(BaseEngine):
             self.model, start_block=prediction_start_block
         )
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         lru: list[LRUExpertCache] = []
         probs = self.calibration_probs
         for block_idx in range(self.model.n_blocks):
@@ -94,7 +94,7 @@ class PreGatedMoEEngine(BaseEngine):
             },
         )
 
-    def _upload_with_lru(self, ctx: _SequenceContext, block_idx: int,
+    def _upload_with_lru(self, ctx: SequenceState, block_idx: int,
                          expert: int, deps: list[Op]) -> Op | None:
         """Upload ``expert`` evicting via LRU; None if already resident."""
         cache = ctx.policy.lru[block_idx]
@@ -128,7 +128,7 @@ class PreGatedMoEEngine(BaseEngine):
 
     # ---- decode: predictive prefetch one block ahead --------------------------
 
-    def _decode_blocks(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks(self, ctx: SequenceState, token: int,
                        deps: list[Op]):
         """Decode policy generator: prefetch ahead, then yield routed work."""
         h = self.model.embed(np.asarray([token]))

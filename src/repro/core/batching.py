@@ -167,6 +167,32 @@ class GatherStats:
         self.prefill_lm_head_ops += other.prefill_lm_head_ops
         self.prefill_lm_head_kernels += other.prefill_lm_head_kernels
 
+    def phase_stats(self) -> dict:
+        """Per-phase (prefill/decode) gathered kernel and op counts, so
+        the two regimes' amortization is separable in reports."""
+        return {
+            "prefill": {
+                "expert_ops": self.prefill_expert_ops,
+                "expert_kernels": self.prefill_expert_kernels,
+                "expert_amortization": self.prefill_expert_amortization,
+                "lm_head_ops": self.prefill_lm_head_ops,
+                "lm_head_kernels": self.prefill_lm_head_kernels,
+                "attn_ops": self.attn_ops,
+                "attn_kernels": self.attn_kernels,
+                "gate_ops": self.gate_ops,
+                "gate_kernels": self.gate_kernels,
+            },
+            "decode": {
+                "expert_ops": self.decode_expert_ops,
+                "expert_kernels": self.decode_expert_kernels,
+                "expert_amortization": self.decode_expert_amortization,
+                "lm_head_ops": self.lm_head_ops - self.prefill_lm_head_ops,
+                "lm_head_kernels": (
+                    self.lm_head_kernels - self.prefill_lm_head_kernels
+                ),
+            },
+        }
+
     def to_state_dict(self) -> dict:
         """Serialize the accumulator for a checkpoint."""
         return {

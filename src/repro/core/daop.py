@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.allocation import SWAP_IN_OUT_DEFAULT, plan_block_swaps
 from repro.core.batching import CPU_LOC, GPU_LOC, BlockWork, ExpertCall
-from repro.core.engine import BaseEngine, BlockPlan, _SequenceContext
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.core.precalc import apply_graceful_degradation
 from repro.core.predictor import (
     PREDICTION_START_BLOCK_DEFAULT,
@@ -129,7 +129,7 @@ class DAOPEngine(BaseEngine):
             decode_realloc_max_swaps_per_block
         )
 
-    def _begin_sequence(self, ctx: _SequenceContext) -> None:
+    def _begin_sequence(self, ctx: SequenceState) -> None:
         # Window and pending-upload map are used only when the decode
         # re-allocation extension is enabled; they live on the sequence
         # state so interleaved sequences never share migration state.
@@ -176,7 +176,7 @@ class DAOPEngine(BaseEngine):
 
     # ---- prefill: Algorithm 1 ---------------------------------------------------
 
-    def _prepare_prefill_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_prefill_block(self, ctx: SequenceState, block_idx: int,
                                activated: np.ndarray, activity: np.ndarray,
                                deps: list[Op]) -> BlockPlan:
         if not self.enable_seq_allocation:
@@ -197,7 +197,7 @@ class DAOPEngine(BaseEngine):
 
     # ---- decode: predictive pre-calculation ---------------------------------------
 
-    def _decode_blocks(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks(self, ctx: SequenceState, token: int,
                        deps: list[Op]):
         """DAOP decode policy as a block-work generator.
 
@@ -234,7 +234,7 @@ class DAOPEngine(BaseEngine):
         self._after_decode_token(ctx, done)
         return h[-1], done
 
-    def _after_decode_token(self, ctx: _SequenceContext, done: Op) -> None:
+    def _after_decode_token(self, ctx: SequenceState, done: Op) -> None:
         """Decode re-allocation extension hook (no-op when disabled)."""
         if self.decode_realloc_interval is None:
             return
@@ -277,7 +277,7 @@ class DAOPEngine(BaseEngine):
                 policy.pending_uploads[(block_idx, plan.hot_expert)] = up
                 ctx.counters.decode_swaps += 1
 
-    def _issue_precalc(self, ctx: _SequenceContext, block_idx: int,
+    def _issue_precalc(self, ctx: SequenceState, block_idx: int,
                        h_att: np.ndarray, attn_op: Op):
         """Predict block ``block_idx + 1`` and start its CPU experts early.
 
@@ -316,7 +316,7 @@ class DAOPEngine(BaseEngine):
             cpu_results[expert] = (y[0], h2d)
         return degradation.experts, prediction.logits, cpu_results
 
-    def _true_gated_work(self, ctx: _SequenceContext, block_idx: int,
+    def _true_gated_work(self, ctx: SequenceState, block_idx: int,
                          h_att: np.ndarray, attn_op: Op):
         """Blocks without a usable prediction run the original gate.
 
@@ -338,7 +338,7 @@ class DAOPEngine(BaseEngine):
         )
         return h, expert_ops
 
-    def _consume_pending_uploads(self, ctx: _SequenceContext, block_idx: int,
+    def _consume_pending_uploads(self, ctx: SequenceState, block_idx: int,
                                  experts) -> dict[int, list[Op]]:
         """Dependencies on in-flight decode-migration uploads."""
         extra: dict[int, list[Op]] = {}
@@ -350,7 +350,7 @@ class DAOPEngine(BaseEngine):
                 extra[int(expert)] = [pending]
         return extra
 
-    def _predicted_work(self, ctx: _SequenceContext, block_idx: int,
+    def _predicted_work(self, ctx: SequenceState, block_idx: int,
                         h_att: np.ndarray, attn_op: Op, carry):
         """Execute a block whose expert set was predicted one block ago.
 

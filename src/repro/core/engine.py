@@ -407,11 +407,6 @@ class SequenceState:
         return state
 
 
-#: Deprecated alias kept for code written against the pre-step-machine
-#: engine; new code should name :class:`SequenceState` directly.
-_SequenceContext = SequenceState
-
-
 @dataclass(frozen=True)
 class StepResult:
     """Outcome of one :meth:`BaseEngine.step` call.
@@ -946,7 +941,7 @@ class BaseEngine:
     def _device_spec(self, resource: str):
         return self.platform.gpu if resource == GPU else self.platform.cpu
 
-    def _attention(self, ctx: _SequenceContext, block_idx: int,
+    def _attention(self, ctx: SequenceState, block_idx: int,
                    h: np.ndarray, deps: list[Op],
                    phase: str) -> tuple[np.ndarray, Op]:
         """Non-MoE part of one block on the GPU (functional + timed)."""
@@ -979,7 +974,7 @@ class BaseEngine:
         )
         return h_att, op
 
-    def _gate(self, ctx: _SequenceContext, block_idx: int,
+    def _gate(self, ctx: SequenceState, block_idx: int,
               h_att: np.ndarray, deps: list[Op]) -> tuple[np.ndarray, Op]:
         """Router logits on the GPU (functional + timed)."""
         block = self.model.blocks[block_idx]
@@ -1006,7 +1001,7 @@ class BaseEngine:
         )
         return logits, op
 
-    def _expert_cpu(self, ctx: _SequenceContext, block_idx: int,
+    def _expert_cpu(self, ctx: SequenceState, block_idx: int,
                     expert: int, x: np.ndarray, deps: list[Op],
                     stale_input: bool = False,
                     token_idx: np.ndarray | None = None) -> tuple[np.ndarray, Op]:
@@ -1048,7 +1043,7 @@ class BaseEngine:
             ctx.counters.stale_input_execs += 1
         return y, h2d
 
-    def _upload_expert(self, ctx: _SequenceContext, block_idx: int,
+    def _upload_expert(self, ctx: SequenceState, block_idx: int,
                        expert: int, deps: list[Op],
                        quant_ratio: float = 1.0) -> Op:
         """Move one expert host -> device and mark it GPU-resident."""
@@ -1062,12 +1057,12 @@ class BaseEngine:
         ctx.counters.expert_uploads += 1
         return op
 
-    def _drop_expert(self, ctx: _SequenceContext, block_idx: int,
+    def _drop_expert(self, ctx: SequenceState, block_idx: int,
                      expert: int) -> None:
         """Free a device copy (host copy of inference weights stays valid)."""
         ctx.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
-    def _record_activation_counters(self, ctx: _SequenceContext,
+    def _record_activation_counters(self, ctx: SequenceState,
                                     block_idx: int,
                                     experts: np.ndarray | list[int]) -> None:
         """Update GPU-residency hit counters for activated experts."""
@@ -1083,7 +1078,7 @@ class BaseEngine:
     # *before* each block's experts execute (migrations, uploads, swaps).
     # The hooks below express exactly that difference.
 
-    def _prepare_prefill_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_prefill_block(self, ctx: SequenceState, block_idx: int,
                                activated: np.ndarray, activity: np.ndarray,
                                deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a prefill block's activated experts.
@@ -1093,7 +1088,7 @@ class BaseEngine:
         """
         return BlockPlan()
 
-    def _prepare_decode_block(self, ctx: _SequenceContext, block_idx: int,
+    def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
                               activated: np.ndarray,
                               deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a decode block's activated experts."""
@@ -1106,7 +1101,7 @@ class BaseEngine:
     # _step_cohort executes the described expert work, gathered with
     # the same-expert calls of the cohort's other sequences.
 
-    def _prefill_blocks_standard(self, ctx: _SequenceContext,
+    def _prefill_blocks_standard(self, ctx: SequenceState,
                                  prompt_tokens: np.ndarray):
         """Shared prefill pass as a block-work generator.
 
@@ -1152,7 +1147,7 @@ class BaseEngine:
 
     def _routed_block_work(
         self,
-        ctx: _SequenceContext,
+        ctx: SequenceState,
         block_idx: int,
         h_att: np.ndarray,
         experts_per_token: np.ndarray,
@@ -1198,7 +1193,7 @@ class BaseEngine:
         h_out = block.combine(h_att, outs, weights)
         return h_out, ops
 
-    def _decode_blocks_standard(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks_standard(self, ctx: SequenceState, token: int,
                                 deps: list[Op]):
         """Shared decode policy: true gate, experts run where they live.
 
@@ -1376,7 +1371,7 @@ class BaseEngine:
     # Default implementations: engines that follow the standard dataflow
     # simply inherit these.
 
-    def _prefill_blocks(self, ctx: _SequenceContext,
+    def _prefill_blocks(self, ctx: SequenceState,
                         prompt_tokens: np.ndarray):
         """Policy hook: the prefill block-work generator for one prompt.
 
@@ -1386,7 +1381,7 @@ class BaseEngine:
         """
         return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
 
-    def _decode_blocks(self, ctx: _SequenceContext, token: int,
+    def _decode_blocks(self, ctx: SequenceState, token: int,
                        deps: list[Op]):
         """Policy hook: the decode block-work generator for one token.
 

@@ -21,7 +21,6 @@ from repro.events.bus import (
     CLUSTER_ARRIVAL,
     CLUSTER_COMPLETION,
     CLUSTER_DISPATCH,
-    CLUSTER_HOLD,
     CLUSTER_REJECT,
     ENGINE_STEP,
     EventBus,
@@ -41,7 +40,6 @@ __all__ = [
     "CLUSTER_ARRIVAL",
     "CLUSTER_COMPLETION",
     "CLUSTER_DISPATCH",
-    "CLUSTER_HOLD",
     "CLUSTER_REJECT",
     "ENGINE_STEP",
     "EventBus",

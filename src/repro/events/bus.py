@@ -17,11 +17,9 @@ SCHED_ADMIT = "sched_admit"
 SCHED_RETIRE = "sched_retire"
 
 #: Cluster discrete-event loop: arrival routed, arrival rejected,
-#: a lone sub-crossover prefill held back to form a cohort,
 #: a gang dispatched on a replica, a gang member completed.
 CLUSTER_ARRIVAL = "cluster_arrival"
 CLUSTER_REJECT = "cluster_reject"
-CLUSTER_HOLD = "cluster_hold"
 CLUSTER_DISPATCH = "cluster_dispatch"
 CLUSTER_COMPLETION = "cluster_completion"
 
@@ -37,7 +35,6 @@ EVENT_KINDS = (
     SCHED_RETIRE,
     CLUSTER_ARRIVAL,
     CLUSTER_REJECT,
-    CLUSTER_HOLD,
     CLUSTER_DISPATCH,
     CLUSTER_COMPLETION,
     CHECKPOINT_SAVE,

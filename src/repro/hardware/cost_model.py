@@ -16,13 +16,11 @@ cross-sequence execution (:meth:`CostModel.batch_efficiency`): a dense op
 over ``n`` token rows reads its weights once instead of ``n`` times and
 pays one fixed per-op overhead instead of ``n``, so in the
 bandwidth-bound decode regime the gathered op costs barely more than a
-solo one until ``n`` crosses into the compute-bound regime
-(:meth:`CostModel.batch_crossover_tokens`).
+solo one until ``n`` crosses into the compute-bound regime.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.hardware.device import DeviceSpec
@@ -161,31 +159,6 @@ class CostModel:
         return self.batch_efficiency(
             device, self.arch.gate_params, n_tokens, overhead_s
         )
-
-    def batch_crossover_tokens(self, device: DeviceSpec,
-                               weight_params: int | None = None) -> int:
-        """Row count where a dense op leaves the bandwidth-bound regime.
-
-        The smallest ``n`` for which the compute roofline time of an op
-        over ``weight_params`` weights (default: one expert FFN) meets
-        or exceeds its memory roofline time — i.e. where gathering more
-        rows stops being nearly free.  Returns 0 when the op never
-        becomes compute-bound on this device (per-token flops time below
-        per-token bytes time at any batch).
-        """
-        if weight_params is None:
-            weight_params = self.arch.expert_params
-        flops_time_per_token = 2.0 * weight_params / device.effective_flops
-        bytes_time_per_token = (
-            2.0 * self.arch.hidden_state_bytes / device.effective_bandwidth
-        )
-        gain = flops_time_per_token - bytes_time_per_token
-        if gain <= 0.0:
-            return 0
-        fixed_bytes_time = (
-            weight_params * self.arch.dtype_bytes / device.effective_bandwidth
-        )
-        return max(1, math.ceil(fixed_bytes_time / gain))
 
     # ---- transfers -----------------------------------------------------------
 

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.workloads.requests import slo_targets
-
-
-def _percentile(values, q: float) -> float:
-    """``np.percentile`` returning 0.0 on empty input (renderable groups)."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
+from repro.workloads.requests import percentile_or_zero, slo_targets
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,10 @@ class ScenarioReport:
             "generated_tokens": generated,
             "throughput_tokens_per_s": (generated / span) if span > 0
             else 0.0,
-            "ttft_p50_s": _percentile([r.ttft_s for r in served], 50),
-            "ttft_p95_s": _percentile([r.ttft_s for r in served], 95),
-            "tpot_p50_s": _percentile([r.tpot_s for r in served], 50),
-            "latency_p95_s": _percentile(
+            "ttft_p50_s": percentile_or_zero([r.ttft_s for r in served], 50),
+            "ttft_p95_s": percentile_or_zero([r.ttft_s for r in served], 95),
+            "tpot_p50_s": percentile_or_zero([r.tpot_s for r in served], 50),
+            "latency_p95_s": percentile_or_zero(
                 [r.latency_s for r in served], 95
             ),
             "mean_queue_delay_s": (

@@ -253,38 +253,6 @@ class BatchReport:
             return 0.0
         return float(np.mean([r.tpot_s for r in self.records]))
 
-    def phase_gather_stats(self) -> dict:
-        """Per-phase (prefill/decode) gathered kernel and op counts.
-
-        Splits the gather accumulator so the two regimes' amortization
-        is separable in reports.
-        """
-        gather = self.gather
-        return {
-            "prefill": {
-                "expert_ops": gather.prefill_expert_ops,
-                "expert_kernels": gather.prefill_expert_kernels,
-                "expert_amortization": gather.prefill_expert_amortization,
-                "lm_head_ops": gather.prefill_lm_head_ops,
-                "lm_head_kernels": gather.prefill_lm_head_kernels,
-                "attn_ops": gather.attn_ops,
-                "attn_kernels": gather.attn_kernels,
-                "gate_ops": gather.gate_ops,
-                "gate_kernels": gather.gate_kernels,
-            },
-            "decode": {
-                "expert_ops": gather.decode_expert_ops,
-                "expert_kernels": gather.decode_expert_kernels,
-                "expert_amortization": gather.decode_expert_amortization,
-                "lm_head_ops": (
-                    gather.lm_head_ops - gather.prefill_lm_head_ops
-                ),
-                "lm_head_kernels": (
-                    gather.lm_head_kernels - gather.prefill_lm_head_kernels
-                ),
-            },
-        }
-
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON rendering (CI artifacts, diffing)."""
         payload = {
@@ -293,7 +261,7 @@ class BatchReport:
             "n_expert_ops": self.n_expert_ops,
             "n_expert_kernels": self.n_expert_kernels,
             "expert_amortization": self.gather.expert_amortization,
-            "phases": self.phase_gather_stats(),
+            "phases": self.gather.phase_stats(),
             "n_sequences": self.n_sequences,
             "makespan_s": self.makespan_s,
             "sum_solo_makespans_s": self.sum_solo_makespans_s,

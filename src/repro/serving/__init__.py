@@ -20,14 +20,12 @@ from repro.serving.simulator import (
     ServingReport,
     ServingSession,
     ServingSimulator,
-    percentile_or_zero,
 )
 
 __all__ = [
     "bursty_arrivals",
     "poisson_arrivals",
     "uniform_arrivals",
-    "percentile_or_zero",
     "CHECKPOINT_KINDS",
     "CLUSTER_KIND",
     "SERVING_KIND",

@@ -23,8 +23,10 @@ from repro.model.serialization import canonical_digest
 
 #: Version of the on-disk checkpoint envelope; bumped whenever the
 #: envelope or a simulator payload changes shape.  Version 2 dropped the
-#: execution-mode field from the serving and cluster configs.
-SIM_CHECKPOINT_VERSION = 2
+#: execution-mode field from the serving and cluster configs; version 3
+#: dropped ``carry_placement`` and the admission hold fields
+#: (``batch_hold_s``, ``crossover_tokens``) from the cluster config.
+SIM_CHECKPOINT_VERSION = 3
 
 #: Registered simulator kinds.
 SERVING_KIND = "serving"

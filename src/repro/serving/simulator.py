@@ -30,20 +30,11 @@ from repro.serving.checkpoint import (
     SimCheckpoint,
 )
 from repro.workloads.generator import SequenceGenerator
-from repro.workloads.requests import RequestSpec
-
-
-def percentile_or_zero(values, q: float) -> float:
-    """``np.percentile`` that returns 0.0 for an empty value list.
-
-    ``np.percentile`` raises on empty input; serving reports regularly
-    aggregate zero requests (overloaded replicas that shed everything,
-    filtered views), and a 0.0 keeps those reports renderable.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
+from repro.workloads.requests import (
+    RequestSpec,
+    percentile_or_zero,
+    uniform_requests,
+)
 
 
 @dataclass(frozen=True)
@@ -83,69 +74,71 @@ class ServedRequest:
         return decode / (self.n_generated - 1)
 
 
-@dataclass
-class ServingReport:
-    """Aggregate serving metrics over a request trace."""
+class RequestAggregates:
+    """Latency and throughput aggregates over served requests.
 
-    engine: str
-    requests: list[ServedRequest] = field(default_factory=list)
+    The one implementation behind :class:`ServingReport` and the fleet's
+    :class:`~repro.cluster.report.ClusterReport`: a subclass provides a
+    ``requests`` list of :class:`ServedRequest` records and, when some
+    offered requests were never served, overrides
+    :meth:`_offered_arrivals` so the makespan starts at the first
+    arrival of any of them.
+    """
 
-    def _percentile(self, values, q: float) -> float:
-        return percentile_or_zero(values, q)
+    requests: list
 
-    @property
-    def n_requests(self) -> int:
-        """Number of served requests."""
-        return len(self.requests)
+    def _offered_arrivals(self) -> list:
+        """Arrival times of every offered request (seconds)."""
+        return [r.arrival_s for r in self.requests]
 
     @property
     def makespan_s(self) -> float:
-        """Simulated time from first arrival to last completion."""
-        if not self.requests:
+        """Simulated seconds from first arrival to last completion."""
+        arrivals = self._offered_arrivals()
+        if not arrivals or not self.requests:
             return 0.0
-        start = min(r.arrival_s for r in self.requests)
-        end = max(r.finish_s for r in self.requests)
-        return end - start
+        return max(r.finish_s for r in self.requests) - min(arrivals)
 
     @property
     def throughput_tokens_per_s(self) -> float:
-        """Sustained generated-token throughput."""
+        """Generated-token throughput over all served requests."""
         span = self.makespan_s
         if span <= 0:
             return 0.0
         return sum(r.n_generated for r in self.requests) / span
 
     def ttft_percentile(self, q: float) -> float:
-        """TTFT percentile in seconds."""
-        return self._percentile([r.ttft_s for r in self.requests], q)
-
-    def latency_percentile(self, q: float) -> float:
-        """End-to-end latency percentile in seconds."""
-        return self._percentile([r.latency_s for r in self.requests], q)
+        """TTFT percentile (seconds) over served requests."""
+        return percentile_or_zero([r.ttft_s for r in self.requests], q)
 
     def tpot_percentile(self, q: float) -> float:
-        """Time-per-output-token percentile in seconds."""
-        return self._percentile([r.tpot_s for r in self.requests], q)
+        """TPOT percentile (seconds) over served requests."""
+        return percentile_or_zero([r.tpot_s for r in self.requests], q)
+
+    def latency_percentile(self, q: float) -> float:
+        """End-to-end latency percentile (seconds) over served requests."""
+        return percentile_or_zero([r.latency_s for r in self.requests], q)
 
     @property
     def mean_queue_delay_s(self) -> float:
-        """Mean time requests spent queued."""
+        """Mean time served requests waited for an engine."""
         if not self.requests:
             return 0.0
-        return float(np.mean([r.queue_delay_s for r in self.requests]))
+        return (sum(r.queue_delay_s for r in self.requests)
+                / len(self.requests))
+
+
+@dataclass
+class ServingReport(RequestAggregates):
+    """Aggregate serving metrics over a request trace."""
+
+    engine: str
+    requests: list[ServedRequest] = field(default_factory=list)
 
     @property
-    def total_energy_kj(self) -> float:
-        """Total serving energy in kilojoules."""
-        return sum(r.energy_j for r in self.requests) / 1e3
-
-    @property
-    def tokens_per_kilojoule(self) -> float:
-        """Serving-level energy efficiency."""
-        kj = self.total_energy_kj
-        if kj <= 0:
-            return 0.0
-        return sum(r.n_generated for r in self.requests) / kj
+    def n_requests(self) -> int:
+        """Number of served requests."""
+        return len(self.requests)
 
 
 @dataclass
@@ -201,34 +194,13 @@ class ServingSimulator:
         """Serve one uniform-length request per arrival time.
 
         Requests are generated deterministically from the simulator's
-        workload generator (request ``i`` uses ``sample_idx=i``), so two
-        engines given the same arrival trace serve identical work.  This
-        is a thin wrapper over :meth:`run_requests` and is byte-identical
-        to the historical uniform-length behavior.
+        workload generator (request ``i`` uses ``sample_idx=i``; see
+        :func:`~repro.workloads.requests.uniform_requests`), so two
+        engines given the same arrival trace serve identical work.
         """
-        if self.generator is None:
-            raise ValueError(
-                "run() needs a workload generator; construct the "
-                "simulator with one or call run_requests() directly"
-            )
-        arrival_times = np.sort(np.asarray(arrival_times, dtype=np.float64))
-        specs = []
-        for i, arrival in enumerate(arrival_times):
-            sequence = self.generator.sample_sequence(
-                prompt_len, output_len, sample_idx=i
-            )
-            specs.append(
-                RequestSpec(
-                    request_id=i,
-                    arrival_s=float(arrival),
-                    prompt_tokens=sequence.prompt_tokens,
-                    output_len=output_len,
-                    forced_tokens=sequence.continuation_tokens,
-                    dataset=self.generator.spec.name,
-                    sample_idx=i,
-                )
-            )
-        return self.run_requests(specs)
+        return self.run_requests(uniform_requests(
+            self.generator, arrival_times, prompt_len, output_len
+        ))
 
     def run_requests(self, specs: list[RequestSpec]) -> ServingReport:
         """Serve fully-materialized requests; returns the report.

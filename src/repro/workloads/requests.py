@@ -8,7 +8,10 @@ serving simulators (``ServingSimulator.run_requests`` /
 ``ClusterSimulator.run_requests``) consume, and the v2 recorded-workload
 format (:mod:`repro.workloads.replay`) round-trips to disk — which is
 what makes any scenario replayable bit-exactly against a different
-engine or platform.
+engine or platform.  :func:`uniform_requests` builds the uniform-length
+trace both simulators' ``run`` entry points serve, and
+:func:`percentile_or_zero` is the percentile every serving and scenario
+report aggregates its per-request latencies with.
 
 SLO classes partition requests by latency expectation: ``interactive``
 traffic (chat) is TTFT-sensitive, ``batch`` traffic (offline
@@ -23,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.workloads.generator import SequenceGenerator
 
 #: TTFT-sensitive chat-style traffic.
 INTERACTIVE = "interactive"
@@ -126,3 +131,73 @@ def slo_targets(slo_class: str) -> tuple:
         raise KeyError(
             f"unknown slo_class {slo_class!r}; known: {SLO_CLASSES}"
         ) from None
+
+
+def uniform_requests(generator: SequenceGenerator | None,
+                     arrival_times, prompt_len: int, output_len: int,
+                     sample_indices=None) -> list[RequestSpec]:
+    """One uniform-length request per arrival time.
+
+    Arrivals are sorted; request ``i`` (in arrival order) carries the
+    tokens of ``generator.sample_sequence(..., sample_idx=s)`` with
+    ``s = sample_indices[i]``, so two simulators given the same trace
+    serve identical work.
+
+    Args:
+        generator: deterministic workload source.
+        arrival_times: request arrival times in simulated seconds.
+        prompt_len: prompt length of every request.
+        output_len: decode length of every request.
+        sample_indices: workload sample index per request; defaults to
+            ``0..n-1``.  Repeating indices builds similarity-clustered
+            traffic (sticky sessions, shared templates) — the regime
+            where cache-affinity routing pays off.
+
+    Raises:
+        ValueError: without a generator, or when ``sample_indices`` and
+            ``arrival_times`` differ in length.
+    """
+    if generator is None:
+        raise ValueError(
+            "uniform requests need a workload generator; pass "
+            "RequestSpec lists to run_requests() instead"
+        )
+    arrival_times = np.sort(np.asarray(arrival_times, dtype=np.float64))
+    if sample_indices is None:
+        sample_indices = range(arrival_times.size)
+    if len(sample_indices) != arrival_times.size:
+        raise ValueError("sample_indices must match arrival_times in length")
+    sequences = {}
+    specs = []
+    for i, (arrival, idx) in enumerate(zip(arrival_times, sample_indices)):
+        idx = int(idx)
+        if idx not in sequences:
+            sequences[idx] = generator.sample_sequence(
+                prompt_len, output_len, sample_idx=idx
+            )
+        sequence = sequences[idx]
+        specs.append(
+            RequestSpec(
+                request_id=i,
+                arrival_s=float(arrival),
+                prompt_tokens=sequence.prompt_tokens,
+                output_len=output_len,
+                forced_tokens=sequence.continuation_tokens,
+                dataset=generator.spec.name,
+                sample_idx=idx,
+            )
+        )
+    return specs
+
+
+def percentile_or_zero(values, q: float) -> float:
+    """``np.percentile`` that returns 0.0 for an empty value list.
+
+    ``np.percentile`` raises on empty input; reports regularly aggregate
+    zero requests (overloaded replicas that shed everything, filtered
+    tenant or SLO-class views), and a 0.0 keeps those reports renderable.
+    """
+    arr = np.asarray(list(values), dtype=np.float64)
+    if arr.size == 0:
+        return 0.0
+    return float(np.percentile(arr, q))

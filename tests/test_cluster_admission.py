@@ -39,56 +39,6 @@ class TestAdmissionController:
             AdmissionController(max_queue_len=0)
         with pytest.raises(ValueError):
             AdmissionController(ttft_deadline_s=0.0)
-        with pytest.raises(ValueError):
-            AdmissionController(batch_hold_s=-0.1)
-        with pytest.raises(ValueError):
-            AdmissionController(crossover_tokens=-1)
 
     def test_reason_constants_distinct(self):
         assert SHED != EXPIRED
-
-
-class TestBatchHold:
-    def test_disabled_by_default(self):
-        admission = AdmissionController()
-        assert admission.hold_window_s == 0.0
-        assert not admission.should_hold(1, 8, 0.0)
-
-    def test_holds_lone_sub_crossover_prefill(self):
-        admission = AdmissionController(batch_hold_s=2.0,
-                                        crossover_tokens=100)
-        assert admission.should_hold(1, 32, 0.0)
-        assert admission.should_hold(1, 99, 1.9)
-
-    def test_never_holds_a_cohort(self):
-        """Two queued requests already form a cohort — dispatch."""
-        admission = AdmissionController(batch_hold_s=2.0)
-        assert not admission.should_hold(2, 32, 0.0)
-        assert not admission.should_hold(0, 32, 0.0)
-
-    def test_never_holds_past_crossover(self):
-        """A compute-bound prompt gains nothing from gathering."""
-        admission = AdmissionController(batch_hold_s=2.0,
-                                        crossover_tokens=100)
-        assert not admission.should_hold(1, 100, 0.0)
-        assert not admission.should_hold(1, 500, 0.0)
-
-    def test_zero_crossover_means_always_sub_crossover(self):
-        admission = AdmissionController(batch_hold_s=2.0,
-                                        crossover_tokens=0)
-        assert admission.should_hold(1, 10_000, 0.0)
-
-    def test_hold_window_expires(self):
-        admission = AdmissionController(batch_hold_s=2.0)
-        assert admission.should_hold(1, 32, 1.999)
-        assert not admission.should_hold(1, 32, 2.0)  # strict <
-        assert not admission.should_hold(1, 32, 5.0)
-
-    def test_hold_window_capped_by_half_ttft_deadline(self):
-        admission = AdmissionController(batch_hold_s=10.0,
-                                        ttft_deadline_s=4.0)
-        assert admission.hold_window_s == 2.0
-        assert not admission.should_hold(1, 32, 2.0)
-        # A hold budget inside the cap passes through unchanged.
-        loose = AdmissionController(batch_hold_s=1.0, ttft_deadline_s=4.0)
-        assert loose.hold_window_s == 1.0

@@ -323,104 +323,6 @@ class TestGangDispatch:
             assert 0.0 <= r.warm_hit_rate <= 1.0
 
 
-class TestBatchHold:
-    """Crossover-aware admission: holding lone prefills for a cohort."""
-
-    def _run(self, tiny_bundle, platform, tiny_calibration, arrivals,
-             admission, concurrency=2):
-        from repro.events import CLUSTER_HOLD
-
-        engines = build_fleet(tiny_bundle, platform, tiny_calibration, n=1)
-        generator = SequenceGenerator(SHAREGPT, tiny_bundle.vocab, seed=61)
-        simulator = ClusterSimulator(
-            engines, generator, build_policy("round-robin"),
-            admission=admission, concurrency=concurrency,
-        )
-        held = []
-        simulator.events.subscribe(held.append, kinds=(CLUSTER_HOLD,))
-        report = simulator.run(np.asarray(arrivals), prompt_len=12,
-                               output_len=6)
-        return report, held
-
-    def test_hold_forms_a_cohort(self, tiny_bundle, platform,
-                                 tiny_calibration):
-        """A lone prefill waits; the next arrival joins it in one gang."""
-        report, held = self._run(
-            tiny_bundle, platform, tiny_calibration, [0.0, 0.01],
-            AdmissionController(batch_hold_s=1.0),
-        )
-        assert len(held) >= 1
-        assert held[0].payload["replica"] == 0
-        first = min(report.requests, key=lambda r: r.arrival_s)
-        # The held request started when its batchmate arrived, not at
-        # its own arrival and not at the full hold window.
-        assert first.start_s == pytest.approx(0.01)
-        assert report.n_served == 2
-
-    def test_lone_request_dispatches_at_window_end(
-            self, tiny_bundle, platform, tiny_calibration):
-        report, held = self._run(
-            tiny_bundle, platform, tiny_calibration, [0.0],
-            AdmissionController(batch_hold_s=0.5),
-        )
-        assert len(held) == 1
-        assert held[0].payload["until_s"] == pytest.approx(0.5)
-        assert report.requests[0].start_s == pytest.approx(0.5)
-        assert report.n_served == 1
-
-    def test_window_end_terminates_on_inexact_arrival(
-            self, tiny_bundle, platform, tiny_calibration):
-        """The fallback dispatch must not re-hold at the window end.
-
-        With a non-round arrival ``a``, ``(a + window) - a`` can round
-        strictly below ``window`` in float arithmetic, so an expiry
-        guard phrased as ``now - arrival < window`` re-holds forever at
-        the fallback timestamp.  0.123456 with a 0.086 s window
-        reproduces the rounding asymmetry.
-        """
-        arrival = 0.123456
-        admission = AdmissionController(batch_hold_s=0.086)
-        window = admission.hold_window_s
-        assert (arrival + window) - arrival < window  # the trap exists
-        report, held = self._run(
-            tiny_bundle, platform, tiny_calibration, [arrival], admission,
-        )
-        assert len(held) == 1
-        assert report.n_served == 1
-        assert report.requests[0].start_s == pytest.approx(arrival + window)
-
-    def test_no_hold_at_concurrency_one(self, tiny_bundle, platform,
-                                        tiny_calibration):
-        """A replica that cannot gang anyway never waits."""
-        report, held = self._run(
-            tiny_bundle, platform, tiny_calibration, [0.0],
-            AdmissionController(batch_hold_s=0.5),
-            concurrency=1,
-        )
-        assert held == []
-        assert report.requests[0].start_s == pytest.approx(0.0)
-
-    def test_no_hold_past_crossover(self, tiny_bundle, platform,
-                                    tiny_calibration):
-        """A compute-bound prompt dispatches immediately."""
-        report, held = self._run(
-            tiny_bundle, platform, tiny_calibration, [0.0],
-            AdmissionController(batch_hold_s=0.5, crossover_tokens=12),
-        )
-        assert held == []
-        assert report.requests[0].start_s == pytest.approx(0.0)
-
-    def test_hold_off_is_byte_identical_to_baseline(
-            self, tiny_bundle, platform, tiny_calibration):
-        baseline = run_policy(tiny_bundle, platform, tiny_calibration,
-                              "round-robin", concurrency=2)
-        hold_off = run_policy(
-            tiny_bundle, platform, tiny_calibration, "round-robin",
-            concurrency=2, admission=AdmissionController(),
-        )
-        assert hold_off.to_json() == baseline.to_json()
-
-
 class TestValidation:
     def test_requires_engines(self):
         generator = object()

@@ -172,21 +172,3 @@ class TestBatchEfficiency:
         for n in (1, 2, 4, 8, 32, 256, 4096):
             eff = getattr(cm, curve)(cm.platform.gpu, n, overhead_s=overhead)
             assert eff >= floor - 1e-15
-
-    def test_crossover_matches_roofline(self, cm):
-        n = cm.batch_crossover_tokens(cm.platform.gpu)
-        if n == 0:
-            # Never compute-bound: efficiency keeps dropping with n.
-            assert cm.expert_batch_efficiency(
-                cm.platform.gpu, 64
-            ) < cm.expert_batch_efficiency(cm.platform.gpu, 32)
-            return
-        assert n >= 1
-        gpu = cm.platform.gpu
-        flops = 2.0 * cm.arch.expert_params * n
-        weight_bytes = cm.arch.expert_params * cm.arch.dtype_bytes
-        act_bytes = 2.0 * n * cm.arch.hidden_state_bytes
-        # At the crossover, compute time meets or exceeds memory time.
-        assert flops / gpu.effective_flops >= (
-            (weight_bytes + act_bytes) / gpu.effective_bandwidth
-        )

@@ -26,29 +26,15 @@ from repro.serving import (
     save_checkpoint,
 )
 from repro.workloads import SHAREGPT, SequenceGenerator
-from repro.workloads.requests import RequestSpec
+from repro.workloads.requests import uniform_requests
 
 
 def make_specs(bundle, n=4, prompt_len=12, output_len=5, seed=7,
                rate=0.05):
-    """A small deterministic heterogeneous request list."""
+    """A small deterministic request list."""
     generator = SequenceGenerator(SHAREGPT, bundle.vocab, seed=seed)
-    arrivals = np.sort(poisson_arrivals(rate, n,
-                                        np.random.default_rng(seed)))
-    specs = []
-    for i, arrival in enumerate(arrivals):
-        sequence = generator.sample_sequence(prompt_len, output_len,
-                                             sample_idx=i)
-        specs.append(RequestSpec(
-            request_id=i,
-            arrival_s=float(arrival),
-            prompt_tokens=sequence.prompt_tokens,
-            output_len=output_len,
-            forced_tokens=sequence.continuation_tokens,
-            dataset=SHAREGPT.name,
-            sample_idx=i,
-        ))
-    return specs
+    arrivals = poisson_arrivals(rate, n, np.random.default_rng(seed))
+    return uniform_requests(generator, arrivals, prompt_len, output_len)
 
 
 def serving_records(report):
@@ -267,6 +253,22 @@ class TestClusterResumeParity:
                 CheckpointError,
                 match="cannot restore a 'serving' checkpoint"):
             cluster.restore(serving_ckpt)
+
+    def test_hold_carrying_version_2_rejected(
+            self, tiny_bundle, platform, tiny_calibration):
+        """Version 2 cluster payloads carry the removed carry-placement
+        and admission-hold fields; they must not resume."""
+        cluster = self._simulator(tiny_bundle, platform, tiny_calibration)
+        current = cluster.checkpoint(
+            cluster.begin_session(make_specs(tiny_bundle, n=2)))
+        payload = json.loads(json.dumps(current.payload))
+        payload["carry_placement"] = True
+        payload["admission"].update(batch_hold_s=0.0, crossover_tokens=0)
+        data = SimCheckpoint(kind=current.kind, engine=current.engine,
+                             payload=payload, version=2).to_dict()
+        with pytest.raises(CheckpointError,
+                           match="unsupported checkpoint version 2"):
+            SimCheckpoint.from_dict(data)
 
     def test_fleet_config_mismatch_rejected(
             self, tiny_bundle, platform, tiny_calibration):
