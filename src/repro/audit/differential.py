@@ -393,6 +393,8 @@ class StepParityComparison:
     seed: int
     problems: list = field(default_factory=list)
     audit: AuditReport | None = None
+    #: ``(label, AuditReport)`` per gathered sequence, e.g.
+    #: ``("gathered@4 seq0", report)``.
     batch_audits: list = field(default_factory=list)
 
     @property
@@ -400,7 +402,7 @@ class StepParityComparison:
         """Whether every step path reproduced ``generate()`` exactly."""
         return (not self.problems
                 and (self.audit is None or self.audit.ok)
-                and all(a.ok for a in self.batch_audits))
+                and all(a.ok for _, a in self.batch_audits))
 
 
 @dataclass
@@ -424,8 +426,8 @@ class StepParityReport:
             if c.audit is not None:
                 out.extend(f"{prefix}: {v.format()}"
                            for v in c.audit.violations)
-            for i, audit in enumerate(c.batch_audits):
-                out.extend(f"{prefix}/gathered seq{i}: {v.format()}"
+            for label, audit in c.batch_audits:
+                out.extend(f"{prefix}/{label}: {v.format()}"
                            for v in audit.violations)
         return out
 
@@ -473,6 +475,39 @@ def _check_parity(comparison: StepParityComparison, path: str,
             break
 
 
+def _check_gathered(comparison: StepParityComparison, engine, label: str,
+                    prompts: list, solo_refs: list, max_new_tokens: int,
+                    audit_invariants: bool):
+    """Run ``prompts`` through a batch-4 gathered scheduler and assert
+    each sequence's tokens and counters equal its solo run.
+
+    Returns the batch's :class:`~repro.core.batching.GatherStats`.
+    """
+    batch = ContinuousBatchScheduler(engine, max_batch=len(prompts)).run([
+        SequenceRequest(prompt_tokens=p, max_new_tokens=max_new_tokens,
+                        seq_id=i)
+        for i, p in enumerate(prompts)
+    ])
+    records = sorted(batch.records, key=lambda r: r.seq_id)
+    for i, (record, solo) in enumerate(zip(records, solo_refs)):
+        batched = record.result
+        if not np.array_equal(solo.tokens, batched.tokens):
+            comparison.problems.append(
+                f"{label} seq{i}: token stream differs from solo "
+                "generate()"
+            )
+        if solo.stats.counters != batched.stats.counters:
+            comparison.problems.append(
+                f"{label} seq{i}: EngineCounters differ from solo "
+                "generate()"
+            )
+        if audit_invariants:
+            comparison.batch_audits.append(
+                (f"{label} seq{i}", audit_generation(engine, batched))
+            )
+    return batch.gather
+
+
 def run_step_parity_audit(
     bundle: ModelBundle,
     platform: Platform,
@@ -506,6 +541,12 @@ def run_step_parity_audit(
     prefill cohort and the same parity check covers gathered *prefill*
     too; the audit additionally asserts that prefill kernels really were
     gathered, so this coverage cannot silently degrade to solo prefill.
+    A fifth path repeats the check with four prompts of mixed lengths
+    (``gathered-mixed@4``): prefill cohorts then stack members of
+    unequal row counts, and decode cohorts attend over unequal context
+    lengths, which runs the per-member attention core.  It runs with any
+    compute cache detached, so the stacked computation itself is
+    compared with the solo runs.
 
     An optional shared ``compute_cache`` is attached for the whole run —
     the paths then also exercise the memoization layer under the step
@@ -526,6 +567,13 @@ def run_step_parity_audit(
                     prompt_len, 0, sample_idx=i
                 ).prompt_tokens
                 for i in range(4)
+            ]
+            # Mixed lengths: unequal prefill rows and decode contexts.
+            mixed = [
+                generator.sample_sequence(
+                    max(1, prompt_len + delta), 0, sample_idx=4 + i
+                ).prompt_tokens
+                for i, delta in enumerate((0, 3, -5, 7))
             ]
             prompt = prompts[0]
             for name in engine_names:
@@ -554,15 +602,10 @@ def run_step_parity_audit(
                 solo_refs = [reference] + [
                     engine.generate(p, max_new_tokens) for p in prompts[1:]
                 ]
-                gathered = ContinuousBatchScheduler(
-                    engine, max_batch=len(prompts)
+                gather = _check_gathered(
+                    comparison, engine, "gathered@4", prompts, solo_refs,
+                    max_new_tokens, audit_invariants,
                 )
-                batch4 = gathered.run([
-                    SequenceRequest(prompt_tokens=p,
-                                    max_new_tokens=max_new_tokens, seq_id=i)
-                    for i, p in enumerate(prompts)
-                ])
-                gather = batch4.gather
                 if gather.prefill_expert_kernels == 0:
                     comparison.problems.append(
                         "gathered@4: prefill kernels were not gathered "
@@ -574,23 +617,20 @@ def run_step_parity_audit(
                         "gathered@4: prefill expert calls were not "
                         "amortized across the cohort"
                     )
-                records = sorted(batch4.records, key=lambda r: r.seq_id)
-                for i, (record, solo) in enumerate(zip(records, solo_refs)):
-                    batched = record.result
-                    if not np.array_equal(solo.tokens, batched.tokens):
-                        comparison.problems.append(
-                            f"gathered@4 seq{i}: token stream differs "
-                            "from solo generate()"
-                        )
-                    if solo.stats.counters != batched.stats.counters:
-                        comparison.problems.append(
-                            f"gathered@4 seq{i}: EngineCounters differ "
-                            "from solo generate()"
-                        )
-                    if audit_invariants:
-                        comparison.batch_audits.append(
-                            audit_generation(engine, batched)
-                        )
+                solo_mixed = [engine.generate(p, max_new_tokens)
+                              for p in mixed]
+                # Detached, so the gathered run computes (a cache would
+                # serve it the solo runs' entries).
+                if compute_cache is not None:
+                    model.detach_compute_cache()
+                try:
+                    _check_gathered(
+                        comparison, engine, "gathered-mixed@4", mixed,
+                        solo_mixed, max_new_tokens, audit_invariants,
+                    )
+                finally:
+                    if compute_cache is not None:
+                        model.attach_compute_cache(compute_cache)
                 report.comparisons.append(comparison)
     finally:
         if compute_cache is not None:

@@ -134,17 +134,20 @@ class PreGatedMoEEngine(BaseEngine):
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
         for block_idx in range(self.model.n_blocks):
-            h_att, attn_op = self._attention(
-                ctx, block_idx, h, last_ops, DECODE_PHASE
+            predicts = self.predictor.can_predict_from(block_idx)
+            h_att, logits, attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, DECODE_PHASE,
+                (block_idx, block_idx + 1) if predicts else (block_idx,),
             )
             # Issue the next block's prefetch as soon as this block's
             # non-MoE output exists (overlaps with this block's MoE).
-            if self.predictor.can_predict_from(block_idx):
-                prediction = self.predictor.predict(block_idx, h_att)
+            if predicts:
+                prediction = self.predictor.from_logits(block_idx,
+                                                        logits[1][0])
                 pred_gate = ctx.timeline.add(
                     GPU,
-            self.framework_overhead_s
-            + self.cost_model.gate_time(self.platform.gpu, 1),
+                    self.framework_overhead_s
+                    + self.cost_model.gate_time(self.platform.gpu, 1),
                     deps=[attn_op],
                     label=f"pred-gate B{block_idx + 1}", kind="gate",
                 )
@@ -156,8 +159,10 @@ class PreGatedMoEEngine(BaseEngine):
                     if op is not None:
                         ctx.policy.pending[(block_idx + 1, expert)] = op
 
-            logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
-            routing = self.model.blocks[block_idx].route_from_logits(logits)
+            gate_op = self._gate(ctx, block_idx, logits[0], [attn_op])
+            routing = self.model.blocks[block_idx].route_from_logits(
+                logits[0]
+            )
             ctx.trace.record(
                 DECODE_PHASE, block_idx, ctx.position, routing.experts[0]
             )

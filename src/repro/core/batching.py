@@ -1,24 +1,29 @@
-"""Cross-sequence expert gathering: the block-work protocol.
+"""Cross-sequence gathering: the block-work protocol.
 
 The engines' decode policies (true-gated, predictive pre-calculation,
 prefetch-ahead) and the shared prefill pass are all expressed as
-generators that *describe* each block's routed expert executions as
-:class:`BlockWork` instead of executing them inline
-(:meth:`~repro.core.engine.BaseEngine._decode_blocks`,
-:meth:`~repro.core.engine.BaseEngine._prefill_blocks`).  One step body,
-:meth:`~repro.core.engine.BaseEngine._step_cohort`, runs the described
-work of a same-phase cohort of sequences: calls from *different
-sequences* that target the same ``(block, expert, device)`` are grouped
-into one simulated kernel whose cost follows the hardware
+generators that *describe* each block's work instead of executing it
+inline (:meth:`~repro.core.engine.BaseEngine._decode_blocks`,
+:meth:`~repro.core.engine.BaseEngine._prefill_blocks`).  Per block, a
+generator yields an :class:`AttentionRequest` (the block's attention
+input and the gates that read its output), then a :class:`BlockWork`
+(its routed expert executions).  One step body,
+:meth:`~repro.core.engine.BaseEngine._step_cohort`, runs a same-phase
+cohort of sequences block-locked: every member's attention and gate
+rows of a round are evaluated as stacked calls, and expert calls from
+*different sequences* that target the same ``(block, expert, device)``
+are grouped into one simulated kernel whose cost follows the hardware
 batch-efficiency curves
-(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`), while
-each participant's functional values are still evaluated row-by-row
-through the cache-aware stage API
-(:meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`), so the
-token stream is identical to a solo run token for token.  A solo step
-(:meth:`~repro.core.engine.BaseEngine.step`) is a cohort of one: every
-group has one participant, and the calls run in the order the policy
-yielded them.
+(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`).  Each
+participant's functional values are evaluated through the cache-aware
+stacked stage API (:meth:`~repro.model.moe_block.MoEBlock.
+attention_rows`, :meth:`~repro.model.moe_block.MoEBlock.
+gate_logits_rows`, :meth:`~repro.model.moe_block.MoEBlock.
+expert_forward_rows`), which keeps every member's bytes identical to a
+solo evaluation, so the token stream is identical to a solo run token
+for token.  A solo step (:meth:`~repro.core.engine.BaseEngine.step`) is
+a cohort of one: every stack and every group has one member, and the
+calls run in the order the policy yielded them.
 
 This module holds the protocol's data types; the step body lives on
 :class:`~repro.core.engine.BaseEngine` so it shares the engines'
@@ -28,6 +33,7 @@ substrate (cost model, timeline, counters) under the same lint contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,12 +75,41 @@ class ExpertCall:
         return int(len(self.token_idx))
 
 
+class AttentionRequest(NamedTuple):
+    """One sequence's attention and gate inputs for one block.
+
+    Yielded by a block-work generator (through
+    :meth:`~repro.core.engine.BaseEngine._attention`) before the
+    block's :class:`BlockWork`.  The driver evaluates every cohort
+    member's request of a round as stacked calls and sends back
+    ``(h_att, logits)``: the post-attention states and one gate-logits
+    array per entry of ``gate_blocks``.
+
+    Attributes:
+        block_idx: the block whose attention runs (its KV cache is the
+            sequence's ``caches[block_idx]``).
+        h: the block's input hidden states ``(n, d)``.
+        positions: absolute positions of the ``n`` rows, ascending.
+        gate_blocks: blocks whose gate reads ``h_att``, ascending: the
+            own block, plus the next one when a layer-ahead predictor
+            reads it.
+
+    A named tuple: one is built per sequence per block.
+    """
+
+    block_idx: int
+    h: np.ndarray
+    positions: np.ndarray
+    gate_blocks: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class BlockWork:
     """All routed expert executions one sequence requests for one block.
 
     Yielded by an engine's ``_decode_blocks`` or ``_prefill_blocks``
-    generator; the driver sends back a list of ``(output, op)`` pairs
+    generator after the block's :class:`AttentionRequest`; the driver
+    sends back a list of ``(output, op)`` pairs
     aligned with ``calls``.  ``calls`` may be empty (every selected
     expert was pre-calculated) — the yield still happens so all
     sequences advance block-locked.

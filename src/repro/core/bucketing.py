@@ -58,11 +58,6 @@ class PrefillBucket:
     key: int
     indices: tuple[int, ...]
 
-    @property
-    def is_cohort(self) -> bool:
-        """Whether the bucket holds enough members to gather (>= 2)."""
-        return len(self.indices) >= 2
-
 
 def bucket_prompt_lengths(lengths, min_bucket: int = MIN_BUCKET) -> list:
     """Partition prompt lengths into :class:`PrefillBucket` groups.

@@ -201,10 +201,13 @@ class DAOPEngine(BaseEngine):
                        deps: list[Op]):
         """DAOP decode policy as a block-work generator.
 
-        Yields one :class:`~repro.core.batching.BlockWork` per block;
-        :meth:`~repro.core.engine.BaseEngine._step_cohort` gathers the
-        routed expert executions across a cohort's sequences and, in a
-        cohort of one, runs them in slot order.  The predictive
+        Yields one attention request and one
+        :class:`~repro.core.batching.BlockWork` per block;
+        :meth:`~repro.core.engine.BaseEngine._step_cohort` evaluates the
+        requests stacked across a cohort — a predicting block's request
+        also names the next block's gate, which the predictor reads —
+        and gathers the routed expert executions across the cohort's
+        sequences (in a cohort of one, in slot order).  The predictive
         pre-calculation round-trips stay per-sequence — they are policy-
         internal work issued a block early, not routed executions.
         """
@@ -215,16 +218,23 @@ class DAOPEngine(BaseEngine):
         last_ops = list(deps)
         carry = None  # prediction made at the previous block for this one
         for block_idx in range(self.model.n_blocks):
-            h_att, attn_op = self._attention(ctx, block_idx, h, last_ops,
-                                             DECODE)
-            next_carry = self._issue_precalc(ctx, block_idx, h_att, attn_op)
+            predicts = self.predictor.can_predict_from(block_idx)
+            h_att, logits, attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, DECODE,
+                (block_idx, block_idx + 1) if predicts else (block_idx,),
+            )
+            next_carry = (
+                self._issue_precalc(ctx, block_idx, h_att, logits[1],
+                                    attn_op)
+                if predicts else None
+            )
             if carry is None:
                 h, last_ops = yield from self._true_gated_work(
-                    ctx, block_idx, h_att, attn_op
+                    ctx, block_idx, h_att, logits[0], attn_op
                 )
             else:
                 h, last_ops = yield from self._predicted_work(
-                    ctx, block_idx, h_att, attn_op, carry
+                    ctx, block_idx, h_att, logits[0], attn_op, carry
                 )
             carry = next_carry
         ctx.position += 1
@@ -278,15 +288,16 @@ class DAOPEngine(BaseEngine):
                 ctx.counters.decode_swaps += 1
 
     def _issue_precalc(self, ctx: SequenceState, block_idx: int,
-                       h_att: np.ndarray, attn_op: Op):
+                       h_att: np.ndarray, pred_logits: np.ndarray,
+                       attn_op: Op):
         """Predict block ``block_idx + 1`` and start its CPU experts early.
 
-        Returns the carry consumed when the loop reaches the next block:
+        ``pred_logits`` is block ``block_idx + 1``'s gate evaluated on
+        ``h_att`` (from the round's stacked gate call).  Returns the
+        carry consumed when the loop reaches the next block:
         ``(executed_experts, predicted_logits, cpu_results)``.
         """
-        if not self.predictor.can_predict_from(block_idx):
-            return None
-        prediction = self.predictor.predict(block_idx, h_att)
+        prediction = self.predictor.from_logits(block_idx, pred_logits[0])
         pred_gate = ctx.timeline.add(
             GPU,
             self.framework_overhead_s
@@ -317,13 +328,14 @@ class DAOPEngine(BaseEngine):
         return degradation.experts, prediction.logits, cpu_results
 
     def _true_gated_work(self, ctx: SequenceState, block_idx: int,
-                         h_att: np.ndarray, attn_op: Op):
+                         h_att: np.ndarray, logits: np.ndarray,
+                         attn_op: Op):
         """Blocks without a usable prediction run the original gate.
 
         Generator: yields the block's routed work and returns
         ``(h, expert_ops)``; use via ``yield from``.
         """
-        logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
+        gate_op = self._gate(ctx, block_idx, logits, [attn_op])
         routing = self.model.blocks[block_idx].route_from_logits(logits)
         ctx.trace.record(
             DECODE, block_idx, ctx.position, routing.experts[0],
@@ -351,7 +363,8 @@ class DAOPEngine(BaseEngine):
         return extra
 
     def _predicted_work(self, ctx: SequenceState, block_idx: int,
-                        h_att: np.ndarray, attn_op: Op, carry):
+                        h_att: np.ndarray, logits: np.ndarray,
+                        attn_op: Op, carry):
         """Execute a block whose expert set was predicted one block ago.
 
         Generator: pre-calculated CPU results are consumed directly;
@@ -364,7 +377,7 @@ class DAOPEngine(BaseEngine):
 
         # Oracle instrumentation: what the true gate *would* have selected
         # (functional only; DAOP does not spend time on this gate).
-        true_logits = block.gate_logits(h_att)[0]
+        true_logits = logits[0]
         true_selection = np.argsort(-true_logits, kind="stable")[
             : self.model.top_k
         ]

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.batching import (
     CPU_LOC,
     GPU_LOC,
+    AttentionRequest,
     BlockWork,
     ExpertCall,
     group_block_work,
@@ -616,14 +617,18 @@ class BaseEngine:
 
         The one execution path of the engine.  Every state's block-work
         generator (:meth:`_prefill_blocks` or :meth:`_decode_blocks`)
-        runs block-locked: each block's :class:`~repro.core.batching.
-        BlockWork` items execute through
-        :meth:`_execute_block_work_gathered`, where same-``(block,
-        expert, device)`` calls of different sequences merge into one
-        simulated kernel, and the final LM head runs once over all
-        last-token rows.  Functional values are evaluated per sequence
-        through the cache-aware stage API, so token bytes, cache keys,
-        traces and counters never depend on the cohort.
+        runs block-locked.  Per block, the members'
+        :class:`~repro.core.batching.AttentionRequest` items are
+        evaluated in one stacked call (:meth:`_attention_round`), then
+        their :class:`~repro.core.batching.BlockWork` items execute
+        through :meth:`_execute_block_work_gathered`, where
+        same-``(block, expert, device)`` calls of different sequences
+        merge into one simulated kernel; the final LM head runs once
+        over all last-token rows.  Functional values come from the
+        cache-aware stacked stage API, whose per-member bytes equal a
+        solo evaluation, and every member records its own timed ops in
+        its own generator order, so token bytes, cache keys, traces and
+        counters never depend on the cohort.
 
         In a prefill cohort of two or more, attention and gate ops
         cannot merge functionally (each works on its own hidden
@@ -696,22 +701,17 @@ class BaseEngine:
         try:
             results: list = [None] * len(states)
             for _round in range(self.model.n_blocks):
-                works = []
-                for state, gen, result in zip(states, gens, results):
-                    try:
-                        works.append((state, gen.send(result)))
-                    except StopIteration:
-                        raise RuntimeError(
-                            f"{phase} pass of {self.name!r} yielded fewer "
-                            "than n_blocks work sets"
-                        ) from None
+                requests = self._advance(gens, results, AttentionRequest,
+                                         phase)
+                replies = self._attention_round(states, requests)
+                works = self._advance(gens, replies, BlockWork, phase)
                 if prefill and gather_stats is not None:
                     gather_stats.attn_kernels += 1
                     gather_stats.attn_ops += len(states)
                     gather_stats.gate_kernels += 1
                     gather_stats.gate_ops += len(states)
                 results = self._execute_block_work_gathered(
-                    works, gather_stats, phase
+                    list(zip(states, works)), gather_stats, phase
                 )
             finals = []
             for gen, result in zip(gens, results):
@@ -722,7 +722,7 @@ class BaseEngine:
                 else:
                     raise RuntimeError(
                         f"{phase} pass of {self.name!r} yielded more than "
-                        "n_blocks work sets"
+                        "n_blocks request/work pairs"
                     )
         finally:
             if prefill and len(states) > 1:
@@ -941,15 +941,91 @@ class BaseEngine:
     def _device_spec(self, resource: str):
         return self.platform.gpu if resource == GPU else self.platform.cpu
 
+    def _advance(self, gens: list, values: list, kind: type,
+                 phase: str) -> list:
+        """Send each generator its value; collect the next ``kind`` items.
+
+        Raises:
+            RuntimeError: for a generator that ends early or yields out
+                of the request/work order.
+        """
+        items = []
+        for gen, value in zip(gens, values):
+            try:
+                item = gen.send(value)
+            except StopIteration:
+                raise RuntimeError(
+                    f"{phase} pass of {self.name!r} yielded fewer than "
+                    "n_blocks request/work pairs"
+                ) from None
+            if not isinstance(item, kind):
+                raise RuntimeError(
+                    f"{phase} pass of {self.name!r} yielded "
+                    f"{type(item).__name__} where {kind.__name__} was due"
+                )
+            items.append(item)
+        return items
+
+    def _attention_round(self, states: list, requests: list) -> list:
+        """Evaluate one round's attention requests as stacked calls.
+
+        The round's block attends once over every member
+        (:meth:`~repro.model.moe_block.MoEBlock.attention_rows`), then
+        each named gate, in ascending block order, runs once over every
+        member whose request names it
+        (:meth:`~repro.model.moe_block.MoEBlock.gate_logits_rows`).
+        Returns each member's ``(h_att, logits)`` reply, ``logits``
+        aligned with its (ascending) ``gate_blocks``.
+
+        Raises:
+            RuntimeError: for requests naming different blocks (a
+                cohort runs block-locked).
+        """
+        blocks = self.model.blocks
+        block_idx = requests[0].block_idx
+        hs, caches, positions = [], [], []
+        gating: dict = {}
+        for i, (state, request) in enumerate(zip(states, requests)):
+            if request.block_idx != block_idx:
+                raise RuntimeError(
+                    f"cohort of {self.name!r} lost block lock: one round "
+                    "requested attention on several blocks"
+                )
+            hs.append(request.h)
+            caches.append(state.caches[block_idx])
+            positions.append(request.positions)
+            for gate_block in request.gate_blocks:
+                gating.setdefault(gate_block, []).append(i)
+        h_atts = blocks[block_idx].attention_rows(hs, caches, positions)
+        logits: list = [[] for _ in requests]
+        for gate_block in sorted(gating):
+            idx = gating[gate_block]
+            rows = blocks[gate_block].gate_logits_rows(
+                [h_atts[i] for i in idx]
+            )
+            for i, row in zip(idx, rows):
+                logits[i].append(row)
+        return list(zip(h_atts, logits))
+
     def _attention(self, ctx: SequenceState, block_idx: int,
-                   h: np.ndarray, deps: list[Op],
-                   phase: str) -> tuple[np.ndarray, Op]:
-        """Non-MoE part of one block on the GPU (functional + timed)."""
-        block = self.model.blocks[block_idx]
+                   h: np.ndarray, deps: list[Op], phase: str,
+                   gate_blocks: tuple[int, ...]):
+        """Non-MoE part of one block on the GPU, as a generator sub-step.
+
+        Yields the block's :class:`~repro.core.batching.
+        AttentionRequest` (the driver evaluates it with the cohort's
+        other members) and returns ``(h_att, logits, op)``: the
+        post-attention states, the gate logits of ``gate_blocks`` in
+        order, and the timed attention op.  Use as
+        ``h_att, logits, op = yield from self._attention(...)``.
+        """
         n_tokens = h.shape[0]
-        positions = ctx.position + np.arange(n_tokens)
         context_len = len(ctx.caches[block_idx]) + n_tokens
-        h_att = block.attention_part(h, ctx.caches[block_idx], positions)
+        h_att, logits = yield AttentionRequest(
+            block_idx=block_idx, h=h,
+            positions=ctx.position + np.arange(n_tokens),
+            gate_blocks=gate_blocks,
+        )
         duration = self.framework_overhead_s + self.cost_model.non_moe_time(
             self.platform.gpu, n_tokens, context_len
         )
@@ -972,15 +1048,15 @@ class BaseEngine:
             GPU, duration, deps=deps,
             label=f"attn B{block_idx} {phase}", kind="non_moe",
         )
-        return h_att, op
+        return h_att, logits, op
 
     def _gate(self, ctx: SequenceState, block_idx: int,
-              h_att: np.ndarray, deps: list[Op]) -> tuple[np.ndarray, Op]:
-        """Router logits on the GPU (functional + timed)."""
-        block = self.model.blocks[block_idx]
-        logits = block.gate_logits(h_att)
+              logits: np.ndarray, deps: list[Op]) -> Op:
+        """Timed router op on the GPU for precomputed gate ``logits``
+        (evaluated in the round's stacked gate call)."""
+        n_rows = int(logits.shape[0])
         duration = self.framework_overhead_s + self.cost_model.gate_time(
-            self.platform.gpu, h_att.shape[0]
+            self.platform.gpu, n_rows
         )
         pricing = ctx.extra.get("gather_pricing")
         if pricing is not None:
@@ -992,14 +1068,12 @@ class BaseEngine:
                     self.framework_overhead_s,
                 )
                 / self.cost_model.gate_batch_efficiency(
-                    self.platform.gpu, int(h_att.shape[0]),
-                    self.framework_overhead_s,
+                    self.platform.gpu, n_rows, self.framework_overhead_s,
                 )
             )
-        op = ctx.timeline.add(
+        return ctx.timeline.add(
             GPU, duration, deps=deps, label=f"gate B{block_idx}", kind="gate",
         )
-        return logits, op
 
     def _expert_cpu(self, ctx: SequenceState, block_idx: int,
                     expert: int, x: np.ndarray, deps: list[Op],
@@ -1097,19 +1171,19 @@ class BaseEngine:
     # ---- block-work protocol ------------------------------------------------------
     #
     # Decode policies and the shared prefill pass are generators
-    # yielding one BlockWork per block (see repro.core.batching);
-    # _step_cohort executes the described expert work, gathered with
-    # the same-expert calls of the cohort's other sequences.
+    # yielding one AttentionRequest (via _attention) and one BlockWork
+    # per block (see repro.core.batching); _step_cohort evaluates the
+    # requests stacked and executes the described expert work, gathered
+    # with the same-expert calls of the cohort's other sequences.
 
     def _prefill_blocks_standard(self, ctx: SequenceState,
                                  prompt_tokens: np.ndarray):
         """Shared prefill pass as a block-work generator.
 
         Per block: attend -> gate -> prepare -> describe the routed
-        expert executions.  Yields exactly ``n_blocks``
-        :class:`BlockWork` items and returns ``(h_last, done_op)``; a
-        prompt-length cohort's same-expert calls merge into shared
-        kernels.
+        expert executions.  Yields exactly ``n_blocks`` request/work
+        pairs and returns ``(h_last, done_op)``; a prompt-length
+        cohort's same-expert calls merge into shared kernels.
         """
         from repro.core.allocation import activity_from_routing
 
@@ -1117,10 +1191,10 @@ class BaseEngine:
         n_tokens = prompt_tokens.size
         last_ops: list[Op] = []
         for block_idx in range(self.model.n_blocks):
-            h_att, attn_op = self._attention(
-                ctx, block_idx, h, last_ops, PREFILL
+            h_att, (logits,), attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, PREFILL, (block_idx,)
             )
-            logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
+            gate_op = self._gate(ctx, block_idx, logits, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
             selected = routing.experts.tolist()
             for t, experts in enumerate(selected):
@@ -1197,16 +1271,16 @@ class BaseEngine:
                                 deps: list[Op]):
         """Shared decode policy: true gate, experts run where they live.
 
-        A generator yielding exactly ``n_blocks`` :class:`BlockWork`
-        items and returning ``(h_last, done_op)``.
+        A generator yielding exactly ``n_blocks`` request/work pairs and
+        returning ``(h_last, done_op)``.
         """
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
         for block_idx in range(self.model.n_blocks):
-            h_att, attn_op = self._attention(
-                ctx, block_idx, h, last_ops, DECODE
+            h_att, (logits,), attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, DECODE, (block_idx,)
             )
-            logits, gate_op = self._gate(ctx, block_idx, h_att, [attn_op])
+            gate_op = self._gate(ctx, block_idx, logits, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
             selected = routing.experts[0].tolist()
             ctx.trace.record(DECODE, block_idx, ctx.position, selected)
@@ -1237,10 +1311,10 @@ class BaseEngine:
         overhead), sliced into per-sequence ops.  A CPU group's three
         stages (activations device-to-host, CPU execution, result
         host-to-device) each run as one such kernel.  Functional values
-        are evaluated segment by segment through
-        :meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows`, so
-        each sequence's outputs and compute-cache keys never depend on
-        the cohort.
+        come from one stacked
+        :meth:`~repro.model.moe_block.MoEBlock.expert_forward_rows` call
+        per group, so each sequence's outputs and compute-cache keys
+        never depend on the cohort.
 
         Args:
             works: ``(state, BlockWork)`` per sequence, admission order.
@@ -1348,8 +1422,9 @@ class BaseEngine:
         """Final norm + LM head gathered over every sequence's last token.
 
         One simulated launch over ``len(states)`` rows, sliced into
-        per-sequence ops; logits are computed row-by-row (sharing cache
-        keys with solo runs) so sampling stays bitwise identical.
+        per-sequence ops; logits come from one stacked call whose rows
+        (and cache keys) equal solo runs', so sampling stays bitwise
+        identical.
         """
         n = len(states)
         logits_rows = self.model.lm_logits_rows(h_lasts)
@@ -1376,7 +1451,9 @@ class BaseEngine:
         """Policy hook: the prefill block-work generator for one prompt.
 
         An engine with a custom prefill policy overrides this.  Must
-        yield exactly ``n_blocks`` :class:`BlockWork` items and return
+        yield exactly ``n_blocks`` request/work pairs (an
+        :class:`~repro.core.batching.AttentionRequest` through
+        :meth:`_attention`, then a :class:`BlockWork`) and return
         ``(h_last, done_op)``.
         """
         return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
@@ -1387,7 +1464,7 @@ class BaseEngine:
 
         Engines with a custom decode policy (DAOP's predictive
         pre-calculation, Pre-gated's prefetch) override this.  Must
-        yield exactly ``n_blocks`` :class:`BlockWork` items and return
+        yield exactly ``n_blocks`` request/work pairs and return
         ``(h_last, done_op)``.
         """
         return (yield from self._decode_blocks_standard(ctx, token, deps))

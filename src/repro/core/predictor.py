@@ -61,9 +61,19 @@ class NextLayerPredictor:
         if block_idx + 1 >= self.model.n_blocks:
             raise ValueError("no next block to predict")
         next_block = self.model.blocks[block_idx + 1]
-        logits = next_block.gate_logits(np.atleast_2d(h_att))[0]
-        top_k = self.model.top_k
-        experts = np.argsort(-logits, kind="stable")[:top_k]
+        return self.from_logits(
+            block_idx, next_block.gate_logits(np.atleast_2d(h_att))[0]
+        )
+
+    def from_logits(self, block_idx: int,
+                    logits: np.ndarray) -> ExpertPrediction:
+        """Prediction from block ``block_idx + 1``'s gate logits row.
+
+        Engines evaluate that gate on block ``block_idx``'s state in the
+        cohort's stacked gate call and hand the row in here, so
+        :meth:`predict` is this plus the gate evaluation.
+        """
+        experts = np.argsort(-logits, kind="stable")[: self.model.top_k]
         return ExpertPrediction(
             block=block_idx + 1, logits=logits, experts=experts
         )

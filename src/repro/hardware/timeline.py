@@ -188,7 +188,8 @@ class Timeline:
         is what :class:`GenerationStats` and the energy integral expect.
         Only a finished timeline may be rebased -- the shared clock is
         deliberately left untouched, so adding ops afterwards would
-        desynchronize the record.
+        desynchronize the record.  The ops shift in place, so every
+        held handle (a sequence's ``last_op``) reads rebased times.
 
         Raises:
             ValueError: if ``t0`` exceeds the earliest op start (a shift
@@ -201,17 +202,9 @@ class Timeline:
             raise ValueError(
                 f"cannot rebase by {t0}: earliest op starts at {first}"
             )
-        rebased = [
-            Op(
-                index=op.index, resource=op.resource,
-                duration=op.duration, start=op.start - t0,
-                end=op.end - t0, label=op.label, kind=op.kind,
-                dep_indices=op.dep_indices,
-            )
-            for op in self.ops
-        ]
-        self.ops.clear()
-        self.ops.extend(rebased)
+        for op in self.ops:
+            op.start -= t0
+            op.end -= t0
 
     def barrier(self, deps: list[Op]) -> float:
         """Latest finish time among ``deps`` (no op is scheduled)."""

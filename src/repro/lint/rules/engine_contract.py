@@ -55,11 +55,13 @@ _MIGRATION_NAMES = frozenset({
 #: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
 #: they are the *policy* hooks of the block-work protocol (engines
 #: describe routed expert work there), while the one step body that
-#: executes the described work (``_step_cohort`` and its entries
-#: ``step``, ``step_batch``, ``step_prefill_batch``) is substrate.
+#: executes the described work (``_step_cohort``, its entries ``step``,
+#: ``step_batch``, ``step_prefill_batch``, and its stacked attention
+#: round ``_advance``/``_attention_round``) is substrate.
 _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
-    "_step_cohort", "finish", "checkpoint_sequence", "restore_sequence",
+    "_step_cohort", "_advance", "_attention_round", "finish",
+    "checkpoint_sequence", "restore_sequence",
     "_attention", "_gate", "_expert_cpu", "_upload_expert",
     "_drop_expert", "_lm_head_batch", "_record_activation_counters",
     "_prefill_blocks_standard", "_decode_blocks_standard",

@@ -9,6 +9,7 @@ import numpy as np
 from repro.model.config import SimSpec
 from repro.model.layers import Linear, softmax
 from repro.model.rope import RotaryEmbedding
+from repro.model.rows import stack
 from repro.model.serialization import decode_array, encode_array
 
 
@@ -148,6 +149,7 @@ class GroupedQueryAttention:
         self.wo = Linear(d, d, rng)
         self.rope = RotaryEmbedding(sim.head_dim, sim.rope_base)
         self._group = sim.n_heads // sim.n_kv_heads
+        self._scale = np.sqrt(sim.head_dim)
 
     def new_cache(self) -> KVCache:
         """Create an empty KV cache matching this attention's geometry."""
@@ -162,54 +164,89 @@ class GroupedQueryAttention:
         new tokens relative to each other and everything already cached is
         visible (it precedes them).
         """
-        out, _, _ = self.forward_with_kv(x, cache, positions)
-        return out
+        return self.forward_rows(x[None], [cache], [positions])[0][0]
 
-    def forward_with_kv(
-        self, x: np.ndarray, cache: KVCache, positions: np.ndarray
+    def forward_rows(
+        self, x: np.ndarray, caches: list, positions: list
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`__call__`, but also return the appended keys/values.
+        """Attend a stack of sequences' new rows, each over its own cache.
 
-        The extra ``(k, v)`` (shape ``(n_kv_heads, n_new, head_dim)``) let a
-        compute cache replay the exact ``cache.append`` side effect on a hit
-        without recomputing the projections.
+        Args:
+            x: ``(n, n_new, d_model)`` inputs, one sequence per item.
+            caches: per-sequence KV caches; each gets its item's new
+                keys/values appended.
+            positions: per-sequence ascending absolute positions, each of
+                length ``n_new``.
+
+        Returns:
+            ``(out, k, v)``: outputs ``(n, n_new, d_model)`` and the
+            appended keys/values ``(n, n_kv_heads, n_new, head_dim)``,
+            which let a compute cache replay the ``append`` on a hit.
+            The projections and RoPE run as single stacked calls; the
+            score/softmax/value core runs once per group of sequences of
+            equal context length (:mod:`repro.model.rows` explains why
+            stacking keeps every item byte-identical to its solo call).
         """
         sim = self.sim
-        n_new = x.shape[0]
-        q = self.wq(x).reshape(n_new, sim.n_heads, sim.head_dim)
-        k = self.wk(x).reshape(n_new, sim.n_kv_heads, sim.head_dim)
-        v = self.wv(x).reshape(n_new, sim.n_kv_heads, sim.head_dim)
+        n, n_new, _ = x.shape
+        # (n, heads, tokens, head_dim) layout for rope + attention.
+        q = self.wq(x).reshape(n, n_new, sim.n_heads, sim.head_dim)
+        k = self.wk(x).reshape(n, n_new, sim.n_kv_heads, sim.head_dim)
+        v = self.wv(x).reshape(n, n_new, sim.n_kv_heads, sim.head_dim)
+        q = np.transpose(q, (0, 2, 1, 3))
+        k = np.transpose(k, (0, 2, 1, 3))
+        v = np.transpose(v, (0, 2, 1, 3))
+        cos, sin = self.rope.tables(
+            stack(positions)[:, None, :],
+            max(int(pos[-1]) for pos in positions) + 1,
+        )
+        q = self.rope.rotate(q, cos, sin)
+        k = self.rope.rotate(k, cos, sin)
 
-        # (heads, tokens, head_dim) layout for rope + attention.
-        q = np.transpose(q, (1, 0, 2))
-        k = np.transpose(k, (1, 0, 2))
-        v = np.transpose(v, (1, 0, 2))
-        q = self.rope.apply(q, positions)
-        k = self.rope.apply(k, positions)
+        by_length: dict = {}
+        for i, (cache, k_i, v_i) in enumerate(zip(caches, k, v)):
+            cache.append(k_i, v_i)
+            by_length.setdefault(len(cache), []).append(i)
+        if len(by_length) == 1:
+            context = self._attend(q, caches)
+        else:
+            parts = [(idx, self._attend(q[idx], [caches[i] for i in idx]))
+                     for idx in by_length.values()]
+            first = parts[0][1]
+            context = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+            for idx, part in parts:
+                context[idx] = part
+        return self.wo(context.reshape(n, n_new, sim.d_model)), k, v
 
-        n_prev = len(cache)
-        cache.append(k, v)
-        keys = cache.keys      # (n_kv, n_total, hd)
-        values = cache.values  # (n_kv, n_total, hd)
-        n_total = keys.shape[1]
+    def _attend(self, q: np.ndarray, caches: list) -> np.ndarray:
+        """Score/softmax/value core of sequences with equal context length.
 
-        # Expand KV heads to query heads (grouped-query attention).
-        keys_q = np.repeat(keys, self._group, axis=0)
-        values_q = np.repeat(values, self._group, axis=0)
-
-        scores = q @ np.transpose(keys_q, (0, 2, 1))
-        scores /= np.sqrt(sim.head_dim)
-
-        # Causal mask: new token i (absolute n_prev + i) sees keys 0..n_prev+i.
-        key_pos = np.arange(n_total)
-        query_pos = n_prev + np.arange(n_new)
-        mask = key_pos[None, :] > query_pos[:, None]
-        scores = np.where(mask[None, :, :], -1e9, scores)
-
+        ``q`` is ``(m, n_heads, n_new, head_dim)``; each cache already
+        holds its sequence's new keys.  Returns the per-head context as
+        ``(m, n_new, n_heads, head_dim)``.
+        """
+        m, n_heads, n_new, head_dim = q.shape
+        keys = stack([cache.keys for cache in caches])
+        values = stack([cache.values for cache in caches])
+        # Grouped-query attention: each KV head serves ``_group`` query
+        # heads, broadcast rather than repeated (the per-head matmuls
+        # read the very same key/value rows either way).
+        q = q.reshape(m, self.sim.n_kv_heads, self._group, n_new, head_dim)
+        scores = q @ np.transpose(keys, (0, 1, 3, 2))[:, :, None]
+        scores /= self._scale
+        if n_new > 1:
+            # Causal mask: new token i (absolute n_prev + i) sees keys
+            # 0..n_prev+i.  A single new token sees every key.
+            n_total = keys.shape[2]
+            key_pos = np.arange(n_total)
+            query_pos = n_total - n_new + np.arange(n_new)
+            scores = np.where(key_pos[None, :] > query_pos[:, None],
+                              -1e9, scores)
         weights = softmax(scores, axis=-1)
-        out = weights @ values_q                       # (n_heads, n_new, hd)
-        out = np.transpose(out, (1, 0, 2)).reshape(n_new, sim.d_model)
-        return self.wo(out), k, v
+        out = (weights @ values[:, :, None]).reshape(
+            m, n_heads, n_new, head_dim
+        )
+        return np.transpose(out, (0, 2, 1, 3))
 
     @property
     def n_params(self) -> int:

@@ -23,16 +23,22 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    """Numerically stable softmax along ``axis``.
+
+    The ufunc ``reduce`` calls are what ``np.max``/``np.sum`` dispatch
+    to, minus their Python wrappers (the values are identical).
+    """
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.add.reduce(exp, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
+    return shifted - np.log(
+        np.add.reduce(np.exp(shifted), axis=axis, keepdims=True)
+    )
 
 
 class Linear:
@@ -63,8 +69,11 @@ class RMSNorm:
         self.eps = eps
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        rms = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + self.eps)
-        return (x / rms) * self.gain
+        # ``np.mean`` spelled as its reduce-then-divide, minus the wrapper.
+        mean_sq = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+        mean_sq /= x.shape[-1]
+        mean_sq += self.eps
+        return (x / np.sqrt(mean_sq, out=mean_sq)) * self.gain
 
     @property
     def n_params(self) -> int:

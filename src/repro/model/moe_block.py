@@ -25,6 +25,7 @@ from repro.model.config import SimSpec
 from repro.model.experts import SwiGLUExpert
 from repro.model.gating import Router, RoutingDecision, group_by_expert
 from repro.model.layers import RMSNorm
+from repro.model.rows import cached_rows, row_groups, stack, stack_rows
 
 
 class MoEBlock:
@@ -57,13 +58,14 @@ class MoEBlock:
         # stage, whose keys also open with the expert id.
         self._key_prefixes: dict = {}
         self._expert_key_prefixes: list = []
-        # One-slot identity memo for ffn_norm: (h_att object, normed).
-        # Holding the input reference keeps its id() stable and valid.
-        self._norm_memo: tuple[np.ndarray, np.ndarray] | None = None
-        # Bounded identity-LRU upgrade of the ffn_norm memo, built by an
-        # attached cache's duck-typed ``identity_memo`` factory (gathered
-        # rounds interleave many sequences' arrays through one block,
-        # which thrashes a single slot).  None -> one-slot fallback.
+        # Identity memo for ffn_norm without a cache: id(h_att) ->
+        # (h_att, normed) for the arrays of the last call that computed
+        # anything.  Holding the input references keeps their id()s
+        # stable and valid.
+        self._norm_memo: dict = {}
+        # With a cache attached: a bounded identity LRU built by the
+        # cache's duck-typed ``identity_memo`` factory (hits are counted
+        # as the stage's memo hits).  None -> the plain memo above.
         self._norm_lru = None
         # One-slot identity memo for hidden-state digests: the gate, the
         # routed experts, and ffn_norm all key on the same h_att object,
@@ -93,7 +95,7 @@ class MoEBlock:
                 cache.key_prefix(scope, self.block_idx, "expert", expert_idx)
                 for expert_idx in range(self.n_experts)
             ]
-        self._norm_memo = None
+        self._norm_memo = {}
         self._digest_memo = None
         memo_factory = getattr(cache, "identity_memo", None)
         self._norm_lru = (
@@ -130,85 +132,151 @@ class MoEBlock:
                        positions: np.ndarray) -> np.ndarray:
         """Non-MoE part: pre-norm attention plus residual connection.
 
+        One sequence's :meth:`attention_rows` (a stack of one).
+        """
+        return self.attention_rows([h], [cache], [positions])[0]
+
+    def attention_rows(self, hs: list, caches: list, positions: list) -> list:
+        """Attention plus residual for several sequences, stacked.
+
+        Member ``i`` attends ``hs[i]`` (``(r_i, d)``) over its own KV
+        cache ``caches[i]`` at ``positions[i]``.  Members of equal row
+        count run attn-norm, the Q/K/V/O projections and RoPE as single
+        stacked calls, and the score/softmax/value core once per group
+        of equal context length
+        (:meth:`~repro.model.attention.GroupedQueryAttention.
+        forward_rows`); every member's output, appended keys/values and
+        KV digest equal its solo call byte for byte.
+
         With a compute cache attached, the key covers the KV cache's
         content digest as well as ``h`` and ``positions`` (attention reads
         the whole cached prefix), and the memoized value carries the
         appended keys/values so a hit replays the ``cache.append`` side
-        effect exactly.  A KV cache whose digest is ``None`` (truncated
-        history) bypasses memoization.
+        effect exactly.  Lookups run per member and only the misses are
+        computed; a KV cache whose digest is ``None`` (truncated history)
+        bypasses memoization.
         """
         tensor_cache = self.compute_cache
-        kv_digest = None if tensor_cache is None else cache.content_digest
-        if tensor_cache is None or kv_digest is None:
-            attn_out = self.attention(self.attn_norm(h), cache, positions)
-            return h + self.residual_scale * attn_out
-        key = tensor_cache.key(
-            self._key_prefixes["attn"], kv_digest, h, np.asarray(positions),
+        if tensor_cache is None:
+            return [h_att for h_att, _, _
+                    in self._compute_attention(hs, caches, positions)]
+        prefix = self._key_prefixes["attn"]
+        keys: list = []
+        for h, cache, pos in zip(hs, caches, positions):
+            kv_digest = cache.content_digest
+            keys.append(None if kv_digest is None else tensor_cache.key(
+                prefix, kv_digest, h, np.asarray(pos)
+            ))
+        values, served = cached_rows(
+            tensor_cache, "attn", keys,
+            lambda idx: self._compute_attention(
+                [hs[i] for i in idx], [caches[i] for i in idx],
+                [positions[i] for i in idx],
+            ),
         )
-        hit = tensor_cache.get(key, "attn")
-        if hit is not None:
-            h_att, k, v = hit
-            cache.append(k, v)
-            return h_att
-        attn_out, k, v = self.attention.forward_with_kv(
-            self.attn_norm(h), cache, positions
-        )
-        h_att = h + self.residual_scale * attn_out
-        h_att, _, _ = tensor_cache.put(key, "attn", (h_att, k, v))
-        return h_att
+        h_atts = []
+        for cache, (h_att, k, v), replay in zip(caches, values, served):
+            if replay:
+                cache.append(k, v)
+            h_atts.append(h_att)
+        return h_atts
+
+    def _compute_attention(self, hs: list, caches: list,
+                           positions: list) -> list:
+        """``(h_att, k, v)`` per member, one stacked call per row count."""
+        out: list = [None] * len(hs)
+        for idx in row_groups(hs):
+            h = stack([hs[i] for i in idx])
+            attn_out, k, v = self.attention.forward_rows(
+                self.attn_norm(h), [caches[i] for i in idx],
+                [positions[i] for i in idx],
+            )
+            h_att = h + self.residual_scale * attn_out
+            for i, member in zip(idx, zip(h_att, k, v)):
+                out[i] = member
+        return out
 
     def ffn_normed(self, h_att: np.ndarray) -> np.ndarray:
         """``ffn_norm`` of the post-attention states, computed once.
 
+        One array's :meth:`ffn_normed_rows`.
+        """
+        return self.ffn_normed_rows([np.atleast_2d(h_att)])[0]
+
+    def ffn_normed_rows(self, h_atts: list) -> list:
+        """``ffn_norm`` of several ``(r, d)`` post-attention arrays.
+
         The normalization is shared by the gate and every routed expert
         (previously recomputed per consumer — 3x per token at top-2); an
-        identity memo makes repeat calls on the same array free even
-        without a compute cache attached.  With a cache attached the
-        memo is a bounded LRU from its ``identity_memo`` factory, so
-        gathered rounds that interleave several sequences' arrays
-        through the block still hit; standalone blocks fall back to a
-        one-slot memo.
+        identity memo makes repeat calls on the same arrays free, and
+        the rest normalize in stacked calls.  Without a compute cache
+        the memo holds the arrays of the last call that computed: a
+        gathered round's gate call normalizes every member at once and
+        its expert calls then find them all.  With a cache attached the
+        memo is a bounded LRU from the cache's ``identity_memo``
+        factory, in front of per-array content lookups.
         """
-        h_att = np.atleast_2d(h_att)
         lru = self._norm_lru
-        if lru is not None:
-            normed = lru.get(h_att)
-            if normed is not None:
-                return normed
-        else:
+        if lru is None:
             memo = self._norm_memo
-            if memo is not None and memo[0] is h_att:
-                return memo[1]
-        tensor_cache = self.compute_cache
-        if tensor_cache is None:
-            normed = self.ffn_norm(h_att)
-        else:
-            key = tensor_cache.key(
-                self._key_prefixes["ffn_norm"], self._arr_digest(h_att),
+            hits = []
+            for h_att in h_atts:
+                entry = memo.get(id(h_att))
+                if entry is None or entry[0] is not h_att:
+                    break
+                hits.append(entry[1])
+            else:
+                return hits
+            normed = stack_rows(self.ffn_norm, h_atts)
+            self._norm_memo = {
+                id(h_att): (h_att, rows)
+                for h_att, rows in zip(h_atts, normed)
+            }
+            return normed
+        out = [lru.get(h_att) for h_att in h_atts]
+        missing = [i for i, normed in enumerate(out) if normed is None]
+        if missing:
+            computed, _ = cached_rows(
+                self.compute_cache, "ffn_norm",
+                self._h_att_keys("ffn_norm", [h_atts[i] for i in missing]),
+                lambda idx: stack_rows(
+                    self.ffn_norm, [h_atts[missing[j]] for j in idx]
+                ),
             )
-            normed = tensor_cache.get(key, "ffn_norm")
-            if normed is None:
-                normed = tensor_cache.put(key, "ffn_norm", self.ffn_norm(h_att))
-        if lru is not None:
-            lru.put(h_att, normed)
-        else:
-            self._norm_memo = (h_att, normed)
-        return normed
+            for i, normed in zip(missing, computed):
+                out[i] = lru.put(h_atts[i], normed)
+        return out
+
+    def _h_att_keys(self, stage: str, h_atts: list) -> list:
+        """Per-array cache keys of a stage keyed on post-attention states
+        alone."""
+        prefix = self._key_prefixes[stage]
+        return [self.compute_cache.key(prefix, self._arr_digest(h_att))
+                for h_att in h_atts]
 
     def gate_logits(self, h_att: np.ndarray) -> np.ndarray:
         """Router logits on the (normalized) post-attention hidden states."""
-        h_att = np.atleast_2d(h_att)
+        return self.gate_logits_rows([np.atleast_2d(h_att)])[0]
+
+    def gate_logits_rows(self, h_atts: list) -> list:
+        """Router logits for several ``(r, d)`` post-attention arrays.
+
+        The misses normalize through :meth:`ffn_normed_rows` and route
+        in stacked calls, so after a gathered round's gate call the
+        memo holds every member's normed rows for its expert calls (and
+        the layer-ahead predictor's next-block rows for pre-calculated
+        experts): ``ffn_norm`` runs once per member per block.
+        """
         tensor_cache = self.compute_cache
         if tensor_cache is None:
-            return self.router.logits(self.ffn_normed(h_att))
-        key = tensor_cache.key(
-            self._key_prefixes["gate"], self._arr_digest(h_att)
+            return stack_rows(self.router.logits, self.ffn_normed_rows(h_atts))
+        logits, _ = cached_rows(
+            tensor_cache, "gate", self._h_att_keys("gate", h_atts),
+            lambda idx: stack_rows(
+                self.router.logits,
+                self.ffn_normed_rows([h_atts[i] for i in idx]),
+            ),
         )
-        logits = tensor_cache.get(key, "gate")
-        if logits is None:
-            logits = tensor_cache.put(
-                key, "gate", self.router.logits(self.ffn_normed(h_att))
-            )
         return logits
 
     def route_from_logits(self, logits: np.ndarray) -> RoutingDecision:
@@ -245,34 +313,10 @@ class MoEBlock:
         equal to ``ffn_norm(h_att[token_idx])`` while letting all experts
         of a block share one normalization (and one cache entry for it).
         A ``token_idx`` covering every row in order is canonicalized to
-        ``None`` so both spellings share a cache key.
+        ``None`` so both spellings share a cache key.  One segment's
+        :meth:`expert_forward_rows`.
         """
-        h_att = np.atleast_2d(h_att)
-        if token_idx is not None:
-            token_idx = np.asarray(token_idx, dtype=np.int64)
-            if token_idx.shape == (h_att.shape[0],) and np.array_equal(
-                token_idx, np.arange(h_att.shape[0])
-            ):
-                token_idx = None
-        tensor_cache = self.compute_cache
-        if tensor_cache is None:
-            normed = self.ffn_normed(h_att)
-            x = normed if token_idx is None else normed[token_idx]
-            return self.experts[expert_idx](x)
-        # The key carries the input's row count explicitly (on top of the
-        # shape already folded into the array digest) so a gathered
-        # ``[batch*k, d]`` input can never alias a ``[k, d]``
-        # single-sequence digest.
-        key = tensor_cache.key(
-            self._expert_key_prefixes[expert_idx], int(h_att.shape[0]),
-            self._arr_digest(h_att), token_idx,
-        )
-        out = tensor_cache.get(key, "expert")
-        if out is None:
-            normed = self.ffn_normed(h_att)
-            x = normed if token_idx is None else normed[token_idx]
-            out = tensor_cache.put(key, "expert", self.experts[expert_idx](x))
-        return out
+        return self.expert_forward_rows(expert_idx, [(h_att, token_idx)])[0]
 
     def expert_forward_rows(self, expert_idx: int, segments) -> list:
         """Gathered expert execution over per-sequence row segments.
@@ -281,21 +325,54 @@ class MoEBlock:
         per participating sequence, each exactly as
         :meth:`expert_forward` would receive it.  Functionally this is
         the batched ``[sum(rows), d]`` expert matmul of one gathered
-        cross-sequence kernel, but it is evaluated segment-by-segment:
-        BLAS GEMM reductions are not row-wise bitwise stable, so a naive
-        ``vstack`` would change every participant's values at the last
-        ulp and break the batch=1 parity contract.  Per-segment
-        evaluation keeps each sequence's outputs (and compute-cache
-        keys) bitwise identical to its solo call; the simulated *cost*
-        of the single gathered kernel is charged by the engine's cost
-        model, not here.
+        cross-sequence kernel; segments of equal row count run as one
+        stacked call, which (unlike a ``vstack``) keeps each sequence's
+        outputs and compute-cache keys byte-identical to its solo call.
+        With a cache attached the lookups run per segment and only the
+        misses are computed.  The simulated *cost* of the single
+        gathered kernel is charged by the engine's cost model, not here.
 
         Returns one output array per segment, in segment order.
         """
-        return [
-            self.expert_forward(expert_idx, h_att, token_idx=token_idx)
-            for h_att, token_idx in segments
+        canonical = []
+        for h_att, token_idx in segments:
+            h_att = np.atleast_2d(h_att)
+            if token_idx is not None:
+                token_idx = np.asarray(token_idx, dtype=np.int64)
+                if token_idx.shape == (h_att.shape[0],) and np.array_equal(
+                    token_idx, np.arange(h_att.shape[0])
+                ):
+                    token_idx = None
+            canonical.append((h_att, token_idx))
+        tensor_cache = self.compute_cache
+        if tensor_cache is None:
+            return self._compute_experts(expert_idx, canonical)
+        # The key carries the input's row count explicitly (on top of the
+        # shape already folded into the array digest) so a gathered
+        # ``[batch*k, d]`` input can never alias a ``[k, d]``
+        # single-sequence digest.
+        prefix = self._expert_key_prefixes[expert_idx]
+        keys = [
+            tensor_cache.key(prefix, int(h_att.shape[0]),
+                             self._arr_digest(h_att), token_idx)
+            for h_att, token_idx in canonical
         ]
+        outputs, _ = cached_rows(
+            tensor_cache, "expert", keys,
+            lambda idx: self._compute_experts(
+                expert_idx, [canonical[i] for i in idx]
+            ),
+        )
+        return outputs
+
+    def _compute_experts(self, expert_idx: int, segments: list) -> list:
+        """One expert over ``(h_att, token_idx)`` segments, stacked by
+        row count over their shared normalization."""
+        normed = self.ffn_normed_rows([h_att for h_att, _ in segments])
+        return stack_rows(self.experts[expert_idx], [
+            rows if token_idx is None else rows[token_idx]
+            for rows, (_, token_idx) in zip(normed, segments)
+        ])
 
     def combine(self, h_att: np.ndarray, expert_outputs: np.ndarray,
                 weights: np.ndarray) -> np.ndarray:

@@ -30,18 +30,36 @@ class RotaryEmbedding:
         self._cos = np.cos(angles).astype(np.float32)
         self._sin = np.sin(angles).astype(np.float32)
 
-    def apply(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Rotate ``x`` of shape ``(..., n_tokens, head_dim)`` by position.
+    def tables(self, positions: np.ndarray,
+               stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cosine and sine rows for ``positions`` (any integer shape).
 
-        ``positions`` is a 1-D integer array of length ``n_tokens``.
+        ``stop`` bounds the positions from above (``max + 1``): callers
+        already know their last position, so no reduction is needed.
         """
-        positions = np.asarray(positions)
-        self._ensure(int(positions.max()) + 1)
-        cos = self._cos[positions]
-        sin = self._sin[positions]
+        self._ensure(stop)
+        return (np.take(self._cos, positions, axis=0),
+                np.take(self._sin, positions, axis=0))
+
+    @staticmethod
+    def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+        """Rotate ``x`` (``(..., n_tokens, head_dim)``) by ``tables`` rows
+        that broadcast against its ``(..., n_tokens, head_dim // 2)``
+        halves."""
         x1 = x[..., 0::2]
         x2 = x[..., 1::2]
         out = np.empty_like(x)
-        out[..., 0::2] = x1 * cos - x2 * sin
-        out[..., 1::2] = x1 * sin + x2 * cos
+        np.subtract(x1 * cos, x2 * sin, out=out[..., 0::2])
+        np.add(x1 * sin, x2 * cos, out=out[..., 1::2])
         return out
+
+    def apply(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Rotate ``x`` of shape ``(..., n_tokens, head_dim)`` by position.
+
+        ``positions`` is a 1-D integer array of length ``n_tokens`` whose
+        last entry is its largest (positions ascend).
+        """
+        positions = np.asarray(positions)
+        return self.rotate(
+            x, *self.tables(positions, int(positions[-1]) + 1)
+        )

@@ -18,6 +18,7 @@ from repro.model.config import ModelProfile
 from repro.model.gating import RoutingDecision
 from repro.model.layers import RMSNorm, log_softmax
 from repro.model.moe_block import MoEBlock
+from repro.model.rows import cached_rows, stack_rows
 
 
 class MoETransformer:
@@ -131,32 +132,39 @@ class MoETransformer:
 
     def lm_logits(self, h: np.ndarray) -> np.ndarray:
         """Weight-tied LM head logits from final hidden states."""
-        h = np.atleast_2d(h)
-        cache = self.compute_cache
-        if cache is None:
-            return self.final_norm(h) @ self.embedding.T
-        key = cache.key(self._lm_head_key_prefix, h)
-        logits = cache.get(key, "lm_head")
-        if logits is None:
-            logits = cache.put(
-                key, "lm_head", self.final_norm(h) @ self.embedding.T
-            )
-        return logits
+        return self._lm_head_rows([np.atleast_2d(h)])[0]
 
     def lm_logits_rows(self, rows) -> list:
-        """Row-stable gathered LM head: one logits row per hidden row.
+        """Gathered LM head: one logits row per hidden row.
 
         ``rows`` is a sequence of ``(d,)`` last-token hidden states, one
         per in-flight sequence.  Functionally this is the batched
-        ``[batch, d]`` LM-head matmul of a gathered decode step, but it
-        is evaluated row-by-row because BLAS GEMM reductions are not
-        row-wise bitwise stable — per-row evaluation keeps every
-        sequence's logits (and compute-cache keys) identical to its solo
-        :meth:`lm_logits` call, so sampling cannot diverge under
-        batching.  The gathered kernel's simulated cost is charged by
-        the engine's cost model.
+        ``[batch, d]`` LM-head matmul of a gathered decode step, run as
+        one stacked call, which keeps every sequence's logits (and
+        compute-cache keys) identical to its solo :meth:`lm_logits`
+        call, so sampling cannot diverge under batching.  The gathered
+        kernel's simulated cost is charged by the engine's cost model.
         """
-        return [self.lm_logits(row.reshape(1, -1))[0] for row in rows]
+        return [
+            logits[0] for logits in
+            self._lm_head_rows([row.reshape(1, -1) for row in rows])
+        ]
+
+    def _lm_head_rows(self, hs: list) -> list:
+        """Final norm + LM head of several ``(r, d)`` arrays, stacked
+        over the cache misses."""
+        cache = self.compute_cache
+        if cache is None:
+            return stack_rows(self._lm_head, hs)
+        logits, _ = cached_rows(
+            cache, "lm_head",
+            [cache.key(self._lm_head_key_prefix, h) for h in hs],
+            lambda idx: stack_rows(self._lm_head, [hs[i] for i in idx]),
+        )
+        return logits
+
+    def _lm_head(self, h: np.ndarray) -> np.ndarray:
+        return self.final_norm(h) @ self.embedding.T
 
     def lm_log_probs(self, h: np.ndarray) -> np.ndarray:
         """Log-probabilities over the vocabulary."""

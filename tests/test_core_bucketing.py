@@ -67,11 +67,6 @@ class TestBucketPromptLengths:
         assert buckets[0].indices == (0, 2)
         assert buckets[1].indices == (1, 3)
 
-    def test_is_cohort(self):
-        singleton, cohort = bucket_prompt_lengths([5, 900, 901])
-        assert not singleton.is_cohort
-        assert cohort.is_cohort
-
     def test_empty_input(self):
         assert bucket_prompt_lengths([]) == []
 
