@@ -1,36 +1,20 @@
-"""Content-addressed forward-compute memoization and its benchmark.
+"""Content-addressed forward-compute memoization and its counted-work check.
 
 DAOP's core premise is that placement and scheduling change *time*, never
 *values*: every functional numpy forward in this repository is a pure
 function of its input bytes and the model weights.  ``repro.perf``
-exploits that for the simulator's own wall clock — a bounded-byte,
+exploits that for the simulator's own host time — a bounded-byte,
 BLAKE2-keyed LRU (:class:`TensorCache`) that the model stages consult via
 ``MoETransformer.attach_compute_cache``, shared across engines by the
-differential audit and across sweep points by the benchmarks, plus the
-cold-vs-warm self-measurement harness behind ``repro bench-compute``
-(:func:`bench_compute`).  The committed benchmark artifacts double as a
-regression gate: :mod:`repro.perf.perf_delta` diffs two ``BENCH_*.json``
-renderings and fails on throughput/speedup regressions beyond a
-threshold (``repro perf-delta``).  See ``docs/performance.md``.
+differential audit and across sweep points by the benchmarks.
+:func:`bench_compute` (``repro bench-compute``) records the cache's
+cold-vs-warm counted work into the committed ``BENCH_compute.json``,
+which the test suite regenerates byte for byte.  Host time is measured
+by the repository benchmark under ``bench/``.  See
+``docs/performance.md``.
 """
 
-from repro.perf.bench import (
-    SWEEP_ECRS,
-    SWEEP_ENGINES,
-    bench_compute,
-)
-from repro.perf.perf_delta import (
-    BATCH_BENCH,
-    COMPUTE_BENCH,
-    DEFAULT_THRESHOLD,
-    MetricDelta,
-    PerfDeltaReport,
-    detect_kind,
-    diff_batch_bench,
-    diff_benchmarks,
-    diff_compute_bench,
-    load_benchmark,
-)
+from repro.perf.bench import bench_compute, warm_pass_forwarded
 from repro.perf.memo import IdentityLRUMemo
 from repro.perf.tensor_cache import (
     DEFAULT_MAX_BYTES,
@@ -41,19 +25,8 @@ from repro.perf.tensor_cache import (
 )
 
 __all__ = [
-    "SWEEP_ECRS",
-    "SWEEP_ENGINES",
     "bench_compute",
-    "BATCH_BENCH",
-    "COMPUTE_BENCH",
-    "DEFAULT_THRESHOLD",
-    "MetricDelta",
-    "PerfDeltaReport",
-    "detect_kind",
-    "diff_batch_bench",
-    "diff_benchmarks",
-    "diff_compute_bench",
-    "load_benchmark",
+    "warm_pass_forwarded",
     "DEFAULT_MAX_BYTES",
     "DEFAULT_MEMO_CAPACITY",
     "IdentityLRUMemo",
