@@ -1,4 +1,4 @@
-"""Cross-engine differential audit against the all-on-GPU oracle.
+"""Cross-engine differential audit and the step-parity audit.
 
 The central correctness invariant of this reproduction (and of the
 compute-placement-invariance assumption Fiddler and Pre-gated MoE share
@@ -15,21 +15,26 @@ per-block divergence accounting (how many decode events each block
 predicted and mispredicted) and a full invariant audit
 (:mod:`repro.audit.invariants`) of every generation produced.
 
-:func:`run_step_parity_audit` guards the step-machine refactor itself:
-for every engine, one sequence driven through the explicit
-``start``/``step``/``finish`` API and one driven through the
-batch-1 :class:`~repro.sched.scheduler.ContinuousBatchScheduler` must
-reproduce the monolithic ``generate()`` run exactly — same tokens, same
-counters, same makespan — and the scheduler-produced result must pass
-the full invariant audit.
+:func:`run_step_parity_audit` guards the execution paths that must be
+interchangeable with the monolithic ``generate()``: for every engine,
+one sequence driven through the explicit ``start``/``step``/``finish``
+API (``start/step/finish``) and one driven through the batch-1
+:class:`~repro.sched.scheduler.ContinuousBatchScheduler`
+(``scheduler@1``) must reproduce it exactly -- values, timing and the
+per-op timeline -- while four sequences gathered in one batch-4 session,
+with equal (``gathered@4``) and with mixed (``gathered-mixed@4``)
+prompt lengths, must each reproduce their solo run's values.  Every
+result those paths produce also passes the full invariant audit.
 
 Both audits accept a shared content-addressed ``compute_cache``
 (``repro.perf.TensorCache``): identical forwards are then computed once
 across the whole engine matrix.  ``cache_parity=True`` additionally runs
 every generation a second time with the cache detached and asserts the
-two runs are *bitwise* interchangeable — same tokens, same trace events,
-same counters, and a per-op-identical timeline — which is the memoization
-layer's own correctness contract.
+two runs are interchangeable, which is the memoization layer's own
+correctness contract.
+
+Both audits decide parity with :mod:`repro.audit.parity` and report
+through its :class:`~repro.audit.parity.ParityReport`.
 """
 
 from __future__ import annotations
@@ -38,8 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.audit.invariants import AuditReport, audit_generation
-from repro.audit.resume import timeline_signature
+from repro.audit.invariants import audit_generation
+from repro.audit.parity import (
+    Comparison,
+    ParityReport,
+    result_differences,
+    value_differences,
+)
 from repro.core import ENGINE_NAMES, build_engine
 from repro.core.engine import GenerationResult, SequenceRequest
 from repro.hardware.platform import Platform
@@ -73,23 +83,21 @@ class BlockDivergence:
 
 
 @dataclass
-class EngineComparison:
-    """One engine vs the oracle on one seeded prompt."""
+class EngineComparison(Comparison):
+    """One engine vs the oracle on one seeded prompt.
 
-    engine: str
-    seed: int
-    n_tokens: int
-    n_divergent: int
-    first_divergence: int | None
-    predictive: bool
-    problems: list = field(default_factory=list)
+    On top of the shared :class:`~repro.audit.parity.Comparison` it
+    carries the oracle-specific token divergence and per-block
+    accounting the CLI table shows.
+    """
+
+    engine: str = ""
+    seed: int = 0
+    n_tokens: int = 0
+    n_divergent: int = 0
+    first_divergence: int | None = None
+    predictive: bool = False
     block_divergence: list = field(default_factory=list)
-    audit: AuditReport | None = None
-
-    @property
-    def ok(self) -> bool:
-        """Whether this comparison satisfied its identity contract."""
-        return not self.problems and (self.audit is None or self.audit.ok)
 
     @property
     def identical(self) -> bool:
@@ -98,40 +106,26 @@ class EngineComparison:
 
 
 @dataclass
-class DifferentialReport:
-    """Aggregated outcome of a differential audit run."""
+class DifferentialReport(ParityReport):
+    """Aggregated outcome of a differential audit run.
 
-    oracle: str
-    comparisons: list = field(default_factory=list)
-    oracle_audits: list = field(default_factory=list)
-    cache_parity_problems: list = field(default_factory=list)
+    ``comparisons`` holds one :class:`EngineComparison` per engine and
+    seed plus, per seed, one plain comparison for the oracle's own run
+    (its invariant audit and cache parity).
+    """
 
-    @property
-    def ok(self) -> bool:
-        """Whether every comparison and every invariant audit passed."""
-        return (all(c.ok for c in self.comparisons)
-                and all(a.ok for a in self.oracle_audits)
-                and not self.cache_parity_problems)
+    oracle: str = ORACLE_ENGINE
 
     @property
-    def problems(self) -> list:
-        """Every problem string across all comparisons and audits."""
-        out = list(self.cache_parity_problems)
-        for comparison in self.comparisons:
-            prefix = f"{comparison.engine}/seed{comparison.seed}"
-            out.extend(f"{prefix}: {p}" for p in comparison.problems)
-            if comparison.audit is not None:
-                out.extend(f"{prefix}: {v.format()}"
-                           for v in comparison.audit.violations)
-        for audit in self.oracle_audits:
-            out.extend(f"{self.oracle}: {v.format()}"
-                       for v in audit.violations)
-        return out
+    def engine_comparisons(self) -> list:
+        """The engine-vs-oracle comparisons, without the oracle's own."""
+        return [c for c in self.comparisons
+                if isinstance(c, EngineComparison)]
 
     def rows(self) -> list:
         """Tabular summary: one row per (engine, seed) comparison."""
         rows = []
-        for c in self.comparisons:
+        for c in self.engine_comparisons:
             mispredicted = sum(b.mispredicted_events
                                for b in c.block_divergence)
             rows.append([
@@ -141,16 +135,6 @@ class DifferentialReport:
                 "ok" if c.ok else "FAIL",
             ])
         return rows
-
-    def format(self) -> str:
-        """Multi-line human-readable summary of the whole run."""
-        lines = [
-            f"differential audit vs {self.oracle}: "
-            f"{len(self.comparisons)} comparison(s), "
-            f"{'all ok' if self.ok else 'FAILURES'}"
-        ]
-        lines.extend(f"  {p}" for p in self.problems)
-        return "\n".join(lines)
 
 
 def compare_token_streams(oracle_tokens: np.ndarray,
@@ -199,36 +183,6 @@ def block_divergence_accounting(result: GenerationResult) -> list:
     ]
 
 
-def cache_parity_problems(baseline: GenerationResult,
-                          cached: GenerationResult) -> list:
-    """Bitwise differences between a cache-off and a cache-on generation.
-
-    The compute cache's contract is invisibility: attaching it may change
-    wall-clock time only.  Tokens, trace events, engine counters, stats,
-    and the *per-op* simulated timeline must all match exactly.
-    """
-    problems = []
-    if not np.array_equal(baseline.tokens, cached.tokens):
-        problems.append("cache parity: token stream differs from cache-off run")
-    if baseline.trace.events != cached.trace.events:
-        problems.append("cache parity: trace events differ from cache-off run")
-    if baseline.stats.counters != cached.stats.counters:
-        problems.append("cache parity: EngineCounters differ from cache-off run")
-    for attr in ("prefill_time_s", "total_time_s"):
-        if getattr(baseline.stats, attr) != getattr(cached.stats, attr):
-            problems.append(
-                f"cache parity: {attr} differs from cache-off run"
-            )
-    if baseline.timeline.makespan != cached.timeline.makespan:
-        problems.append("cache parity: makespan differs from cache-off run")
-    if (timeline_signature(baseline.timeline)
-            != timeline_signature(cached.timeline)):
-        problems.append(
-            "cache parity: per-op timeline differs from cache-off run"
-        )
-    return problems
-
-
 def _generate_cache_off(model, compute_cache, engine, prompt,
                         max_new_tokens) -> GenerationResult:
     """Run one generation with the compute cache temporarily detached."""
@@ -249,6 +203,7 @@ def _compare(engine, name: str, seed: int, oracle: GenerationResult,
              audit_invariants: bool) -> EngineComparison:
     n_divergent, first = compare_token_streams(oracle.tokens, result.tokens)
     comparison = EngineComparison(
+        label=f"{name}/seed{seed}",
         engine=name, seed=seed, n_tokens=int(result.tokens.size),
         n_divergent=n_divergent, first_divergence=first,
         predictive=_is_predictive(engine),
@@ -284,7 +239,9 @@ def _compare(engine, name: str, seed: int, oracle: GenerationResult,
                 "single predicted=True trace event to attribute it to"
             )
     if audit_invariants:
-        comparison.audit = audit_generation(engine, result)
+        comparison.audits.append(
+            ("invariants", audit_generation(engine, result))
+        )
     return comparison
 
 
@@ -323,8 +280,9 @@ def run_differential_audit(
             forwards are computed once across engines and seeds.
         cache_parity: with a ``compute_cache``, additionally re-run
             every generation cache-off and assert the cache-on run is
-            bitwise interchangeable (tokens, trace events, counters,
-            per-op timeline).  Failures land in ``report.problems``.
+            interchangeable with it
+            (:func:`~repro.audit.parity.result_differences`).  Failures
+            land in ``report.problems``.
 
     Returns:
         A :class:`DifferentialReport`; ``report.ok`` is the audited
@@ -341,8 +299,18 @@ def run_differential_audit(
                            calibration_probs)
         for name in engine_names
     }
-    report = DifferentialReport(oracle=ORACLE_ENGINE)
+    report = DifferentialReport(
+        title=f"differential audit vs {ORACLE_ENGINE}"
+    )
     model = bundle.model
+
+    def record(comparison, engine, prompt, result) -> None:
+        if cache_parity:
+            comparison.check("cache parity", _generate_cache_off(
+                model, compute_cache, engine, prompt, max_new_tokens
+            ), result)
+        report.comparisons.append(comparison)
+
     if compute_cache is not None:
         model.attach_compute_cache(compute_cache)
     try:
@@ -353,133 +321,29 @@ def run_differential_audit(
                 prompt_len, 0, sample_idx=0
             ).prompt_tokens
             oracle_result = oracle_engine.generate(prompt, max_new_tokens)
-            if cache_parity:
-                baseline = _generate_cache_off(
-                    model, compute_cache, oracle_engine, prompt,
-                    max_new_tokens,
-                )
-                report.cache_parity_problems.extend(
-                    f"{ORACLE_ENGINE}/seed{seed}: {p}"
-                    for p in cache_parity_problems(baseline, oracle_result)
-                )
+            oracle = Comparison(label=f"{ORACLE_ENGINE}/seed{seed}")
             if audit_invariants:
-                report.oracle_audits.append(
-                    audit_generation(oracle_engine, oracle_result)
+                oracle.audits.append(
+                    ("invariants", audit_generation(oracle_engine,
+                                                    oracle_result))
                 )
+            record(oracle, oracle_engine, prompt, oracle_result)
             for name, engine in engines.items():
                 result = engine.generate(prompt, max_new_tokens)
-                comparison = _compare(engine, name, int(seed),
-                                      oracle_result, result,
-                                      audit_invariants)
-                if cache_parity:
-                    baseline = _generate_cache_off(
-                        model, compute_cache, engine, prompt, max_new_tokens
-                    )
-                    comparison.problems.extend(
-                        cache_parity_problems(baseline, result)
-                    )
-                report.comparisons.append(comparison)
+                record(_compare(engine, name, int(seed), oracle_result,
+                                result, audit_invariants),
+                       engine, prompt, result)
     finally:
         if compute_cache is not None:
             model.detach_compute_cache()
     return report
 
 
-@dataclass
-class StepParityComparison:
-    """One engine's step-path runs vs its monolithic ``generate()``."""
-
-    engine: str
-    seed: int
-    problems: list = field(default_factory=list)
-    audit: AuditReport | None = None
-    #: ``(label, AuditReport)`` per gathered sequence, e.g.
-    #: ``("gathered@4 seq0", report)``.
-    batch_audits: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every step path reproduced ``generate()`` exactly."""
-        return (not self.problems
-                and (self.audit is None or self.audit.ok)
-                and all(a.ok for _, a in self.batch_audits))
-
-
-@dataclass
-class StepParityReport:
-    """Aggregated outcome of a step-parity audit run."""
-
-    comparisons: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every engine passed on every seed."""
-        return all(c.ok for c in self.comparisons)
-
-    @property
-    def problems(self) -> list:
-        """Every problem string, prefixed with engine/seed."""
-        out = []
-        for c in self.comparisons:
-            prefix = f"{c.engine}/seed{c.seed}"
-            out.extend(f"{prefix}: {p}" for p in c.problems)
-            if c.audit is not None:
-                out.extend(f"{prefix}: {v.format()}"
-                           for v in c.audit.violations)
-            for label, audit in c.batch_audits:
-                out.extend(f"{prefix}/{label}: {v.format()}"
-                           for v in audit.violations)
-        return out
-
-    def format(self) -> str:
-        """Multi-line human-readable summary of the whole run."""
-        lines = [
-            f"step-parity audit: {len(self.comparisons)} comparison(s), "
-            f"{'all ok' if self.ok else 'FAILURES'}"
-        ]
-        lines.extend(f"  {p}" for p in self.problems)
-        return "\n".join(lines)
-
-
-def _check_parity(comparison: StepParityComparison, path: str,
-                  reference: GenerationResult,
-                  candidate: GenerationResult) -> None:
-    """Assert one step-path result reproduces ``generate()`` op by op."""
-    if not np.array_equal(reference.tokens, candidate.tokens):
-        comparison.problems.append(
-            f"{path}: token stream differs from generate()"
-        )
-    if reference.stats.counters != candidate.stats.counters:
-        comparison.problems.append(
-            f"{path}: EngineCounters differ from generate()"
-        )
-    for attr in ("prefill_time_s", "total_time_s"):
-        ref = getattr(reference.stats, attr)
-        got = getattr(candidate.stats, attr)
-        if ref != got:
-            comparison.problems.append(
-                f"{path}: {attr} {got!r} != generate()'s {ref!r}"
-            )
-    ref_ops = timeline_signature(reference.timeline)
-    got_ops = timeline_signature(candidate.timeline)
-    if len(ref_ops) != len(got_ops):
-        comparison.problems.append(
-            f"{path}: op count {len(got_ops)} != generate()'s "
-            f"{len(ref_ops)}"
-        )
-    for index, (ref, got) in enumerate(zip(ref_ops, got_ops)):
-        if ref != got:
-            comparison.problems.append(
-                f"{path}: op {index} {got!r} != generate()'s {ref!r}"
-            )
-            break
-
-
-def _check_gathered(comparison: StepParityComparison, engine, label: str,
+def _check_gathered(comparison: Comparison, engine, label: str,
                     prompts: list, solo_refs: list, max_new_tokens: int,
                     audit_invariants: bool):
-    """Run ``prompts`` through a batch-4 gathered scheduler and assert
-    each sequence's tokens and counters equal its solo run.
+    """Run ``prompts`` through a gathered scheduler and assert each
+    sequence's values equal its solo run.
 
     Returns the batch's :class:`~repro.core.batching.GatherStats`.
     """
@@ -490,21 +354,9 @@ def _check_gathered(comparison: StepParityComparison, engine, label: str,
     ])
     records = sorted(batch.records, key=lambda r: r.seq_id)
     for i, (record, solo) in enumerate(zip(records, solo_refs)):
-        batched = record.result
-        if not np.array_equal(solo.tokens, batched.tokens):
-            comparison.problems.append(
-                f"{label} seq{i}: token stream differs from solo "
-                "generate()"
-            )
-        if solo.stats.counters != batched.stats.counters:
-            comparison.problems.append(
-                f"{label} seq{i}: EngineCounters differ from solo "
-                "generate()"
-            )
-        if audit_invariants:
-            comparison.batch_audits.append(
-                (f"{label} seq{i}", audit_generation(engine, batched))
-            )
+        comparison.check(f"{label} seq{i}", solo, record.result,
+                         differences=value_differences,
+                         engine=engine if audit_invariants else None)
     return batch.gather
 
 
@@ -520,27 +372,30 @@ def run_step_parity_audit(
     dataset=C4,
     audit_invariants: bool = True,
     compute_cache=None,
-) -> StepParityReport:
+) -> ParityReport:
     """Audit start/step/finish parity with ``generate()`` per engine.
 
     For every engine and seed, the same request is run three ways: the
     monolithic ``generate()``, an explicit ``start``/``step``/``finish``
-    loop, and a batch-1 :class:`ContinuousBatchScheduler`.  All three
-    must agree bitwise on tokens, counters, and timing; the
-    scheduler-produced result additionally passes the full invariant
-    audit (so scheduler output is interchangeable with ``generate()``
-    output everywhere downstream).
+    loop, and a batch-1 :class:`ContinuousBatchScheduler`.  Both step
+    paths must be interchangeable with ``generate()``
+    (:func:`~repro.audit.parity.result_differences`: values, timing and
+    the per-op timeline), and each result they produce passes the full
+    invariant audit (so scheduler output is interchangeable with
+    ``generate()`` output everywhere downstream).
 
     A fourth path audits gathered cross-sequence execution: four
     distinct prompts run through a batch-4 gathered scheduler, and every
-    sequence's tokens and counters must match its own solo
-    ``generate()`` token for token (the ``step_batch`` contract — only
-    the simulated schedule may change), with each batched result passing
-    the invariant audit on its rebased timeline.  The four prompts share
-    one length, so the scheduler's prompt-length bucketing forms a
-    prefill cohort and the same parity check covers gathered *prefill*
-    too; the audit additionally asserts that prefill kernels really were
-    gathered, so this coverage cannot silently degrade to solo prefill.
+    sequence's values must equal its own solo ``generate()``
+    (:func:`~repro.audit.parity.value_differences`: tokens, trace
+    events, counters and final placement — the ``step_batch`` contract
+    is that only the simulated schedule may change), with each batched
+    result passing the invariant audit on its rebased timeline.  The
+    four prompts share one length, so the scheduler's prompt-length
+    bucketing forms a prefill cohort and the same parity check covers
+    gathered *prefill* too; the audit additionally asserts that prefill
+    kernels really were gathered, so this coverage cannot silently
+    degrade to solo prefill.
     A fifth path repeats the check with four prompts of mixed lengths
     (``gathered-mixed@4``): prefill cohorts then stack members of
     unequal row counts, and decode cohorts attend over unequal context
@@ -554,7 +409,7 @@ def run_step_parity_audit(
     """
     if engine_names is None:
         engine_names = ENGINE_NAMES
-    report = StepParityReport()
+    report = ParityReport(title="step-parity audit")
     model = bundle.model
     if compute_cache is not None:
         model.attach_compute_cache(compute_cache)
@@ -579,7 +434,8 @@ def run_step_parity_audit(
             for name in engine_names:
                 engine = build_engine(name, bundle, platform,
                                       expert_cache_ratio, calibration_probs)
-                comparison = StepParityComparison(engine=name, seed=int(seed))
+                comparison = Comparison(label=f"{name}/seed{seed}")
+                audited = engine if audit_invariants else None
                 reference = engine.generate(prompt, max_new_tokens)
 
                 state = engine.start(SequenceRequest(
@@ -587,17 +443,15 @@ def run_step_parity_audit(
                 ))
                 while not state.done:
                     engine.step(state)
-                _check_parity(comparison, "start/step/finish",
-                              reference, engine.finish(state))
+                comparison.check("start/step/finish", reference,
+                                 engine.finish(state), engine=audited)
 
                 scheduler = ContinuousBatchScheduler(engine, max_batch=1)
                 batch = scheduler.run([SequenceRequest(
                     prompt_tokens=prompt, max_new_tokens=max_new_tokens,
                 )])
-                scheduled = batch.records[0].result
-                _check_parity(comparison, "scheduler@1", reference, scheduled)
-                if audit_invariants:
-                    comparison.audit = audit_generation(engine, scheduled)
+                comparison.check("scheduler@1", reference,
+                                 batch.records[0].result, engine=audited)
 
                 solo_refs = [reference] + [
                     engine.generate(p, max_new_tokens) for p in prompts[1:]

@@ -3,9 +3,10 @@
 The lifecycle stack's core invariant (see ``docs/lifecycle.md``) is that
 pausing is free: a run checkpointed at step *k*, serialized through JSON
 bytes, restored into a *freshly built* engine, and driven to completion
-must be bitwise identical to a run that never paused — same tokens,
-same counters, same per-op timeline.  This module audits that invariant
-for every engine, at both lifecycle layers:
+must be interchangeable with a run that never paused
+(:func:`~repro.audit.parity.result_differences`: same tokens, trace
+events, counters, final placement, timing and per-op timeline).  This
+module audits that invariant for every engine, at both lifecycle layers:
 
 - **sequence layer** — ``start``/``step`` to a cut point, freeze via
   :meth:`~repro.core.engine.BaseEngine.checkpoint_sequence`, restore
@@ -15,9 +16,14 @@ for every engine, at both lifecycle layers:
 - **scheduler layer** — a multi-request continuous-batch session is cut
   mid-flight via
   :meth:`~repro.sched.scheduler.ContinuousBatchScheduler.
-  checkpoint_session` and resumed on a fresh engine + scheduler; the
-  finished :class:`~repro.sched.scheduler.BatchReport` must serialize
-  byte-identically to the uninterrupted session's.
+  checkpoint_session` and resumed on a fresh engine + scheduler; every
+  finished record's result must be interchangeable with the
+  uninterrupted session's, and the finished
+  :class:`~repro.sched.scheduler.BatchReport` must serialize
+  byte-identically to it.
+
+Every resumed result also passes the full invariant audit
+(:func:`~repro.audit.invariants.audit_generation`).
 
 Every checkpoint crosses a real ``json.dumps``/``json.loads`` boundary,
 so the audit exercises the exact bytes a fresh process would read.
@@ -26,12 +32,12 @@ so the audit exercises the exact bytes a fresh process would read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.audit.parity import Comparison, ParityReport
 from repro.core import ENGINE_NAMES, build_engine
-from repro.core.engine import GenerationResult, SequenceRequest
+from repro.core.engine import SequenceRequest
 from repro.hardware.platform import Platform
 from repro.model.zoo import ModelBundle
 from repro.sched.scheduler import ContinuousBatchScheduler
@@ -47,87 +53,6 @@ def _json_round_trip(payload: dict) -> dict:
     return json.loads(json.dumps(payload, sort_keys=True))
 
 
-def timeline_signature(timeline) -> list:
-    """Per-op tuple view of a timeline for bitwise comparison."""
-    return [
-        (op.resource, op.duration, op.start, op.end, op.kind, op.label)
-        for op in timeline.ops
-    ]
-
-
-@dataclass
-class ResumeParityComparison:
-    """One engine/seed/cut: resumed run vs the uninterrupted run."""
-
-    engine: str
-    seed: int
-    cut: int
-    problems: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether the resumed run matched bitwise."""
-        return not self.problems
-
-
-@dataclass
-class ResumeParityReport:
-    """Aggregated outcome of a resume-parity audit run."""
-
-    comparisons: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        """Whether every engine passed at every seed and cut."""
-        return all(c.ok for c in self.comparisons)
-
-    @property
-    def problems(self) -> list:
-        """Every problem string, prefixed with engine/seed/cut."""
-        out = []
-        for c in self.comparisons:
-            prefix = f"{c.engine}/seed{c.seed}/cut{c.cut}"
-            out.extend(f"{prefix}: {p}" for p in c.problems)
-        return out
-
-    def format(self) -> str:
-        """Multi-line human-readable summary of the whole run."""
-        lines = [
-            f"resume-parity audit: {len(self.comparisons)} "
-            f"comparison(s), {'all ok' if self.ok else 'FAILURES'}"
-        ]
-        lines.extend(f"  {p}" for p in self.problems)
-        return "\n".join(lines)
-
-
-def _check_result(comparison: ResumeParityComparison, path: str,
-                  reference: GenerationResult,
-                  resumed: GenerationResult) -> None:
-    """Assert a resumed result matches the uninterrupted one bitwise."""
-    if not np.array_equal(reference.tokens, resumed.tokens):
-        comparison.problems.append(
-            f"{path}: token stream differs after resume"
-        )
-    if reference.stats.counters != resumed.stats.counters:
-        comparison.problems.append(
-            f"{path}: EngineCounters differ after resume"
-        )
-    for attr in ("prefill_time_s", "total_time_s"):
-        ref = getattr(reference.stats, attr)
-        got = getattr(resumed.stats, attr)
-        if ref != got:
-            comparison.problems.append(
-                f"{path}: {attr} {got!r} != uninterrupted {ref!r}"
-            )
-    ref_sig = timeline_signature(reference.timeline)
-    got_sig = timeline_signature(resumed.timeline)
-    if ref_sig != got_sig:
-        comparison.problems.append(
-            f"{path}: per-op timeline differs after resume "
-            f"({len(got_sig)} vs {len(ref_sig)} ops)"
-        )
-
-
 def run_resume_parity_audit(
     bundle: ModelBundle,
     platform: Platform,
@@ -140,7 +65,7 @@ def run_resume_parity_audit(
     dataset=C4,
     cuts=DEFAULT_CUTS,
     max_batch: int = 3,
-) -> ResumeParityReport:
+) -> ParityReport:
     """Audit checkpoint-at-*k* + resume parity for every engine.
 
     For each engine, seed, and cut point *k*, two paths are compared
@@ -151,15 +76,18 @@ def run_resume_parity_audit(
        uninterrupted ``generate()``.
     2. *scheduler*: a ``max_batch``-wide session over three staggered
        requests is ticked ``k`` times, checkpointed, restored onto a
-       fresh engine + scheduler, and drained — its report must
-       serialize byte-identically to an uninterrupted session's.
+       fresh engine + scheduler, and drained — each record's result is
+       compared against the uninterrupted session's, and the report
+       must serialize byte-identically to it.
+
+    Every resumed result is also invariant-audited.
 
     Every checkpoint passes through canonical JSON bytes, so restoring
     in a fresh *process* reads exactly what this audit validates.
     """
     if engine_names is None:
         engine_names = ENGINE_NAMES
-    report = ResumeParityReport()
+    report = ParityReport(title="resume-parity audit")
 
     def fresh(name):
         return build_engine(name, bundle, platform, expert_cache_ratio,
@@ -183,12 +111,12 @@ def run_resume_parity_audit(
             reference = fresh(name).generate(prompts[0], max_new_tokens)
             ref_sched = ContinuousBatchScheduler(
                 fresh(name), max_batch=max_batch
-            ).run(requests, arrival_times=arrivals).to_json()
+            ).run(requests, arrival_times=arrivals)
+            ref_json = ref_sched.to_json()
+            ref_records = sorted(ref_sched.records, key=lambda r: r.seq_id)
 
             for cut in cuts:
-                comparison = ResumeParityComparison(
-                    engine=name, seed=int(seed), cut=int(cut)
-                )
+                comparison = Comparison(label=f"{name}/seed{seed}/cut{cut}")
 
                 engine = fresh(name)
                 state = engine.start(SequenceRequest(
@@ -204,8 +132,9 @@ def run_resume_parity_audit(
                 resumed = resumed_engine.restore_sequence(payload)
                 while not resumed.done:
                     resumed_engine.step(resumed)
-                _check_result(comparison, "sequence", reference,
-                              resumed_engine.finish(resumed))
+                comparison.check("sequence", reference,
+                                 resumed_engine.finish(resumed),
+                                 engine=resumed_engine)
 
                 scheduler = ContinuousBatchScheduler(
                     fresh(name), max_batch=max_batch
@@ -223,8 +152,15 @@ def run_resume_parity_audit(
                 resumed_session = resumed_sched.restore_session(payload)
                 while resumed_sched.tick(resumed_session):
                     pass
-                got = resumed_sched.finish(resumed_session).to_json()
-                if got != ref_sched:
+                got = resumed_sched.finish(resumed_session)
+                # The JSON equality covers which records finished; the
+                # pairwise check covers what each one produced.
+                for ref, record in zip(ref_records, sorted(
+                        got.records, key=lambda r: r.seq_id)):
+                    comparison.check(f"scheduler seq{record.seq_id}",
+                                     ref.result, record.result,
+                                     engine=resumed_sched.engine)
+                if got.to_json() != ref_json:
                     comparison.problems.append(
                         "scheduler: resumed session report differs from "
                         "uninterrupted run"

@@ -13,7 +13,7 @@ Subcommands::
     repro bench-batch [--batch-sizes ...] continuous-batching benchmark
     repro bench-compute [--seeds ...]  compute-cache cold/warm counted work
     repro trace    [--engine ...]      schedule analysis + Chrome trace
-    repro audit    [--engines ...]     differential + resume-parity audit
+    repro audit    [--engines ...]     differential + step/resume parity audit
     repro lint     [paths ...]         daoplint static invariant checker
 
 Every command accepts ``--model {mixtral,phi,tiny}``, ``--blocks N`` (to
@@ -748,19 +748,7 @@ def cmd_audit(args) -> int:
               f"{args.seeds} seed(s), in/out "
               f"{args.input_len}/{args.output_len}, ECR {args.ecr:.1%}",
     ))
-    parity = run_step_parity_audit(
-        bundle, platform,
-        engine_names=args.engines,
-        seeds=(args.seed,),
-        prompt_len=args.input_len,
-        max_new_tokens=args.output_len,
-        expert_cache_ratio=args.ecr,
-        calibration_probs=calibration,
-        compute_cache=cache,
-    )
-    print(parity.format())
-    resume = run_resume_parity_audit(
-        bundle, platform,
+    common = dict(
         engine_names=args.engines,
         seeds=(args.seed,),
         prompt_len=args.input_len,
@@ -768,7 +756,14 @@ def cmd_audit(args) -> int:
         expert_cache_ratio=args.ecr,
         calibration_probs=calibration,
     )
-    print(resume.format())
+    reports = (
+        report,
+        run_step_parity_audit(bundle, platform, compute_cache=cache,
+                              **common),
+        run_resume_parity_audit(bundle, platform, **common),
+    )
+    for each in reports:
+        print(each.format())
     if cache is not None:
         stats = cache.stats()
         print(f"compute cache: {stats['hits']} hit(s) / "
@@ -776,14 +771,10 @@ def cmd_audit(args) -> int:
               f"{stats['current_bytes'] / 1e6:.1f} MB used, "
               f"{stats['evictions']} eviction(s); cache parity asserted "
               "bitwise per engine")
-    if not report.ok or not parity.ok or not resume.ok:
-        for problem in report.problems + parity.problems + resume.problems:
-            print(f"AUDIT FAILURE: {problem}")
+    if not all(each.ok for each in reports):
         return 1
-    print(f"audit ok: {len(report.comparisons)} comparison(s), "
-          f"{len(report.oracle_audits)} oracle audit(s), "
-          f"{len(parity.comparisons)} step-parity comparison(s), "
-          f"{len(resume.comparisons)} resume-parity comparison(s)")
+    print(f"audit ok: {sum(len(each.comparisons) for each in reports)} "
+          f"comparison(s) across {len(reports)} audits")
     return 0
 
 
@@ -864,28 +855,6 @@ def cmd_bench_compute(args) -> int:
         return 1
     print("warm passes forwarded nothing: 0 warm misses, 0 evictions")
     return 0
-
-
-def cmd_lint(args) -> int:
-    """Run the daoplint static analyzer (see docs/linting.md)."""
-    from repro.lint.runner import main as lint_main
-
-    argv = list(args.paths)
-    if args.select:
-        argv += ["--select", *args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.semantic:
-        argv.append("--semantic")
-    if args.sarif:
-        argv += ["--sarif", args.sarif]
-    if args.semantic_cache:
-        argv += ["--semantic-cache", args.semantic_cache]
-    if args.max_seconds is not None:
-        argv += ["--max-seconds", str(args.max_seconds)]
-    if args.list_suppressions:
-        argv.append("--list-suppressions")
-    return lint_main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1106,30 +1075,10 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write BENCH_compute.json here")
     p_bcompute.set_defaults(func=cmd_bench_compute)
 
-    p_lint = sub.add_parser(
-        "lint", help="daoplint: AST-based invariant checker"
-    )
-    p_lint.add_argument("paths", nargs="*",
-                        help="files/directories to lint (default: the "
-                             "installed repro package)")
-    p_lint.add_argument("--select", nargs="+", metavar="RULE",
-                        help="run only these rules (names or codes)")
-    p_lint.add_argument("--semantic", action="store_true",
-                        help="also run the whole-program semantic "
-                             "analyses (docs/static-analysis.md)")
-    p_lint.add_argument("--sarif", metavar="PATH",
-                        help="write the report as SARIF 2.1.0")
-    p_lint.add_argument("--semantic-cache", metavar="PATH",
-                        help="reuse/store semantic findings across runs")
-    p_lint.add_argument("--max-seconds", type=float, metavar="S",
-                        help="fail if semantic analysis exceeds this "
-                             "wall-clock budget")
-    p_lint.add_argument("--list-suppressions", action="store_true",
-                        help="audit suppression markers (flags stale "
-                             "ones)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="list registered rules and exit")
-    p_lint.set_defaults(func=cmd_lint)
+    # The lint runner parses its own arguments: main() forwards them.
+    sub.add_parser("lint", add_help=False,
+                   help="daoplint: AST-based invariant checker "
+                        "(options: repro lint --help)")
 
     return parser
 
@@ -1137,7 +1086,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.runner import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return args.func(args)
 
 

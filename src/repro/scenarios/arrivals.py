@@ -14,9 +14,6 @@ module provides the time-varying patterns real serving fleets face:
   rate spike over a window (a link going viral);
 - :func:`onoff_arrivals` — a Markov-modulated on/off process whose
   bursts have geometric sojourn times (upstream batch jobs toggling).
-
-These historically lived in ``repro.serving.arrivals``; that module
-remains as a compatibility re-export.
 """
 
 from __future__ import annotations

@@ -1,10 +1,5 @@
 """Request-level serving simulation (queueing on top of the engines)."""
 
-from repro.scenarios.arrivals import (
-    bursty_arrivals,
-    poisson_arrivals,
-    uniform_arrivals,
-)
 from repro.serving.checkpoint import (
     CHECKPOINT_KINDS,
     CLUSTER_KIND,
@@ -23,9 +18,6 @@ from repro.serving.simulator import (
 )
 
 __all__ = [
-    "bursty_arrivals",
-    "poisson_arrivals",
-    "uniform_arrivals",
     "CHECKPOINT_KINDS",
     "CLUSTER_KIND",
     "SERVING_KIND",

@@ -8,6 +8,7 @@ import pytest
 from repro.audit import (
     DEFAULT_SEEDS,
     ORACLE_ENGINE,
+    EngineComparison,
     block_divergence_accounting,
     compare_token_streams,
     run_differential_audit,
@@ -137,14 +138,18 @@ def test_differential_audit_passes(report):
 
 
 def test_differential_audit_covers_every_engine_and_seed(report):
-    covered = {(c.engine, c.seed) for c in report.comparisons}
+    covered = {(c.engine, c.seed) for c in report.engine_comparisons}
     engines = [n for n in ENGINE_NAMES if n != ORACLE_ENGINE]
     assert covered == {(e, s) for e in engines for s in DEFAULT_SEEDS}
-    assert len(report.oracle_audits) == len(DEFAULT_SEEDS)
+    oracle = [c for c in report.comparisons
+              if not isinstance(c, EngineComparison)]
+    assert [c.label for c in oracle] == [f"{ORACLE_ENGINE}/seed{s}"
+                                         for s in DEFAULT_SEEDS]
+    assert all(len(c.audits) == 1 for c in oracle)
 
 
 def test_non_predictive_engines_are_token_identical(report):
-    for comparison in report.comparisons:
+    for comparison in report.engine_comparisons:
         if not comparison.predictive:
             assert comparison.identical, (
                 f"{comparison.engine}/seed{comparison.seed} diverged"
@@ -152,7 +157,7 @@ def test_non_predictive_engines_are_token_identical(report):
 
 
 def test_daop_divergence_is_attributed(report):
-    daop = [c for c in report.comparisons if c.engine == "daop"]
+    daop = [c for c in report.engine_comparisons if c.engine == "daop"]
     assert daop and all(c.predictive for c in daop)
     for comparison in daop:
         if not comparison.identical:
@@ -162,7 +167,7 @@ def test_daop_divergence_is_attributed(report):
 
 def test_report_rows_match_comparisons(report):
     rows = report.rows()
-    assert len(rows) == len(report.comparisons)
+    assert len(rows) == len(report.engine_comparisons)
     assert all(row[-1] == "ok" for row in rows)
 
 
@@ -219,7 +224,11 @@ def cached_report(tiny_bundle, platform, tiny_calibration):
 def test_cache_parity_audit_passes(cached_report):
     report, cache = cached_report
     assert report.ok, report.format()
-    assert report.cache_parity_problems == []
+    assert report.problems == []
+    # The oracle's own run is a comparison too (its audit and cache
+    # parity), ahead of the engines it defines correctness for.
+    assert [c.label for c in report.comparisons] == [
+        f"{ORACLE_ENGINE}/seed0", "fiddler/seed0", "daop/seed0"]
     # The cache actually served forwards across the engine matrix.
     assert cache.hits > 0
 
@@ -235,7 +244,8 @@ def test_cache_parity_requires_a_cache(tiny_bundle, platform):
 
 
 def test_cache_parity_problems_catch_divergence():
-    from repro.audit import cache_parity_problems
+    from repro.audit import result_differences
+    from repro.memory.placement import ExpertPlacement
 
     a = SimpleNamespace(
         tokens=np.array([1, 2, 3]),
@@ -243,17 +253,25 @@ def test_cache_parity_problems_catch_divergence():
         stats=SimpleNamespace(counters={"expert_gpu": 4},
                               prefill_time_s=1.0, total_time_s=2.0),
         timeline=SimpleNamespace(ops=[], makespan=2.0),
+        placement=ExpertPlacement.all_on_gpu(2, 4),
     )
     b = SimpleNamespace(
         tokens=np.array([1, 2, 9]),
-        trace=SimpleNamespace(events=[]),
+        trace=SimpleNamespace(events=[fake_event(predicted=True)]),
         stats=SimpleNamespace(counters={"expert_gpu": 5},
                               prefill_time_s=1.0, total_time_s=2.5),
         timeline=SimpleNamespace(ops=[], makespan=2.5),
+        placement=ExpertPlacement.all_on_cpu(2, 4),
     )
-    problems = cache_parity_problems(a, b)
-    assert problems and all(p.startswith("cache parity") for p in problems)
-    assert cache_parity_problems(a, a) == []
+    problems = result_differences(a, b)
+    assert problems == [
+        "token stream differs",
+        "trace events differ",
+        "EngineCounters differ",
+        "final placement differs",
+        "total_time_s 2.5 != 2.0",
+    ]
+    assert result_differences(a, a) == []
 
 
 def test_step_parity_audit_with_shared_cache(tiny_bundle, platform,
@@ -275,10 +293,10 @@ def test_step_parity_audit_with_shared_cache(tiny_bundle, platform,
 def test_step_parity_check_compares_op_by_op(tiny_bundle, platform,
                                              tiny_calibration):
     """Equal makespan and op count are not enough: a reordered schedule
-    (two ops swapped) is reported at its first differing op."""
+    (two ops swapped) is reported once, at its first differing op."""
     from dataclasses import replace
 
-    from repro.audit.differential import StepParityComparison, _check_parity
+    from repro.audit import result_differences, value_differences
 
     engine = build_engine("fiddler", tiny_bundle, platform, 0.5,
                           tiny_calibration)
@@ -286,16 +304,15 @@ def test_step_parity_check_compares_op_by_op(tiny_bundle, platform,
         .sample_sequence(10, 4).prompt_tokens
     reference = engine.generate(prompt, 4)
     candidate = engine.generate(prompt, 4)
-    clean = StepParityComparison(engine="fiddler", seed=0)
-    _check_parity(clean, "path", reference, candidate)
-    assert clean.ok
+    assert result_differences(reference, candidate) == []
 
     ops = candidate.timeline.ops
     first, second = ops[1], ops[2]
     ops[1] = replace(second, index=first.index)
     ops[2] = replace(first, index=second.index)
     assert candidate.timeline.makespan == reference.timeline.makespan
-    swapped = StepParityComparison(engine="fiddler", seed=0)
-    _check_parity(swapped, "path", reference, candidate)
-    assert len(swapped.problems) == 1
-    assert swapped.problems[0].startswith("path: op 1 ")
+    problems = result_differences(reference, candidate)
+    assert len(problems) == 1
+    assert problems[0].startswith("per-op timeline: op 1 ")
+    # The values contract ignores the schedule.
+    assert value_differences(reference, candidate) == []

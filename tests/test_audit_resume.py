@@ -188,3 +188,31 @@ class TestResumeParityAudit:
         assert not report.ok
         assert any("EngineCounters" in p for p in report.problems)
         assert "FAILURES" in report.format()
+
+    def test_detects_a_restore_that_erases_provenance(
+            self, tiny_bundle, platform, tiny_calibration, monkeypatch):
+        """Sabotage: restore every trace event with ``predicted=False``.
+
+        The flag marks DAOP's predicted expert sets, the approximation
+        whose accuracy cost the divergence audit attributes; a resume
+        that drops it keeps tokens, counters and timeline intact, so
+        only the trace comparison can see it.
+        """
+        from dataclasses import replace
+
+        from repro.trace.recorder import RoutingEvent
+
+        original = RoutingEvent.from_state_dict.__func__
+
+        def erasing(cls, payload):
+            return replace(original(cls, payload), predicted=False)
+
+        monkeypatch.setattr(RoutingEvent, "from_state_dict",
+                            classmethod(erasing))
+        report = run_resume_parity_audit(
+            tiny_bundle, platform, engine_names=["daop"],
+            seeds=(0,), prompt_len=12, max_new_tokens=6,
+            calibration_probs=tiny_calibration,
+        )
+        assert not report.ok
+        assert any("trace events" in p for p in report.problems)

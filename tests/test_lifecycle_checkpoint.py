@@ -16,13 +16,13 @@ import pytest
 from repro.cluster import ClusterSimulator, build_policy
 from repro.core import build_engine
 from repro.events import CHECKPOINT_RESTORE, CHECKPOINT_SAVE
+from repro.scenarios.arrivals import poisson_arrivals
 from repro.serving import (
     CheckpointError,
     SERVING_KIND,
     ServingSimulator,
     SimCheckpoint,
     load_checkpoint,
-    poisson_arrivals,
     save_checkpoint,
 )
 from repro.workloads import SHAREGPT, SequenceGenerator

@@ -15,15 +15,9 @@ from repro.serving import ServingSimulator
 from repro.workloads import SHAREGPT, SequenceGenerator
 
 
-@pytest.fixture(params=["repro.scenarios.arrivals",
-                        "repro.serving.arrivals"])
+@pytest.fixture(params=["repro.scenarios.arrivals"])
 def arrivals_mod(request):
-    """The arrival generators via both their canonical and legacy paths.
-
-    The generators live in ``repro.scenarios.arrivals``;
-    ``repro.serving.arrivals`` re-exports them for compatibility.  Every
-    behavioral test below runs against both import paths.
-    """
+    """The module the arrival generators live in."""
     return importlib.import_module(request.param)
 
 
@@ -79,15 +73,6 @@ class TestArrivals:
                                          np.random.default_rng(7),
                                          burst_size=3)
         np.testing.assert_array_equal(a, b)
-
-    def test_reexport_is_same_object(self):
-        """The legacy path re-exports the very same functions."""
-        from repro.scenarios import arrivals as canonical
-        from repro.serving import arrivals as legacy
-
-        assert legacy.poisson_arrivals is canonical.poisson_arrivals
-        assert legacy.bursty_arrivals is canonical.bursty_arrivals
-        assert legacy.uniform_arrivals is canonical.uniform_arrivals
 
 
 @pytest.fixture(scope="module")

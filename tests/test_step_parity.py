@@ -126,6 +126,11 @@ def test_step_parity_audit_reports_all_engines_ok(
         calibration_probs=tiny_calibration,
     )
     assert report.ok, report.format()
-    assert {c.engine for c in report.comparisons} == set(ENGINE_NAMES)
-    assert all(c.audit is not None and c.audit.ok
-               for c in report.comparisons)
+    assert [c.label for c in report.comparisons] == [
+        f"{name}/seed0" for name in ENGINE_NAMES
+    ]
+    # Every step path's result was invariant-audited.
+    for c in report.comparisons:
+        assert [path for path, _ in c.audits][:2] == [
+            "start/step/finish", "scheduler@1"]
+        assert all(audit.ok for _, audit in c.audits)
