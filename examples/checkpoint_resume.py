@@ -93,7 +93,7 @@ def stage_reference(workdir):
     path = os.path.join(workdir, "reference.json")
     with open(path, "w") as handle:
         json.dump(report_records(report), handle)
-    print(f"reference: served {report.n_requests} request(s), "
+    print(f"reference: served {report.n_served} request(s), "
           f"records written to {path}")
 
 

@@ -368,7 +368,7 @@ def cmd_watch(args) -> int:
     breakdown = "  ".join(
         f"{kind}={counts[kind]}" for kind in EVENT_KINDS if kind in counts
     )
-    print(f"watched {report.n_requests} request(s) on {args.engine} "
+    print(f"watched {report.n_served} request(s) on {args.engine} "
           f"(concurrency {args.concurrency}): "
           f"{sum(counts.values())} event(s) [{breakdown}]")
     return 0
@@ -397,23 +397,18 @@ def _scenarios_compare(paths) -> int:
     """Diff two scenario-report JSON files; 0 iff digests match."""
     import json
 
+    from repro.scenarios import diff_reports
+
     payloads = []
     for path in paths:
         with open(path) as handle:
             payloads.append(json.load(handle))
-    a, b = payloads
-    if a.get("digest") and a.get("digest") == b.get("digest"):
-        print(f"reports identical (digest {a['digest']})")
+    lines = diff_reports(*payloads)
+    if not lines:
+        print(f"reports identical (digest {payloads[0].get('digest')})")
         return 0
-    print(f"digest: {a.get('digest')} != {b.get('digest')}")
-    for key in sorted(set(a.get("summary", {})) | set(b.get("summary", {}))):
-        va = a.get("summary", {}).get(key)
-        vb = b.get("summary", {}).get(key)
-        if va != vb:
-            print(f"summary.{key}: {va!r} != {vb!r}")
-    for field in ("scenario", "engine", "mode", "seed"):
-        if a.get(field) != b.get(field):
-            print(f"{field}: {a.get(field)!r} != {b.get(field)!r}")
+    for line in lines:
+        print(line)
     return 1
 
 

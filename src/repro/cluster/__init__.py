@@ -10,12 +10,7 @@ cache traffic-shaped, so similarity-preserving routing keeps caches
 warm (see docs/serving.md).
 """
 
-from repro.cluster.admission import (
-    EXPIRED,
-    SHED,
-    AdmissionController,
-    SLOTarget,
-)
+from repro.cluster.admission import EXPIRED, SHED, AdmissionController
 from repro.cluster.events import (
     ARRIVAL,
     COMPLETION,
@@ -46,6 +41,7 @@ from repro.cluster.simulator import (
     prefill_fingerprint,
     warm_hit_rate,
 )
+from repro.workloads.requests import SLOTarget
 
 __all__ = [
     "EXPIRED",

@@ -8,9 +8,9 @@ requests whose time-to-first-token deadline has already passed by the
 time a replica could start them are *expired* rather than served — work
 that can no longer meet its SLO only delays work that still can.
 
-:class:`SLOTarget` doubles as the reporting vocabulary: goodput and
-SLO-attainment in :mod:`repro.cluster.report` are defined against its
-TTFT and TPOT targets.
+The fleet's reporting objective is the shared
+:class:`~repro.workloads.requests.SLOTarget`: goodput and SLO attainment
+in :mod:`repro.cluster.report` judge every served request against it.
 """
 
 from __future__ import annotations
@@ -19,23 +19,6 @@ from dataclasses import dataclass
 
 SHED = "shed"
 EXPIRED = "expired"
-
-
-@dataclass(frozen=True)
-class SLOTarget:
-    """Per-request service-level objectives.
-
-    Attributes:
-        ttft_s: time-to-first-token target in simulated seconds.
-        tpot_s: time-per-output-token target in simulated seconds.
-    """
-
-    ttft_s: float = 30.0
-    tpot_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.ttft_s <= 0 or self.tpot_s <= 0:
-            raise ValueError("SLO targets must be positive")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
-"""Fleet-level serving metrics: the ``ServingReport`` vocabulary scaled up.
+"""Fleet-level serving metrics: the served-request vocabulary scaled up.
 
-A :class:`ClusterReport` keeps the single-engine vocabulary (TTFT / TPOT
-/ latency percentiles, throughput, queue delay) and adds what only
-exists at fleet scope:
+A :class:`ClusterReport` takes its latency, throughput, goodput and SLO
+numbers from the shared
+:class:`~repro.workloads.requests.RequestAggregates`, judging every
+served request against the fleet's one
+:class:`~repro.workloads.requests.SLOTarget` (shed and expired requests
+count against SLO attainment), and adds what only exists at fleet
+scope:
 
-- **goodput** — generated-token throughput counting only requests that
-  met their :class:`~repro.cluster.admission.SLOTarget`;
-- **SLO attainment** — fraction of *offered* requests served within
-  target (shed and expired requests count against it);
 - **per-replica utilization** and **Jain's load-balance index** over
   replica busy time;
 - **expert-cache warmth** — the mean fraction of each request's prompt
@@ -24,18 +24,22 @@ diff serving trajectories across PRs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from repro.cluster.admission import EXPIRED, SHED, SLOTarget
+from repro.cluster.admission import EXPIRED, SHED
 from repro.core.batching import GatherStats
-from repro.serving.simulator import RequestAggregates, ServedRequest
+from repro.workloads.requests import (
+    RequestAggregates,
+    ServedRequest,
+    SLOTarget,
+)
 
 
 @dataclass(frozen=True)
 class ClusterRequest(ServedRequest):
     """One served request, annotated with its replica and cache warmth.
 
-    Attributes (beyond :class:`~repro.serving.simulator.ServedRequest`):
+    Attributes (beyond :class:`~repro.workloads.requests.ServedRequest`):
         replica: index of the replica that served the request.
         warm_hit_rate: fraction of the request's prompt expert
             activations (count-weighted) GPU-resident on the replica at
@@ -51,41 +55,6 @@ class ClusterRequest(ServedRequest):
     warm_hit_rate: float = 0.0
     engine_hit_rate: float = 0.0
     prefill_swaps: int = 0
-
-    def to_state_dict(self) -> dict:
-        """Serialize the record for a checkpoint."""
-        return {
-            "request_id": self.request_id,
-            "arrival_s": self.arrival_s,
-            "start_s": self.start_s,
-            "first_token_s": self.first_token_s,
-            "finish_s": self.finish_s,
-            "n_prompt_tokens": self.n_prompt_tokens,
-            "n_generated": self.n_generated,
-            "energy_j": self.energy_j,
-            "replica": self.replica,
-            "warm_hit_rate": self.warm_hit_rate,
-            "engine_hit_rate": self.engine_hit_rate,
-            "prefill_swaps": self.prefill_swaps,
-        }
-
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "ClusterRequest":
-        """Rebuild the record captured by :meth:`to_state_dict`."""
-        return cls(
-            request_id=int(payload["request_id"]),
-            arrival_s=float(payload["arrival_s"]),
-            start_s=float(payload["start_s"]),
-            first_token_s=float(payload["first_token_s"]),
-            finish_s=float(payload["finish_s"]),
-            n_prompt_tokens=int(payload["n_prompt_tokens"]),
-            n_generated=int(payload["n_generated"]),
-            energy_j=float(payload["energy_j"]),
-            replica=int(payload["replica"]),
-            warm_hit_rate=float(payload["warm_hit_rate"]),
-            engine_hit_rate=float(payload["engine_hit_rate"]),
-            prefill_swaps=int(payload["prefill_swaps"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -107,22 +76,12 @@ class RejectedRequest:
 
     def to_state_dict(self) -> dict:
         """Serialize the rejection for a checkpoint."""
-        return {
-            "request_id": self.request_id,
-            "arrival_s": self.arrival_s,
-            "replica": self.replica,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
     @classmethod
     def from_state_dict(cls, payload: dict) -> "RejectedRequest":
         """Rebuild the rejection captured by :meth:`to_state_dict`."""
-        return cls(
-            request_id=int(payload["request_id"]),
-            arrival_s=float(payload["arrival_s"]),
-            replica=int(payload["replica"]),
-            reason=payload["reason"],
-        )
+        return cls(**payload)
 
 
 @dataclass
@@ -138,13 +97,6 @@ class ClusterReport(RequestAggregates):
     replica_busy_s: list[float] = field(default_factory=list)
     replica_gather: list[GatherStats] = field(default_factory=list)
 
-    # ---- counts ---------------------------------------------------------------
-
-    @property
-    def n_served(self) -> int:
-        """Requests that completed service."""
-        return len(self.requests)
-
     @property
     def n_shed(self) -> int:
         """Requests rejected at arrival (queue full)."""
@@ -154,43 +106,6 @@ class ClusterReport(RequestAggregates):
     def n_expired(self) -> int:
         """Requests dropped at dispatch (TTFT deadline blown)."""
         return sum(1 for r in self.rejected if r.reason == EXPIRED)
-
-    @property
-    def n_offered(self) -> int:
-        """Every request that arrived, served or not."""
-        return self.n_served + len(self.rejected)
-
-    # ---- time base ------------------------------------------------------------
-
-    def _offered_arrivals(self) -> list:
-        """Arrival times of served and rejected requests alike."""
-        return ([r.arrival_s for r in self.requests]
-                + [r.arrival_s for r in self.rejected])
-
-    # ---- SLO accounting -------------------------------------------------------
-
-    def meets_slo(self, request: ClusterRequest) -> bool:
-        """Whether one served request met both TTFT and TPOT targets."""
-        return (request.ttft_s <= self.slo.ttft_s
-                and request.tpot_s <= self.slo.tpot_s)
-
-    @property
-    def goodput_tokens_per_s(self) -> float:
-        """Generated-token throughput counting only SLO-met requests."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        good = sum(r.n_generated for r in self.requests
-                   if self.meets_slo(r))
-        return good / span
-
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of offered requests served within SLO targets."""
-        if self.n_offered == 0:
-            return 0.0
-        met = sum(1 for r in self.requests if self.meets_slo(r))
-        return met / self.n_offered
 
     # ---- fleet health ---------------------------------------------------------
 
@@ -247,7 +162,7 @@ class ClusterReport(RequestAggregates):
             "engine": self.engine,
             "policy": self.policy,
             "n_replicas": self.n_replicas,
-            "slo": {"ttft_s": self.slo.ttft_s, "tpot_s": self.slo.tpot_s},
+            "slo": asdict(self.slo),
             "summary": {
                 "offered": self.n_offered,
                 "served": self.n_served,
@@ -300,7 +215,7 @@ class ClusterReport(RequestAggregates):
                     "warm_hit_rate": r.warm_hit_rate,
                     "engine_hit_rate": r.engine_hit_rate,
                     "prefill_swaps": r.prefill_swaps,
-                    "meets_slo": self.meets_slo(r),
+                    "meets_slo": self.slo.met(r.ttft_s, r.tpot_s),
                 }
                 for r in self.requests
             ],
@@ -325,7 +240,7 @@ class ClusterReport(RequestAggregates):
             "engine": self.engine,
             "policy": self.policy,
             "n_replicas": self.n_replicas,
-            "slo": {"ttft_s": self.slo.ttft_s, "tpot_s": self.slo.tpot_s},
+            "slo": asdict(self.slo),
             "requests": [r.to_state_dict() for r in self.requests],
             "rejected": [r.to_state_dict() for r in self.rejected],
             "replica_busy_s": list(self.replica_busy_s),

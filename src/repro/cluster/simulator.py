@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cluster.admission import AdmissionController, EXPIRED, SHED, SLOTarget
+from repro.cluster.admission import AdmissionController, EXPIRED, SHED
 from repro.cluster.events import (
     ARRIVAL,
     COMPLETION,
@@ -75,7 +75,12 @@ from repro.serving.checkpoint import (
     SimCheckpoint,
 )
 from repro.workloads.generator import SequenceGenerator
-from repro.workloads.requests import RequestSpec, uniform_requests
+from repro.workloads.requests import (
+    RequestSpec,
+    SLOTarget,
+    arrival_order,
+    uniform_requests,
+)
 
 
 def prefill_fingerprint(model, prompt_tokens: np.ndarray) -> np.ndarray:
@@ -176,6 +181,9 @@ class ClusterSimulator:
             of the paper's regime.
     """
 
+    #: Checkpoint kind, also the scenario-report mode of this backend.
+    kind = CLUSTER_KIND
+
     def __init__(
         self,
         engines: list[BaseEngine],
@@ -246,12 +254,7 @@ class ClusterSimulator:
         similarity-clustered traffic to affinity routing) while distinct
         content never aliases.
         """
-        ordered = sorted(specs,
-                         key=lambda spec: (spec.arrival_s,
-                                           spec.request_id))
-        if len({spec.request_id for spec in ordered}) != len(ordered):
-            raise ValueError("request_id values must be unique")
-
+        ordered = arrival_order(specs)
         model = self.engines[0].model
         key_by_content = {}
         payloads = {}
@@ -376,7 +379,7 @@ class ClusterSimulator:
             ],
         }
         checkpoint = SimCheckpoint(
-            kind=CLUSTER_KIND,
+            kind=self.kind,
             engine=session.report.engine,
             payload=payload,
         )
@@ -397,7 +400,7 @@ class ClusterSimulator:
                 simulator kind or was written under a different fleet
                 configuration than this simulator's.
         """
-        if checkpoint.kind != CLUSTER_KIND:
+        if checkpoint.kind != self.kind:
             raise CheckpointError(
                 f"cannot restore a {checkpoint.kind!r} checkpoint into "
                 f"a cluster simulator"
@@ -572,7 +575,8 @@ class ClusterSimulator:
             engine.events.subscribe(self._forward_event)
         batch = scheduler.run(seq_requests)
         session.gather[replica_idx].merge(batch.gather)
-        last = max(batch.records, key=lambda rec: (rec.finish_s, rec.seq_id))
+        last = max(batch.records,
+                   key=lambda rec: (rec.finish_s, rec.request_id))
         warm[replica_idx] = last.result.placement
 
         batch_span = max(rec.finish_s for rec in batch.records)
@@ -581,7 +585,7 @@ class ClusterSimulator:
         replica.busy_until = now + batch_span
         replica.busy_time_s += batch_span
         replica.n_served += len(gang)
-        by_id = {rec.seq_id: rec for rec in batch.records}
+        by_id = {rec.request_id: rec for rec in batch.records}
         for member in gang:
             rec = by_id[member.request_id]
             stats = rec.result.stats
@@ -589,12 +593,12 @@ class ClusterSimulator:
                 ClusterRequest(
                     request_id=member.request_id,
                     arrival_s=member.arrival_s,
-                    start_s=now + rec.service_start_s,
+                    start_s=now + rec.start_s,
                     first_token_s=now + rec.first_token_s,
                     finish_s=now + rec.finish_s,
-                    n_prompt_tokens=stats.n_prompt_tokens,
-                    n_generated=stats.n_generated,
-                    energy_j=stats.energy.total_j,
+                    n_prompt_tokens=rec.n_prompt_tokens,
+                    n_generated=rec.n_generated,
+                    energy_j=rec.energy_j,
                     replica=replica_idx,
                     warm_hit_rate=hit_rates[member.request_id],
                     engine_hit_rate=stats.counters.gpu_hit_rate,

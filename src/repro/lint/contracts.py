@@ -158,32 +158,27 @@ class EngineContractGuard:
         if self.check_timeline:
             validate_timeline(result.timeline)
         if self.slot_budget:
-            validate_slot_budget(
-                self.engine.placement,
-                self.engine.initial_placement.gpu_count()
-                + self.slot_slack,
-            )
+            self._check_slot_budget(result.placement)
         return result
 
-    def _guarded_upload(self, original, *args, **kwargs):
-        # The sequence state carries its own phase, which stays correct
-        # when a scheduler batches several sequences (one may be in
-        # decode while another is still prefilling); the guard-level
-        # phase is the fallback for calls without a state.
-        phase = self.phase
-        if args:
-            phase = getattr(args[0], "phase", phase)
-        if self.prefill_only and phase == "decode":
+    def _guarded_upload(self, original, ctx, *args, **kwargs):
+        # The uploading sequence's state carries its own phase and
+        # placement, which stay correct when a scheduler batches several
+        # sequences (one may be in decode while another is still
+        # prefilling, and each holds its own residency).
+        if self.prefill_only and ctx.phase == "decode":
             raise ContractViolation(
                 f"engine '{self.engine.name}' uploaded an expert during "
                 "decode, but migration is restricted to prefill "
                 "(SS IV-B, decode_realloc_interval is None)"
             )
-        op = original(*args, **kwargs)
+        op = original(ctx, *args, **kwargs)
         if self.slot_budget:
-            validate_slot_budget(
-                self.engine.placement,
-                self.engine.initial_placement.gpu_count()
-                + self.slot_slack,
-            )
+            self._check_slot_budget(ctx.placement)
         return op
+
+    def _check_slot_budget(self, placement) -> None:
+        validate_slot_budget(
+            placement,
+            self.engine.initial_placement.gpu_count() + self.slot_slack,
+        )

@@ -31,7 +31,6 @@ from repro.scenarios.report import (
     ScenarioRejection,
     ScenarioReport,
     ScenarioRequestRecord,
-    classify_slo,
     diff_reports,
 )
 from repro.scenarios.runner import ScenarioRunner, ScenarioSession
@@ -59,7 +58,6 @@ __all__ = [
     "ScenarioRejection",
     "ScenarioReport",
     "ScenarioRequestRecord",
-    "classify_slo",
     "diff_reports",
     "ScenarioRunner",
     "ScenarioSession",

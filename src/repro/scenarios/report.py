@@ -15,46 +15,35 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.workloads.requests import percentile_or_zero, slo_targets
+from repro.workloads.requests import (
+    SLO_CLASS_TARGETS,
+    RequestAggregates,
+    RequestGroup,
+    ServedRequest,
+)
 
 
 @dataclass(frozen=True)
-class ScenarioRequestRecord:
+class ScenarioRequestRecord(ServedRequest):
     """One served request joined with its scenario metadata.
 
-    Attributes:
-        request_id: scenario-level request identifier.
+    Attributes (beyond :class:`~repro.workloads.requests.ServedRequest`):
         tenant: tenant the request belongs to.
         slo_class: the request's SLO class.
         dataset: dataset its tokens were drawn from.
         session: session id for prefix-reuse tenants, or None.
-        arrival_s: arrival time in simulated seconds.
-        queue_delay_s: seconds spent waiting for an engine.
-        ttft_s: time to first token in seconds, from arrival.
-        tpot_s: time per output token in seconds during decode.
-        latency_s: end-to-end seconds from arrival to last token.
-        n_prompt_tokens: prompt length.
-        n_generated: generated-token count.
-        energy_j: generation energy in joules.
-        slo_met: whether the request met its class's latency targets.
     """
 
-    request_id: int
     tenant: str
     slo_class: str
     dataset: str
     session: int | None
-    arrival_s: float
-    queue_delay_s: float
-    ttft_s: float
-    tpot_s: float
-    latency_s: float
-    n_prompt_tokens: int
-    n_generated: int
-    energy_j: float
-    slo_met: bool
+
+    @property
+    def slo_met(self) -> bool:
+        """Whether the request met its class's latency targets."""
+        return SLO_CLASS_TARGETS[self.slo_class].met(self.ttft_s,
+                                                     self.tpot_s)
 
 
 @dataclass(frozen=True)
@@ -76,14 +65,25 @@ class ScenarioRejection:
     reason: str
 
 
-def classify_slo(slo_class: str, ttft_s: float, tpot_s: float) -> bool:
-    """Whether one request's latencies meet its SLO class's targets."""
-    ttft_target, tpot_target = slo_targets(slo_class)
-    return ttft_s <= ttft_target and tpot_s <= tpot_target
+def _summary(group: RequestAggregates) -> dict:
+    """Aggregate metrics of one request set (stable key order)."""
+    return {
+        "offered": group.n_offered,
+        "served": group.n_served,
+        "rejected": len(group.rejected),
+        "slo_attainment": group.slo_attainment,
+        "generated_tokens": group.total_generated,
+        "throughput_tokens_per_s": group.throughput_tokens_per_s,
+        "ttft_p50_s": group.ttft_percentile(50),
+        "ttft_p95_s": group.ttft_percentile(95),
+        "tpot_p50_s": group.tpot_percentile(50),
+        "latency_p95_s": group.latency_percentile(95),
+        "mean_queue_delay_s": group.mean_queue_delay_s,
+    }
 
 
 @dataclass
-class ScenarioReport:
+class ScenarioReport(RequestAggregates):
     """Aggregate artifact of one scenario run."""
 
     scenario: str
@@ -94,52 +94,6 @@ class ScenarioReport:
     requests: list = field(default_factory=list)
     rejected: list = field(default_factory=list)
 
-    @property
-    def n_served(self) -> int:
-        """Requests that completed service."""
-        return len(self.requests)
-
-    @property
-    def n_offered(self) -> int:
-        """Every request the scenario offered, served or not."""
-        return len(self.requests) + len(self.rejected)
-
-    @property
-    def makespan_s(self) -> float:
-        """Simulated seconds from first arrival to last completion."""
-        arrivals = [r.arrival_s for r in self.requests]
-        arrivals += [r.arrival_s for r in self.rejected]
-        if not arrivals or not self.requests:
-            return 0.0
-        finishes = [r.arrival_s + r.latency_s for r in self.requests]
-        return max(finishes) - min(arrivals)
-
-    def _group_summary(self, served, dropped) -> dict:
-        """Aggregate metrics of one request subset (stable key order)."""
-        offered = len(served) + len(dropped)
-        met = sum(1 for r in served if r.slo_met)
-        span = self.makespan_s
-        generated = sum(r.n_generated for r in served)
-        return {
-            "offered": offered,
-            "served": len(served),
-            "rejected": len(dropped),
-            "slo_attainment": (met / offered) if offered else 0.0,
-            "generated_tokens": generated,
-            "throughput_tokens_per_s": (generated / span) if span > 0
-            else 0.0,
-            "ttft_p50_s": percentile_or_zero([r.ttft_s for r in served], 50),
-            "ttft_p95_s": percentile_or_zero([r.ttft_s for r in served], 95),
-            "tpot_p50_s": percentile_or_zero([r.tpot_s for r in served], 50),
-            "latency_p95_s": percentile_or_zero(
-                [r.latency_s for r in served], 95
-            ),
-            "mean_queue_delay_s": (
-                float(np.mean([r.queue_delay_s for r in served]))
-                if served else 0.0
-            ),
-        }
-
     def _breakdown(self, key) -> dict:
         """Per-group summaries keyed by ``key(record)`` (sorted keys)."""
         groups = sorted(
@@ -147,10 +101,11 @@ class ScenarioReport:
             | {key(r) for r in self.rejected}
         )
         return {
-            name: self._group_summary(
-                [r for r in self.requests if key(r) == name],
-                [r for r in self.rejected if key(r) == name],
-            )
+            name: _summary(RequestGroup(
+                requests=[r for r in self.requests if key(r) == name],
+                rejected=[r for r in self.rejected if key(r) == name],
+                window_s=self.makespan_s,
+            ))
             for name in groups
         }
 
@@ -176,10 +131,7 @@ class ScenarioReport:
             "backend": {
                 "concurrency": self.concurrency,
             },
-            "summary": {
-                "makespan_s": self.makespan_s,
-                **self._group_summary(self.requests, self.rejected),
-            },
+            "summary": {"makespan_s": self.makespan_s, **_summary(self)},
             "per_tenant": self.per_tenant(),
             "per_slo_class": self.per_slo_class(),
             "requests": [
@@ -220,50 +172,61 @@ class ScenarioReport:
         digest covers every request record and aggregate, so it detects
         any drift in tokens served, scheduling, or metric computation.
         """
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+        return _digest(self.to_dict())
 
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON rendering, digest included."""
         payload = self.to_dict()
-        payload["digest"] = self.content_digest()
+        payload["digest"] = _digest(payload)
         return json.dumps(payload, indent=indent, sort_keys=True)
 
 
-def diff_reports(a: ScenarioReport, b: ScenarioReport) -> list:
-    """Human-readable differences between two scenario reports.
+def _digest(payload: dict) -> str:
+    """Content digest of a report payload: the recorded one, if any."""
+    if "digest" in payload:
+        return payload["digest"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
 
-    Returns an empty list when the reports' content digests match;
-    otherwise one line per differing top-level summary metric plus a
-    per-request token/latency mismatch count — the ``repro scenarios
-    compare`` primitive.
+
+def diff_reports(a: dict, b: dict) -> list:
+    """Human-readable differences between two scenario-report payloads.
+
+    ``a`` and ``b`` are :meth:`ScenarioReport.to_dict` payloads or
+    parsed :meth:`ScenarioReport.to_json` files.  Returns an empty list
+    when their content digests match; otherwise the digest line, one
+    line per differing identity field and summary metric, and one line
+    per request served by only one report or served differently — the
+    ``repro scenarios compare`` primitive.
     """
-    if a.content_digest() == b.content_digest():
+    digest_a, digest_b = _digest(a), _digest(b)
+    if digest_a == digest_b:
         return []
-    lines = [f"digest: {a.content_digest()} != {b.content_digest()}"]
-    summary_a = a.to_dict()["summary"]
-    summary_b = b.to_dict()["summary"]
-    for key in summary_a:
-        if summary_a[key] != summary_b[key]:
-            lines.append(f"summary.{key}: {summary_a[key]!r} != "
-                         f"{summary_b[key]!r}")
-    ids_a = {r.request_id: r for r in a.requests}
-    ids_b = {r.request_id: r for r in b.requests}
-    only_a = sorted(set(ids_a) - set(ids_b))
-    only_b = sorted(set(ids_b) - set(ids_a))
-    if only_a:
-        lines.append(f"requests only in first: {only_a}")
-    if only_b:
-        lines.append(f"requests only in second: {only_b}")
-    mismatched = [
-        rid for rid in sorted(set(ids_a) & set(ids_b))
-        if (ids_a[rid].latency_s, ids_a[rid].n_generated)
-        != (ids_b[rid].latency_s, ids_b[rid].n_generated)
-    ]
-    if mismatched:
-        lines.append(
-            f"{len(mismatched)} shared request(s) differ in "
-            f"latency/tokens: {mismatched[:8]}"
-        )
+    lines = [f"digest: {digest_a} != {digest_b}"]
+    for key in ("scenario", "engine", "mode", "seed", "backend"):
+        if a.get(key) != b.get(key):
+            lines.append(f"{key}: {a.get(key)!r} != {b.get(key)!r}")
+    summary_a, summary_b = a.get("summary", {}), b.get("summary", {})
+    for key in sorted(set(summary_a) | set(summary_b)):
+        if summary_a.get(key) != summary_b.get(key):
+            lines.append(f"summary.{key}: {summary_a.get(key)!r} != "
+                         f"{summary_b.get(key)!r}")
+    for kind in ("requests", "rejected"):
+        rows_a = {r["request_id"]: r for r in a.get(kind, [])}
+        rows_b = {r["request_id"]: r for r in b.get(kind, [])}
+        only_a = sorted(set(rows_a) - set(rows_b))
+        only_b = sorted(set(rows_b) - set(rows_a))
+        if only_a:
+            lines.append(f"{kind} only in first: {only_a}")
+        if only_b:
+            lines.append(f"{kind} only in second: {only_b}")
+        for rid in sorted(set(rows_a) & set(rows_b)):
+            row_a, row_b = rows_a[rid], rows_b[rid]
+            changed = [
+                f"{key} {row_a.get(key)!r} != {row_b.get(key)!r}"
+                for key in sorted(set(row_a) | set(row_b))
+                if row_a.get(key) != row_b.get(key)
+            ]
+            if changed:
+                lines.append(f"{kind}[{rid}]: " + ", ".join(changed))
     return lines

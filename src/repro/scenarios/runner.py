@@ -4,7 +4,7 @@
 :class:`~repro.scenarios.spec.ScenarioSpec` into a fully-materialized
 :class:`~repro.workloads.requests.RequestSpec` list — deterministically,
 keyed only on ``(spec, seed)`` — and drives any serving backend that
-exposes ``run_requests(specs)`` (``ServingSimulator`` for one engine,
+exposes the session lifecycle (``ServingSimulator`` for one engine,
 ``ClusterSimulator`` for a fleet; the runner never imports either, the
 same duck-typed decoupling ``repro.model`` uses for the compute cache).
 The joined result is a :class:`~repro.scenarios.report.ScenarioReport`
@@ -36,7 +36,6 @@ from repro.scenarios.report import (
     ScenarioRejection,
     ScenarioReport,
     ScenarioRequestRecord,
-    classify_slo,
 )
 from repro.scenarios.spec import ScenarioSpec
 from repro.workloads.datasets import get_dataset
@@ -209,10 +208,11 @@ class ScenarioRunner:
 
         Args:
             simulator: any backend exposing the session lifecycle
-                (``begin_session`` / ``tick`` / ``finish_session``) and
-                returning a report with per-request records carrying
-                ``request_id`` (``ServingSimulator`` or
-                ``ClusterSimulator``).
+                (``begin_session`` / ``tick`` / ``finish_session``), a
+                ``kind`` and a ``concurrency``, and returning a report
+                of :class:`~repro.workloads.requests.ServedRequest`
+                records plus its ``rejected`` ones
+                (``ServingSimulator`` or ``ClusterSimulator``).
             requests: pre-materialized request list — pass the output of
                 :func:`repro.workloads.replay.load_request_specs` to
                 replay a pinned workload bit-exactly; None materializes
@@ -253,43 +253,36 @@ class ScenarioRunner:
     def finish(self, simulator, session: ScenarioSession) -> ScenarioReport:
         """Close the backend session and join the scenario report."""
         backend_report = simulator.finish_session(session.backend)
-        return self._join(session.specs, backend_report,
-                          simulator=simulator)
+        return self._join(session.specs, backend_report, simulator)
 
     def _join(self, specs: list, backend_report,
-              simulator=None) -> ScenarioReport:
-        """Join backend serving records with scenario metadata."""
+              simulator) -> ScenarioReport:
+        """Join backend serving records with scenario metadata.
+
+        The report's mode is the backend's checkpoint kind and its
+        concurrency the backend's own, so the digest names exactly the
+        backend that served the run.
+        """
         by_id = {spec.request_id: spec for spec in specs}
-        rejected = getattr(backend_report, "rejected", [])
         report = ScenarioReport(
             scenario=self.spec.name,
             engine=backend_report.engine,
-            mode="cluster" if hasattr(backend_report, "rejected")
-            else "serving",
+            mode=simulator.kind,
             seed=self.seed,
-            concurrency=int(getattr(simulator, "concurrency", 1)),
+            concurrency=simulator.concurrency,
         )
         for served in sorted(backend_report.requests,
                              key=lambda r: r.request_id):
             spec = by_id[served.request_id]
             report.requests.append(ScenarioRequestRecord(
-                request_id=served.request_id,
+                **served.served_fields(),
                 tenant=spec.tenant,
                 slo_class=spec.slo_class,
                 dataset=spec.dataset,
                 session=spec.session,
-                arrival_s=served.arrival_s,
-                queue_delay_s=served.queue_delay_s,
-                ttft_s=served.ttft_s,
-                tpot_s=served.tpot_s,
-                latency_s=served.latency_s,
-                n_prompt_tokens=served.n_prompt_tokens,
-                n_generated=served.n_generated,
-                energy_j=served.energy_j,
-                slo_met=classify_slo(spec.slo_class, served.ttft_s,
-                                     served.tpot_s),
             ))
-        for dropped in sorted(rejected, key=lambda r: r.request_id):
+        for dropped in sorted(backend_report.rejected,
+                              key=lambda r: r.request_id):
             spec = by_id[dropped.request_id]
             report.rejected.append(ScenarioRejection(
                 request_id=dropped.request_id,

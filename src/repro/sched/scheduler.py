@@ -32,7 +32,10 @@ Per-sequence results are rebased to sequence-local time by
 :meth:`~repro.core.engine.BaseEngine.finish`, so every
 :class:`~repro.core.engine.GenerationResult` a batch produces satisfies
 the same audit invariants as a solo run; the absolute service times live
-on the :class:`SequenceRecord`.
+on the :class:`SequenceRecord`, a
+:class:`~repro.workloads.requests.ServedRequest`, and the
+:class:`BatchReport` takes its latency and throughput numbers from the
+shared :class:`~repro.workloads.requests.RequestAggregates`.
 """
 
 from __future__ import annotations
@@ -59,93 +62,51 @@ from repro.hardware.timeline import (
     Timeline,
 )
 from repro.model.serialization import canonical_digest
+from repro.workloads.requests import RequestAggregates, ServedRequest
 
 #: Version of the scheduler-session checkpoint layout; restore rejects
 #: other versions instead of misreading them.  Version 3 dropped the
-#: execution-mode fields: the scheduler has one mode.
-SCHED_CHECKPOINT_VERSION = 3
+#: execution-mode fields: the scheduler has one mode.  Version 4 writes
+#: completed records in the served-request vocabulary (``request_id``,
+#: ``start_s``, ``energy_j``).
+SCHED_CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(ServedRequest):
     """Absolute-time service record of one sequence in a batch.
 
-    All times are in simulated seconds on the batch's shared clock.
+    All times are in simulated seconds on the batch's shared clock, and
+    ``request_id`` is the request's ``seq_id``.
 
-    Attributes:
-        seq_id: identifier carried over from the request.
-        arrival_s: request arrival time.
-        service_start_s: start of the sequence's first scheduled op.
-        first_token_s: completion of the prefill pass (TTFT reference).
-        finish_s: completion of the sequence's last op.
-        n_prompt_tokens: prompt length.
-        n_generated: generated-token count.
+    Attributes (beyond :class:`~repro.workloads.requests.ServedRequest`):
         result: the sequence-local :class:`GenerationResult` (timeline
-            rebased to ``service_start_s``).
+            rebased to ``start_s``).
     """
 
-    seq_id: int
-    arrival_s: float
-    service_start_s: float
-    first_token_s: float
-    finish_s: float
-    n_prompt_tokens: int
-    n_generated: int
     result: GenerationResult = field(repr=False, default=None)
 
     @property
-    def queue_delay_s(self) -> float:
-        """Time from arrival until the first op started."""
-        return self.service_start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> float:
-        """Time to first token, from arrival."""
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency, from arrival to last token."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def tpot_s(self) -> float:
-        """Time per output token during decode."""
-        decode = self.finish_s - self.first_token_s
-        if self.n_generated <= 1:
-            return 0.0
-        return decode / (self.n_generated - 1)
+    def seq_id(self) -> int:
+        """The engine-side name of :attr:`request_id`."""
+        return self.request_id
 
     def to_state_dict(self) -> dict:
         """Serialize the record for a checkpoint."""
-        return {
-            "seq_id": self.seq_id,
-            "arrival_s": self.arrival_s,
-            "service_start_s": self.service_start_s,
-            "first_token_s": self.first_token_s,
-            "finish_s": self.finish_s,
-            "n_prompt_tokens": self.n_prompt_tokens,
-            "n_generated": self.n_generated,
-            "result": self.result.to_state_dict(),
-        }
+        return {**self.served_fields(),
+                "result": self.result.to_state_dict()}
 
     @classmethod
     def from_state_dict(cls, payload: dict) -> "SequenceRecord":
         """Rebuild a record captured by :meth:`to_state_dict`."""
         return cls(
-            seq_id=int(payload["seq_id"]),
-            arrival_s=payload["arrival_s"],
-            service_start_s=payload["service_start_s"],
-            first_token_s=payload["first_token_s"],
-            finish_s=payload["finish_s"],
-            n_prompt_tokens=int(payload["n_prompt_tokens"]),
-            n_generated=int(payload["n_generated"]),
+            **ServedRequest.from_state_dict(payload).served_fields(),
             result=GenerationResult.from_state_dict(payload["result"]),
         )
 
 
 @dataclass
-class BatchReport:
+class BatchReport(RequestAggregates):
     """Batch-level statistics of one scheduler run."""
 
     engine: str
@@ -154,31 +115,9 @@ class BatchReport:
     gather: GatherStats = field(default_factory=GatherStats)
 
     @property
-    def n_sequences(self) -> int:
-        """Number of completed sequences."""
-        return len(self.records)
-
-    @property
-    def makespan_s(self) -> float:
-        """Simulated time from first arrival to last completion."""
-        if not self.records:
-            return 0.0
-        start = min(r.arrival_s for r in self.records)
-        end = max(r.finish_s for r in self.records)
-        return end - start
-
-    @property
-    def total_generated(self) -> int:
-        """Generated tokens across the batch."""
-        return sum(r.n_generated for r in self.records)
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        """Sustained generated-token throughput over the makespan."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return self.total_generated / span
+    def requests(self) -> list:
+        """The completed records, as the aggregate set reads them."""
+        return self.records
 
     @property
     def sum_solo_makespans_s(self) -> float:
@@ -241,18 +180,6 @@ class BatchReport:
                    for r in self.records)
         return busy / span
 
-    def mean_ttft_s(self) -> float:
-        """Mean time to first token across sequences."""
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.ttft_s for r in self.records]))
-
-    def mean_tpot_s(self) -> float:
-        """Mean time per output token across sequences."""
-        if not self.records:
-            return 0.0
-        return float(np.mean([r.tpot_s for r in self.records]))
-
     def to_json(self, indent: int = 2) -> str:
         """Deterministic JSON rendering (CI artifacts, diffing)."""
         payload = {
@@ -262,7 +189,7 @@ class BatchReport:
             "n_expert_kernels": self.n_expert_kernels,
             "expert_amortization": self.gather.expert_amortization,
             "phases": self.gather.phase_stats(),
-            "n_sequences": self.n_sequences,
+            "n_sequences": self.n_served,
             "makespan_s": self.makespan_s,
             "sum_solo_makespans_s": self.sum_solo_makespans_s,
             "overlap_ratio": self.overlap_ratio,
@@ -275,9 +202,9 @@ class BatchReport:
             },
             "sequences": [
                 {
-                    "seq_id": r.seq_id,
+                    "seq_id": r.request_id,
                     "arrival_s": r.arrival_s,
-                    "service_start_s": r.service_start_s,
+                    "service_start_s": r.start_s,
                     "ttft_s": r.ttft_s,
                     "tpot_s": r.tpot_s,
                     "latency_s": r.latency_s,
@@ -416,7 +343,9 @@ class ContinuousBatchScheduler:
                 "batch session still has in-flight work; tick() it to "
                 "completion first"
             )
-        session.report.records.sort(key=lambda r: (r.arrival_s, r.seq_id))
+        session.report.records.sort(
+            key=lambda r: (r.arrival_s, r.request_id)
+        )
         return session.report
 
     def run(self, requests: list[SequenceRequest],
@@ -595,12 +524,13 @@ class ContinuousBatchScheduler:
                 n_generated=result.stats.n_generated,
             )
         return SequenceRecord(
-            seq_id=state.seq_id,
+            request_id=state.seq_id,
             arrival_s=entry.arrival_s,
-            service_start_s=service_start,
+            start_s=service_start,
             first_token_s=first_token,
             finish_s=finish,
             n_prompt_tokens=result.stats.n_prompt_tokens,
             n_generated=result.stats.n_generated,
+            energy_j=result.stats.energy.total_j,
             result=result,
         )

@@ -11,7 +11,6 @@ from repro.serving.checkpoint import (
     save_checkpoint,
 )
 from repro.serving.simulator import (
-    ServedRequest,
     ServingReport,
     ServingSession,
     ServingSimulator,
@@ -26,7 +25,6 @@ __all__ = [
     "SimCheckpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "ServedRequest",
     "ServingReport",
     "ServingSession",
     "ServingSimulator",

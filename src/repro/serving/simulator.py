@@ -31,114 +31,24 @@ from repro.serving.checkpoint import (
 )
 from repro.workloads.generator import SequenceGenerator
 from repro.workloads.requests import (
+    RequestAggregates,
     RequestSpec,
-    percentile_or_zero,
+    arrival_order,
     uniform_requests,
 )
 
 
-@dataclass(frozen=True)
-class ServedRequest:
-    """Per-request timing record (all times in simulated seconds)."""
-
-    request_id: int
-    arrival_s: float
-    start_s: float
-    first_token_s: float
-    finish_s: float
-    n_prompt_tokens: int
-    n_generated: int
-    energy_j: float
-
-    @property
-    def queue_delay_s(self) -> float:
-        """Time spent waiting for the engine."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> float:
-        """Time to first token, from arrival."""
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end latency, from arrival to last token."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def tpot_s(self) -> float:
-        """Time per output token during decode."""
-        decode = self.finish_s - self.first_token_s
-        if self.n_generated <= 1:
-            return 0.0
-        return decode / (self.n_generated - 1)
-
-
-class RequestAggregates:
-    """Latency and throughput aggregates over served requests.
-
-    The one implementation behind :class:`ServingReport` and the fleet's
-    :class:`~repro.cluster.report.ClusterReport`: a subclass provides a
-    ``requests`` list of :class:`ServedRequest` records and, when some
-    offered requests were never served, overrides
-    :meth:`_offered_arrivals` so the makespan starts at the first
-    arrival of any of them.
-    """
-
-    requests: list
-
-    def _offered_arrivals(self) -> list:
-        """Arrival times of every offered request (seconds)."""
-        return [r.arrival_s for r in self.requests]
-
-    @property
-    def makespan_s(self) -> float:
-        """Simulated seconds from first arrival to last completion."""
-        arrivals = self._offered_arrivals()
-        if not arrivals or not self.requests:
-            return 0.0
-        return max(r.finish_s for r in self.requests) - min(arrivals)
-
-    @property
-    def throughput_tokens_per_s(self) -> float:
-        """Generated-token throughput over all served requests."""
-        span = self.makespan_s
-        if span <= 0:
-            return 0.0
-        return sum(r.n_generated for r in self.requests) / span
-
-    def ttft_percentile(self, q: float) -> float:
-        """TTFT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.ttft_s for r in self.requests], q)
-
-    def tpot_percentile(self, q: float) -> float:
-        """TPOT percentile (seconds) over served requests."""
-        return percentile_or_zero([r.tpot_s for r in self.requests], q)
-
-    def latency_percentile(self, q: float) -> float:
-        """End-to-end latency percentile (seconds) over served requests."""
-        return percentile_or_zero([r.latency_s for r in self.requests], q)
-
-    @property
-    def mean_queue_delay_s(self) -> float:
-        """Mean time served requests waited for an engine."""
-        if not self.requests:
-            return 0.0
-        return (sum(r.queue_delay_s for r in self.requests)
-                / len(self.requests))
-
-
 @dataclass
 class ServingReport(RequestAggregates):
-    """Aggregate serving metrics over a request trace."""
+    """Aggregate serving metrics over a request trace.
+
+    ``requests`` holds the scheduler's
+    :class:`~repro.sched.scheduler.SequenceRecord` per served request,
+    in ``(arrival_s, request_id)`` order.
+    """
 
     engine: str
-    requests: list[ServedRequest] = field(default_factory=list)
-
-    @property
-    def n_requests(self) -> int:
-        """Number of served requests."""
-        return len(self.requests)
+    requests: list = field(default_factory=list)
 
 
 @dataclass
@@ -159,6 +69,9 @@ class ServingSimulator:
             default of 1 reproduces the paper's batch-size-one FIFO
             regime; larger values batch requests in gathered cohorts.
     """
+
+    #: Checkpoint kind, also the scenario-report mode of this backend.
+    kind = SERVING_KIND
 
     def __init__(self, engine: BaseEngine,
                  generator: SequenceGenerator | None = None,
@@ -212,6 +125,9 @@ class ServingSimulator:
         regime.  Requests are served in ``(arrival_s, request_id)``
         order; the spec's ``request_id`` is carried through as the
         report's ``request_id``.
+
+        Raises:
+            ValueError: when two specs share a ``request_id``.
         """
         session = self.begin_session(specs)
         while self.tick(session):
@@ -221,10 +137,12 @@ class ServingSimulator:
     # ---- resumable lifecycle ---------------------------------------------------
 
     def begin_session(self, specs: list[RequestSpec]) -> ServingSession:
-        """Queue fully-materialized requests into a resumable session."""
-        ordered = sorted(specs,
-                         key=lambda spec: (spec.arrival_s,
-                                           spec.request_id))
+        """Queue fully-materialized requests into a resumable session.
+
+        Raises:
+            ValueError: when two specs share a ``request_id``.
+        """
+        ordered = arrival_order(specs)
         requests = [
             SequenceRequest(
                 prompt_tokens=spec.prompt_tokens,
@@ -249,28 +167,15 @@ class ServingSimulator:
     def finish_session(self, session: ServingSession) -> ServingReport:
         """Summarize a drained session into a :class:`ServingReport`."""
         batch = session.scheduler.finish(session.batch)
-        report = ServingReport(engine=self.engine.name)
-        for rec in batch.records:
-            report.requests.append(
-                ServedRequest(
-                    request_id=rec.seq_id,
-                    arrival_s=rec.arrival_s,
-                    start_s=rec.service_start_s,
-                    first_token_s=rec.first_token_s,
-                    finish_s=rec.finish_s,
-                    n_prompt_tokens=rec.n_prompt_tokens,
-                    n_generated=rec.n_generated,
-                    energy_j=rec.result.stats.energy.total_j,
-                )
-            )
-        return report
+        return ServingReport(engine=self.engine.name,
+                             requests=list(batch.records))
 
     # ---- checkpoint / restore --------------------------------------------------
 
     def checkpoint(self, session: ServingSession) -> SimCheckpoint:
         """Capture a between-ticks session as a :class:`SimCheckpoint`."""
         checkpoint = SimCheckpoint(
-            kind=SERVING_KIND,
+            kind=self.kind,
             engine=self.engine.name,
             payload={
                 "concurrency": self.concurrency,
@@ -296,7 +201,7 @@ class ServingSimulator:
             CheckpointError: if the checkpoint belongs to a different
                 simulator kind or configuration.
         """
-        if checkpoint.kind != SERVING_KIND:
+        if checkpoint.kind != self.kind:
             raise CheckpointError(
                 f"checkpoint kind {checkpoint.kind!r} cannot resume on a "
                 "serving simulator"

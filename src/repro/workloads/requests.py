@@ -5,13 +5,21 @@ it arrives, which tokens it carries, how many tokens it decodes, and the
 tenant / SLO-class metadata the serving layers report against.  It is
 the unit the scenario library (:mod:`repro.scenarios`) produces, the
 serving simulators (``ServingSimulator.run_requests`` /
-``ClusterSimulator.run_requests``) consume, and the v2 recorded-workload
-format (:mod:`repro.workloads.replay`) round-trips to disk — which is
-what makes any scenario replayable bit-exactly against a different
-engine or platform.  :func:`uniform_requests` builds the uniform-length
-trace both simulators' ``run`` entry points serve, and
-:func:`percentile_or_zero` is the percentile every serving and scenario
-report aggregates its per-request latencies with.
+``ClusterSimulator.run_requests``) consume in :func:`arrival_order`
+order, and the v2 recorded-workload format (:mod:`repro.workloads.replay`)
+round-trips to disk — which is what makes any scenario replayable
+bit-exactly against a different engine or platform.
+:func:`uniform_requests` builds the uniform-length trace both
+simulators' ``run`` entry points serve.
+
+This module also holds the served-request vocabulary every serving
+report projects from: :class:`ServedRequest` is the one per-request
+timing record (and the one definition of queue delay, TTFT, TPOT and
+latency), :class:`RequestAggregates` the one aggregate set over such
+records (makespan, throughput, latency percentiles, SLO attainment,
+goodput), and :class:`SLOTarget` the one latency objective.  The
+scheduler's batch report, the serving and cluster reports and the
+scenario report all extend these.
 
 SLO classes partition requests by latency expectation: ``interactive``
 traffic (chat) is TTFT-sensitive, ``batch`` traffic (offline
@@ -23,7 +31,8 @@ attainment out per class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -39,13 +48,35 @@ LONG_CONTEXT = "long_context"
 #: Every recognized SLO class, in canonical order.
 SLO_CLASSES = (INTERACTIVE, BATCH, LONG_CONTEXT)
 
-#: Default per-class latency targets: ``(ttft_s, tpot_s)`` in simulated
-#: seconds.  Interactive traffic wants the first token fast; batch and
-#: long-context traffic trade TTFT headroom for sustained decode.
+
+@dataclass(frozen=True)
+class SLOTarget:
+    """Per-request service-level objectives.
+
+    Attributes:
+        ttft_s: time-to-first-token target in simulated seconds.
+        tpot_s: time-per-output-token target in simulated seconds.
+    """
+
+    ttft_s: float = 30.0
+    tpot_s: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.ttft_s <= 0 or self.tpot_s <= 0:
+            raise ValueError("SLO targets must be positive")
+
+    def met(self, ttft_s: float, tpot_s: float) -> bool:
+        """Whether one request's latencies meet both targets."""
+        return ttft_s <= self.ttft_s and tpot_s <= self.tpot_s
+
+
+#: Default per-class latency targets.  Interactive traffic wants the
+#: first token fast; batch and long-context traffic trade TTFT headroom
+#: for sustained decode.
 SLO_CLASS_TARGETS = {
-    INTERACTIVE: (30.0, 1.0),
-    BATCH: (240.0, 2.0),
-    LONG_CONTEXT: (120.0, 1.5),
+    INTERACTIVE: SLOTarget(ttft_s=30.0, tpot_s=1.0),
+    BATCH: SLOTarget(ttft_s=240.0, tpot_s=2.0),
+    LONG_CONTEXT: SLOTarget(ttft_s=120.0, tpot_s=1.5),
 }
 
 #: Tenant name used when a workload has no tenant structure.
@@ -123,14 +154,19 @@ class RequestSpec:
         return b"|".join([self.prompt_tokens.tobytes(), forced])
 
 
-def slo_targets(slo_class: str) -> tuple:
-    """``(ttft_s, tpot_s)`` latency targets of one SLO class (seconds)."""
-    try:
-        return SLO_CLASS_TARGETS[slo_class]
-    except KeyError:
-        raise KeyError(
-            f"unknown slo_class {slo_class!r}; known: {SLO_CLASSES}"
-        ) from None
+def arrival_order(specs: list[RequestSpec]) -> list[RequestSpec]:
+    """Requests in service order: by ``(arrival_s, request_id)``.
+
+    Raises:
+        ValueError: when two requests share a ``request_id`` (reports
+            join per-request metadata back by id, so ids must be
+            unique).
+    """
+    ordered = sorted(specs,
+                     key=lambda spec: (spec.arrival_s, spec.request_id))
+    if len({spec.request_id for spec in ordered}) != len(ordered):
+        raise ValueError("request_id values must be unique")
+    return ordered
 
 
 def uniform_requests(generator: SequenceGenerator | None,
@@ -201,3 +237,189 @@ def percentile_or_zero(values, q: float) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.percentile(arr, q))
+
+
+@dataclass(frozen=True)
+class ServedRequest:
+    """One served request's timing record (simulated seconds).
+
+    Attributes:
+        request_id: the request's identifier (the engine's ``seq_id``).
+        arrival_s: arrival time.
+        start_s: start of the request's first scheduled op.
+        first_token_s: completion of the prefill pass.
+        finish_s: completion of the request's last op.
+        n_prompt_tokens: prompt length.
+        n_generated: generated-token count.
+        energy_j: generation energy in joules.
+    """
+
+    request_id: int
+    arrival_s: float
+    start_s: float
+    first_token_s: float
+    finish_s: float
+    n_prompt_tokens: int
+    n_generated: int
+    energy_j: float
+
+    @property
+    def queue_delay_s(self) -> float:
+        """Time spent waiting for an engine."""
+        return self.start_s - self.arrival_s
+
+    @property
+    def ttft_s(self) -> float:
+        """Time to first token, from arrival."""
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def latency_s(self) -> float:
+        """End-to-end latency, from arrival to last token."""
+        return self.finish_s - self.arrival_s
+
+    @property
+    def tpot_s(self) -> float:
+        """Time per output token during decode."""
+        decode = self.finish_s - self.first_token_s
+        if self.n_generated <= 1:
+            return 0.0
+        return decode / (self.n_generated - 1)
+
+    def served_fields(self) -> dict:
+        """The :class:`ServedRequest` fields of this record, by name.
+
+        A report annotating a served record with its own fields builds
+        its record as ``Record(**served.served_fields(), ...)``.
+        """
+        return {f.name: getattr(self, f.name)
+                for f in fields(ServedRequest)}
+
+    def to_state_dict(self) -> dict:
+        """Serialize the record for a checkpoint."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_state_dict(cls, payload: dict) -> "ServedRequest":
+        """Rebuild a record captured by :meth:`to_state_dict`."""
+        return cls(**{f.name: payload[f.name] for f in fields(cls)})
+
+
+class RequestAggregates:
+    """The one aggregate set over served requests.
+
+    A report extends it and provides ``requests``, its served
+    :class:`ServedRequest` records.  A report whose offered requests
+    were not all served also provides ``rejected`` (records with an
+    ``arrival_s``): the makespan then starts at the first offered
+    arrival and SLO attainment counts every rejection as a miss.
+    ``window_s``, when set, replaces the makespan as the time base of
+    throughput and goodput, so a group of requests can be measured over
+    the run it belongs to.  ``slo``, when set, is the one target every
+    served request is judged against; otherwise each request carries its
+    own ``slo_met`` verdict.
+    """
+
+    requests: list
+    rejected: list = ()
+    window_s: float | None = None
+    slo: SLOTarget | None = None
+
+    @property
+    def n_served(self) -> int:
+        """Requests that completed service."""
+        return len(self.requests)
+
+    @property
+    def n_offered(self) -> int:
+        """Every offered request, served or not."""
+        return len(self.requests) + len(self.rejected)
+
+    @property
+    def total_generated(self) -> int:
+        """Generated tokens across served requests."""
+        return sum(r.n_generated for r in self.requests)
+
+    @property
+    def makespan_s(self) -> float:
+        """Simulated seconds from the first offered arrival to the last
+        completion."""
+        if not self.requests:
+            return 0.0
+        first = min(r.arrival_s for r in chain(self.requests, self.rejected))
+        return max(r.finish_s for r in self.requests) - first
+
+    def _per_second(self, tokens: int) -> float:
+        """``tokens`` over the time base (0.0 for an empty one)."""
+        span = self.makespan_s if self.window_s is None else self.window_s
+        if span <= 0:
+            return 0.0
+        return tokens / span
+
+    @property
+    def throughput_tokens_per_s(self) -> float:
+        """Generated-token throughput over all served requests."""
+        return self._per_second(self.total_generated)
+
+    def _slo_met(self) -> list:
+        """Served requests that met their SLO."""
+        if self.slo is None:
+            return [r for r in self.requests if r.slo_met]
+        return [r for r in self.requests
+                if self.slo.met(r.ttft_s, r.tpot_s)]
+
+    @property
+    def goodput_tokens_per_s(self) -> float:
+        """Generated-token throughput counting only SLO-met requests."""
+        return self._per_second(sum(r.n_generated for r in self._slo_met()))
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of offered requests served within their SLO."""
+        if self.n_offered == 0:
+            return 0.0
+        return len(self._slo_met()) / self.n_offered
+
+    def ttft_percentile(self, q: float) -> float:
+        """TTFT percentile (seconds) over served requests."""
+        return percentile_or_zero([r.ttft_s for r in self.requests], q)
+
+    def tpot_percentile(self, q: float) -> float:
+        """TPOT percentile (seconds) over served requests."""
+        return percentile_or_zero([r.tpot_s for r in self.requests], q)
+
+    def latency_percentile(self, q: float) -> float:
+        """End-to-end latency percentile (seconds) over served requests."""
+        return percentile_or_zero([r.latency_s for r in self.requests], q)
+
+    def _mean(self, values: list) -> float:
+        """Mean of per-request values (0.0 without served requests)."""
+        return float(np.mean(values)) if self.requests else 0.0
+
+    @property
+    def mean_queue_delay_s(self) -> float:
+        """Mean time served requests waited for an engine."""
+        return self._mean([r.queue_delay_s for r in self.requests])
+
+    def mean_ttft_s(self) -> float:
+        """Mean time to first token over served requests."""
+        return self._mean([r.ttft_s for r in self.requests])
+
+    def mean_tpot_s(self) -> float:
+        """Mean time per output token over served requests."""
+        return self._mean([r.tpot_s for r in self.requests])
+
+
+@dataclass
+class RequestGroup(RequestAggregates):
+    """The aggregate set over an explicit subset of a report's requests.
+
+    Attributes:
+        requests: the subset's served records.
+        rejected: the subset's rejected records.
+        window_s: time base of throughput (the whole report's makespan).
+    """
+
+    requests: list
+    rejected: list = field(default_factory=list)
+    window_s: float | None = None

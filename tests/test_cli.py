@@ -250,6 +250,31 @@ def test_scenarios_pause_resume_round_trip(tmp_path, capsys):
     assert resumed["digest"] == reference["digest"]
 
 
+def test_scenarios_compare_prints_mismatch_lines(tmp_path, capsys):
+    scenario_args = ["scenarios", "run", "mixed-interactive-batch",
+                     "--model", "tiny", "--blocks", "4", "--fast"]
+    solo_dir = tmp_path / "solo"
+    fleet_dir = tmp_path / "fleet"
+    assert main([*scenario_args, "--out-dir", str(solo_dir)]) == 0
+    assert main([*scenario_args, "--replicas", "2", "--concurrency", "2",
+                 "--out-dir", str(fleet_dir)]) == 0
+    solo = str(solo_dir / "mixed-interactive-batch.json")
+    fleet = str(fleet_dir / "mixed-interactive-batch.json")
+    capsys.readouterr()
+
+    assert main(["scenarios", "compare", solo, solo]) == 0
+    assert "reports identical" in capsys.readouterr().out
+
+    assert main(["scenarios", "compare", solo, fleet]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("digest: ")
+    assert "mode: 'serving' != 'cluster'" in lines
+    assert "backend: {'concurrency': 1} != {'concurrency': 2}" in lines
+    assert any(line.startswith("summary.") for line in lines)
+    assert any(line.startswith("requests[") and "latency_s" in line
+               for line in lines)
+
+
 def test_scenarios_lifecycle_flag_validation(capsys):
     rc = main(["scenarios", "run", "mixed-interactive-batch",
                "--model", "tiny", "--blocks", "4", "--fast",

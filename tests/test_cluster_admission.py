@@ -16,6 +16,19 @@ class TestSLOTarget:
         with pytest.raises(ValueError):
             SLOTarget(tpot_s=-1.0)
 
+    def test_met_needs_both_targets_inclusive(self):
+        slo = SLOTarget(ttft_s=2.0, tpot_s=0.5)
+        assert slo.met(2.0, 0.5)
+        assert not slo.met(2.1, 0.1)
+        assert not slo.met(0.1, 0.6)
+
+    def test_class_targets_are_slo_targets(self):
+        from repro.workloads import SLO_CLASS_TARGETS, SLO_CLASSES
+
+        assert set(SLO_CLASS_TARGETS) == set(SLO_CLASSES)
+        assert all(isinstance(t, SLOTarget)
+                   for t in SLO_CLASS_TARGETS.values())
+
 
 class TestAdmissionController:
     def test_admit_bounds_queue(self):

@@ -60,8 +60,9 @@ class TestCounts:
 
 class TestSLO:
     def test_meets_slo(self, report):
-        assert report.meets_slo(report.requests[0])
-        assert not report.meets_slo(report.requests[1])
+        first, second = report.requests
+        assert report.slo.met(first.ttft_s, first.tpot_s)
+        assert not report.slo.met(second.ttft_s, second.tpot_s)
 
     def test_attainment_over_offered(self, report):
         # 1 of 4 offered requests met SLO (rejections count as misses).

@@ -30,7 +30,7 @@ def reports(tiny_bundle, platform, tiny_calibration):
 
 def test_all_served(reports):
     for report in reports.values():
-        assert report.n_requests == N_REQUESTS
+        assert report.n_served == N_REQUESTS
 
 
 def test_faster_engine_higher_throughput(reports):

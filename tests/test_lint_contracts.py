@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import build_engine
-from repro.hardware.timeline import GPU, Timeline
+from repro.core.calibration import calibrate_activation_probs
+from repro.core.engine import SequenceRequest
+from repro.hardware.timeline import GPU, ResourceClock, Timeline
 from repro.lint.contracts import (
     ContractViolation,
     EngineContractGuard,
@@ -12,6 +14,7 @@ from repro.lint.contracts import (
     validate_timeline,
 )
 from repro.memory.placement import ExpertPlacement
+from repro.model.zoo import build_tiny_moe
 from repro.workloads import C4, SequenceGenerator
 
 PROMPT_LEN = 12
@@ -68,6 +71,36 @@ def test_validate_slot_budget():
     validate_slot_budget(placement, 2)  # exactly at budget
     with pytest.raises(ContractViolation, match="budget"):
         validate_slot_budget(placement, 1)
+
+
+def test_slot_budget_checks_the_uploading_sequence(platform,
+                                                  engine_contracts):
+    """Two sequences on one clock: an upload is validated against the
+    placement of the sequence that uploads, not the last-started one."""
+    bundle = build_tiny_moe(seed=0, n_blocks=2)
+    calibration = calibrate_activation_probs(
+        bundle, n_sequences=2, prompt_len=8, decode_len=4, seed=0)
+    engine = build("moe-ondemand", bundle, platform, calibration)
+    engine_contracts(engine, prefill_only=False)
+    prompt = SequenceGenerator(C4, bundle.vocab, seed=11).sample_sequence(
+        8, 2, sample_idx=0).prompt_tokens
+    clock = ResourceClock()
+    first, second = (
+        engine.start(SequenceRequest(prompt_tokens=prompt,
+                                     max_new_tokens=2, seq_id=i),
+                     timeline=Timeline(clock=clock))
+        for i in range(2)
+    )
+    budget = engine.initial_placement.gpu_count()
+    for state in (first, second):
+        assert state.placement.gpu_count() == budget
+        block, expert = next(
+            (b, e) for b in range(bundle.arch.n_blocks)
+            for e in range(bundle.arch.n_experts)
+            if not state.placement.is_on_gpu(b, e)
+        )
+        with pytest.raises(ContractViolation, match="slot budget"):
+            engine._upload_expert(state, block, expert, deps=[])
 
 
 def test_daop_generation_conserves_slot_budget(

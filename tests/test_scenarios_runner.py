@@ -173,16 +173,16 @@ class TestReport:
         assert len(payload["requests"]) == 6
 
     def test_diff_reports_empty_for_identical(self, report):
-        assert diff_reports(report, report) == []
+        assert diff_reports(report.to_dict(), report.to_dict()) == []
 
     def test_diff_reports_flags_perturbation(self, report):
         altered = dataclasses.replace(report)
         altered.requests = list(report.requests)
         altered.requests[0] = dataclasses.replace(
             altered.requests[0],
-            latency_s=altered.requests[0].latency_s + 1.0,
+            finish_s=altered.requests[0].finish_s + 1.0,
         )
-        lines = diff_reports(report, altered)
+        lines = diff_reports(report.to_dict(), altered.to_dict())
         assert lines
         assert lines[0].startswith("digest:")
 

@@ -62,14 +62,14 @@ def test_batch1_tiles_makespan_exactly(daop, tiny_bundle):
     report = ContinuousBatchScheduler(daop, max_batch=1).run(
         _requests(tiny_bundle)
     )
-    assert report.n_sequences == N_REQUESTS
+    assert report.n_served == N_REQUESTS
     assert report.overlap_ratio == 0.0
     assert report.makespan_s == pytest.approx(
         report.sum_solo_makespans_s, rel=1e-12
     )
-    ordered = sorted(report.records, key=lambda r: r.service_start_s)
+    ordered = sorted(report.records, key=lambda r: r.start_s)
     for earlier, later in zip(ordered, ordered[1:]):
-        assert later.service_start_s >= earlier.finish_s - 1e-12
+        assert later.start_s >= earlier.finish_s - 1e-12
 
 
 def test_batch4_overlaps_sequences(fiddler, tiny_bundle):
@@ -80,8 +80,8 @@ def test_batch4_overlaps_sequences(fiddler, tiny_bundle):
     assert report.makespan_s < report.sum_solo_makespans_s
     assert report.overlap_ratio > 0.25
     # Concurrent residency: some sequence starts before another ends.
-    ordered = sorted(report.records, key=lambda r: r.service_start_s)
-    assert any(later.service_start_s < earlier.finish_s
+    ordered = sorted(report.records, key=lambda r: r.start_s)
+    assert any(later.start_s < earlier.finish_s
                for earlier, later in zip(ordered, ordered[1:]))
 
 
@@ -116,8 +116,8 @@ def test_arrivals_gate_admission(daop, tiny_bundle):
         requests, np.array([0.0, late])
     )
     by_id = {r.seq_id: r for r in report.records}
-    assert by_id[0].service_start_s == 0.0
-    assert by_id[1].service_start_s >= late
+    assert by_id[0].start_s == 0.0
+    assert by_id[1].start_s >= late
     assert by_id[1].queue_delay_s == pytest.approx(0.0, abs=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_batch_report_json_shape(fiddler, tiny_bundle):
 def test_empty_run_is_a_clean_report(daop):
     report = ContinuousBatchScheduler(daop, max_batch=2).run([])
     assert isinstance(report, BatchReport)
-    assert report.n_sequences == 0
+    assert report.n_served == 0
     assert report.makespan_s == 0.0
     assert report.overlap_ratio == 0.0
     assert report.occupancy("gpu") == 0.0
@@ -253,7 +253,7 @@ def test_every_active_sequence_steps_once_per_round(fiddler, tiny_bundle):
     ]
     counting = _StepCountingEngine(fiddler)
     report = ContinuousBatchScheduler(counting, max_batch=4).run(requests)
-    assert report.n_sequences == len(lengths)
+    assert report.n_served == len(lengths)
     assert dict(counting.step_counts) == {
         i: n for i, n in enumerate(lengths)
     }
@@ -382,7 +382,7 @@ def test_session_checkpoint_rejects_mode_carrying_version_2(daop,
     session = scheduler.begin(_requests(tiny_bundle, n=2))
     scheduler.tick(session)
     payload = scheduler.checkpoint_session(session)
-    assert SCHED_CHECKPOINT_VERSION == 3
+    assert SCHED_CHECKPOINT_VERSION == 4
     assert "mode" not in payload and "gathered_prefill" not in payload
     old = {key: value for key, value in payload.items() if key != "digest"}
     old.update(version=2, mode="gathered", gathered_prefill=True)
@@ -392,3 +392,33 @@ def test_session_checkpoint_rejects_mode_carrying_version_2(daop,
     # The current payload still round-trips through JSON bytes.
     restored = scheduler.restore_session(json.loads(json.dumps(payload)))
     assert len(restored.active) == len(session.active)
+
+
+def test_session_checkpoint_rejects_version_3_record_layout(daop,
+                                                           tiny_bundle):
+    """Version-3 checkpoints wrote records as ``seq_id`` /
+    ``service_start_s`` without ``energy_j``."""
+    from repro.model.serialization import canonical_digest
+
+    scheduler = ContinuousBatchScheduler(daop, max_batch=1)
+    session = scheduler.begin(_requests(tiny_bundle, n=2))
+    while not session.report.records:
+        scheduler.tick(session)
+    payload = scheduler.checkpoint_session(session)
+    record = payload["records"][0]
+    assert {"request_id", "start_s", "energy_j"} <= set(record)
+    old = {key: value for key, value in payload.items() if key != "digest"}
+    old["version"] = 3
+    old["records"] = [
+        {"seq_id": r["request_id"], "service_start_s": r["start_s"],
+         **{key: r[key] for key in ("arrival_s", "first_token_s",
+                                    "finish_s", "n_prompt_tokens",
+                                    "n_generated", "result")}}
+        for r in payload["records"]
+    ]
+    old["digest"] = canonical_digest(old)
+    with pytest.raises(ValueError, match="scheduler-checkpoint version 3"):
+        scheduler.restore_session(old)
+    restored = scheduler.restore_session(json.loads(json.dumps(payload)))
+    assert ([r.served_fields() for r in restored.report.records]
+            == [r.served_fields() for r in session.report.records])

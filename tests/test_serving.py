@@ -87,7 +87,7 @@ def served(tiny_bundle, platform, tiny_calibration):
 
 class TestServingSimulator:
     def test_all_requests_served(self, served):
-        assert served.n_requests == 6
+        assert served.n_served == 6
         assert all(r.n_generated == 6 for r in served.requests)
 
     def test_fifo_no_overlap(self, served):
@@ -184,7 +184,6 @@ class TestServingSimulator:
         pre-wrapper body's report exactly, field for field."""
         from repro.core.engine import SequenceRequest
         from repro.sched.scheduler import ContinuousBatchScheduler
-        from repro.serving.simulator import ServedRequest
 
         arrivals = bursty_arrivals(2.0, 5, np.random.default_rng(17),
                                    burst_size=2)
@@ -213,20 +212,7 @@ class TestServingSimulator:
         batch = ContinuousBatchScheduler(engine_b, max_batch=1).run(
             requests, arrival_times
         )
-        expected = [
-            ServedRequest(
-                request_id=rec.seq_id,
-                arrival_s=rec.arrival_s,
-                start_s=rec.service_start_s,
-                first_token_s=rec.first_token_s,
-                finish_s=rec.finish_s,
-                n_prompt_tokens=rec.n_prompt_tokens,
-                n_generated=rec.n_generated,
-                energy_j=rec.result.stats.energy.total_j,
-            )
-            for rec in batch.records
-        ]
-        assert repr(report.requests) == repr(expected)
+        assert repr(report.requests) == repr(batch.records)
 
     def test_run_requests_heterogeneous(self, tiny_bundle, platform,
                                         tiny_calibration):
@@ -256,6 +242,31 @@ class TestServingSimulator:
         prompts = {r.request_id: r.n_prompt_tokens
                    for r in report.requests}
         assert prompts == {10: 8, 11: 14, 12: 10}
+
+    def test_duplicate_request_ids_raise(self, tiny_bundle, platform,
+                                         tiny_calibration):
+        """Two specs sharing a request_id would join onto one scenario
+        record; serving refuses them as the cluster simulator does."""
+        from repro.scenarios import ScenarioRunner, get_scenario
+        from repro.workloads import RequestSpec
+
+        engine = build_engine("daop", tiny_bundle, platform, 0.5,
+                              tiny_calibration)
+        generator = SequenceGenerator(SHAREGPT, tiny_bundle.vocab,
+                                      seed=68)
+        sequence = generator.sample_sequence(8, 3, sample_idx=0)
+        specs = [
+            RequestSpec(request_id=7, arrival_s=float(i),
+                        prompt_tokens=sequence.prompt_tokens,
+                        output_len=3,
+                        forced_tokens=sequence.continuation_tokens,
+                        tenant=tenant)
+            for i, tenant in enumerate(("a", "b"))
+        ]
+        runner = ScenarioRunner(get_scenario("multi-tenant-slo"),
+                                tiny_bundle.vocab)
+        with pytest.raises(ValueError, match="request_id"):
+            runner.run(ServingSimulator(engine), requests=specs)
 
     def test_run_without_generator_raises(self, tiny_bundle, platform,
                                           tiny_calibration):

@@ -73,7 +73,7 @@ def test_scheduler_batch1_is_bitwise_identical_to_generate(
     scheduler = ContinuousBatchScheduler(engine, max_batch=1)
     report = scheduler.run([SequenceRequest(prompt_tokens=prompt,
                                             max_new_tokens=MAX_NEW)])
-    assert report.n_sequences == 1
+    assert report.n_served == 1
     result = report.records[0].result
     assert np.array_equal(result.tokens, reference.tokens)
     assert result.stats.counters == reference.stats.counters
@@ -94,7 +94,7 @@ def test_gathered_batch4_matches_solo_runs_token_for_token(
         SequenceRequest(prompt_tokens=p, max_new_tokens=MAX_NEW, seq_id=i)
         for i, p in enumerate(prompts)
     ])
-    assert report.n_sequences == 4
+    assert report.n_served == 4
     records = sorted(report.records, key=lambda r: r.seq_id)
     for record, reference in zip(records, references):
         result = record.result
