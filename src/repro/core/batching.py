@@ -6,14 +6,16 @@ generators that *describe* each block's work instead of executing it
 inline (:meth:`~repro.core.engine.BaseEngine._decode_blocks`,
 :meth:`~repro.core.engine.BaseEngine._prefill_blocks`).  Per block, a
 generator yields an :class:`AttentionRequest` (the block's attention
-input and the gates that read its output), then a :class:`BlockWork`
-(its routed expert executions).  One step body,
+input and the gates that read its output), optionally a
+:class:`PrecalcWork` (DAOP's stale-input CPU pre-calculation of the
+next block's predicted experts), then a :class:`BlockWork` (its routed
+expert executions).  One step body,
 :meth:`~repro.core.engine.BaseEngine._step_cohort`, runs a same-phase
 cohort of sequences block-locked: every member's attention and gate
 rows of a round are evaluated as stacked calls, and expert calls from
 *different sequences* that target the same ``(block, expert, device)``
-are grouped into one simulated kernel whose cost follows the hardware
-batch-efficiency curves
+— routed or pre-calculated — are grouped into one simulated kernel
+whose cost follows the hardware batch-efficiency curves
 (:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`).  Each
 participant's functional values are evaluated through the cache-aware
 stacked stage API (:meth:`~repro.model.moe_block.MoEBlock.
@@ -56,7 +58,7 @@ class ExpertCall:
         h_att: the sequence's post-attention hidden states ``(n, d)``
             (borrowed, never mutated).
         deps: ops this execution must wait for — all from the *own*
-            sequence's timeline (gate, uploads, pre-calc round-trips).
+            sequence's timeline (gate or pred-gate, uploads).
         token_idx: optional row selection of ``h_att`` exactly as in
             :meth:`~repro.model.moe_block.MoEBlock.expert_forward`.
     """
@@ -104,6 +106,25 @@ class AttentionRequest(NamedTuple):
 
 
 @dataclass(frozen=True)
+class PrecalcWork:
+    """Stale-input CPU executions one sequence pre-calculates a block early.
+
+    Yielded by DAOP's decode generator between a predicting block's
+    :class:`AttentionRequest` and its :class:`BlockWork`: the CPU-resident
+    experts predicted for block ``block_idx`` (the *next* block), each
+    fed the current block's post-attention states (paper §IV-C).  The
+    driver runs the pre-calculating members of a round as one gathered
+    sub-round — same-expert calls share one D2H → CPU → H2D kernel — and
+    sends back ``(output, op)`` pairs aligned with ``calls``, ``op``
+    being the H2D that lands the result.  A member with nothing to
+    pre-calculate yields none.
+    """
+
+    block_idx: int
+    calls: tuple[ExpertCall, ...]
+
+
+@dataclass(frozen=True)
 class BlockWork:
     """All routed expert executions one sequence requests for one block.
 
@@ -129,6 +150,10 @@ class GatherStats:
     between the two is the amortization cohorts buy.  Every cohort
     counts, a cohort of one included: a singleton prefill cohort
     records one kernel per op.
+
+    Expert kernels count routed executions (:class:`BlockWork`);
+    DAOP's pre-calculation sub-rounds (:class:`PrecalcWork`) gather the
+    same way but are policy work issued a block early, not counted here.
 
     ``expert_*`` and ``lm_head_*`` are whole-run totals across both
     phases; the ``prefill_*`` fields split out the gathered-prefill
@@ -261,8 +286,8 @@ def group_block_work(works: list) -> dict:
     """Group calls across sequences by ``(block, expert, location)``.
 
     Args:
-        works: list of ``BlockWork`` items, one per sequence, in
-            admission order.
+        works: list of ``BlockWork`` (or ``PrecalcWork``) items, one per
+            sequence, in admission order.
 
     Returns:
         Mapping from ``(block_idx, expert, location)`` to the list of

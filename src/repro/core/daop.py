@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.allocation import SWAP_IN_OUT_DEFAULT, plan_block_swaps
-from repro.core.batching import CPU_LOC, GPU_LOC, BlockWork, ExpertCall
+from repro.core.batching import (
+    CPU_LOC,
+    GPU_LOC,
+    BlockWork,
+    ExpertCall,
+    PrecalcWork,
+)
 from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.core.precalc import apply_graceful_degradation
 from repro.core.predictor import (
@@ -207,9 +213,11 @@ class DAOPEngine(BaseEngine):
         requests stacked across a cohort — a predicting block's request
         also names the next block's gate, which the predictor reads —
         and gathers the routed expert executions across the cohort's
-        sequences (in a cohort of one, in slot order).  The predictive
-        pre-calculation round-trips stay per-sequence — they are policy-
-        internal work issued a block early, not routed executions.
+        sequences (in a cohort of one, in slot order).  A predicting
+        block with CPU-resident predictions yields a
+        :class:`~repro.core.batching.PrecalcWork` in between
+        (:meth:`_issue_precalc`), which the driver gathers across the
+        cohort's pre-calculating members the same way.
         """
         if not self.enable_precalc:
             return (yield from self._decode_blocks_standard(ctx, token, deps))
@@ -224,8 +232,8 @@ class DAOPEngine(BaseEngine):
                 (block_idx, block_idx + 1) if predicts else (block_idx,),
             )
             next_carry = (
-                self._issue_precalc(ctx, block_idx, h_att, logits[1],
-                                    attn_op)
+                (yield from self._issue_precalc(ctx, block_idx, h_att,
+                                                logits[1], attn_op))
                 if predicts else None
             )
             if carry is None:
@@ -293,9 +301,15 @@ class DAOPEngine(BaseEngine):
         """Predict block ``block_idx + 1`` and start its CPU experts early.
 
         ``pred_logits`` is block ``block_idx + 1``'s gate evaluated on
-        ``h_att`` (from the round's stacked gate call).  Returns the
-        carry consumed when the loop reaches the next block:
-        ``(executed_experts, predicted_logits, cpu_results)``.
+        ``h_att`` (from the round's stacked gate call).  Generator: the
+        predicted CPU-resident experts, fed the *current* block's
+        non-MoE hidden states (one block stale -- the paper's
+        approximation), are yielded as one
+        :class:`~repro.core.batching.PrecalcWork` (none when every
+        prediction is GPU-resident).  Returns the carry consumed when
+        the loop reaches the next block:
+        ``(executed_experts, predicted_logits, cpu_results)``.  Use via
+        ``yield from``.
         """
         prediction = self.predictor.from_logits(block_idx, pred_logits[0])
         pred_gate = ctx.timeline.add(
@@ -313,18 +327,18 @@ class DAOPEngine(BaseEngine):
             enabled=self.graceful_degradation,
         )
         ctx.counters.degraded_swaps += len(degradation.replaced)
+        calls = []
+        for expert in degradation.experts.tolist():
+            if not ctx.placement.is_on_gpu(block_idx + 1, expert):
+                calls.append(ExpertCall(expert=expert, location=CPU_LOC,
+                                        h_att=h_att, deps=(pred_gate,)))
         cpu_results: dict[int, tuple[np.ndarray, Op]] = {}
-        for expert in degradation.experts:
-            expert = int(expert)
-            if ctx.placement.is_on_gpu(block_idx + 1, expert):
-                continue
-            # Pre-calculate on the CPU from the *current* block's non-MoE
-            # hidden states (one block stale -- the paper's approximation).
-            y, h2d = self._expert_cpu(
-                ctx, block_idx + 1, expert, h_att, [pred_gate],
-                stale_input=True,
-            )
-            cpu_results[expert] = (y[0], h2d)
+        if calls:
+            results = yield PrecalcWork(block_idx=block_idx + 1,
+                                        calls=tuple(calls))
+            ctx.counters.stale_input_execs += len(calls)
+            for call, (y, h2d) in zip(calls, results):
+                cpu_results[call.expert] = (y[0], h2d)
         return degradation.experts, prediction.logits, cpu_results
 
     def _true_gated_work(self, ctx: SequenceState, block_idx: int,

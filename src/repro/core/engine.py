@@ -23,6 +23,7 @@ from repro.core.batching import (
     AttentionRequest,
     BlockWork,
     ExpertCall,
+    PrecalcWork,
     group_block_work,
 )
 from repro.events import (
@@ -619,9 +620,11 @@ class BaseEngine:
         generator (:meth:`_prefill_blocks` or :meth:`_decode_blocks`)
         runs block-locked.  Per block, the members'
         :class:`~repro.core.batching.AttentionRequest` items are
-        evaluated in one stacked call (:meth:`_attention_round`), then
-        their :class:`~repro.core.batching.BlockWork` items execute
-        through :meth:`_execute_block_work_gathered`, where
+        evaluated in one stacked call (:meth:`_attention_round`), the
+        :class:`~repro.core.batching.PrecalcWork` items of members that
+        pre-calculate run as one gathered CPU sub-round (:meth:`_advance`),
+        then every member's :class:`~repro.core.batching.BlockWork`
+        executes through :meth:`_execute_block_work_gathered`, where
         same-``(block, expert, device)`` calls of different sequences
         merge into one simulated kernel; the final LM head runs once
         over all last-token rows.  Functional values come from the
@@ -701,10 +704,11 @@ class BaseEngine:
         try:
             results: list = [None] * len(states)
             for _round in range(self.model.n_blocks):
-                requests = self._advance(gens, results, AttentionRequest,
-                                         phase)
+                requests = self._advance(states, gens, results,
+                                         AttentionRequest, phase)
                 replies = self._attention_round(states, requests)
-                works = self._advance(gens, replies, BlockWork, phase)
+                works = self._advance(states, gens, replies, BlockWork,
+                                      phase)
                 if prefill and gather_stats is not None:
                     gather_stats.attn_kernels += 1
                     gather_stats.attn_ops += len(states)
@@ -941,15 +945,24 @@ class BaseEngine:
     def _device_spec(self, resource: str):
         return self.platform.gpu if resource == GPU else self.platform.cpu
 
-    def _advance(self, gens: list, values: list, kind: type,
-                 phase: str) -> list:
+    def _advance(self, states: list, gens: list, values: list,
+                 kind: type, phase: str) -> list:
         """Send each generator its value; collect the next ``kind`` items.
+
+        Where a :class:`~repro.core.batching.BlockWork` is due, a member
+        may first yield a :class:`~repro.core.batching.PrecalcWork`.
+        The members that do run their pre-calculation as one gathered
+        sub-round (:meth:`_execute_block_work_gathered`: same-expert
+        calls share one CPU kernel), are sent the results, and their
+        next item takes the place of the ``PrecalcWork``.  A round in
+        which no member pre-calculates takes no extra pass.
 
         Raises:
             RuntimeError: for a generator that ends early or yields out
                 of the request/work order.
         """
         items = []
+        precalc = None
         for gen, value in zip(gens, values):
             try:
                 item = gen.send(value)
@@ -959,11 +972,25 @@ class BaseEngine:
                     "n_blocks request/work pairs"
                 ) from None
             if not isinstance(item, kind):
-                raise RuntimeError(
-                    f"{phase} pass of {self.name!r} yielded "
-                    f"{type(item).__name__} where {kind.__name__} was due"
-                )
+                if kind is not BlockWork or type(item) is not PrecalcWork:
+                    raise RuntimeError(
+                        f"{phase} pass of {self.name!r} yielded "
+                        f"{type(item).__name__} where {kind.__name__} "
+                        "was due"
+                    )
+                if precalc is None:
+                    precalc = []
+                precalc.append(len(items))
             items.append(item)
+        if precalc is not None:
+            results = self._execute_block_work_gathered(
+                [(states[i], items[i]) for i in precalc]
+            )
+            nexts = self._advance([states[i] for i in precalc],
+                                  [gens[i] for i in precalc], results, kind,
+                                  phase)
+            for i, item in zip(precalc, nexts):
+                items[i] = item
         return items
 
     def _attention_round(self, states: list, requests: list) -> list:
@@ -1074,48 +1101,6 @@ class BaseEngine:
         return ctx.timeline.add(
             GPU, duration, deps=deps, label=f"gate B{block_idx}", kind="gate",
         )
-
-    def _expert_cpu(self, ctx: SequenceState, block_idx: int,
-                    expert: int, x: np.ndarray, deps: list[Op],
-                    stale_input: bool = False,
-                    token_idx: np.ndarray | None = None) -> tuple[np.ndarray, Op]:
-        """Execute one expert on the CPU with activation round-trip.
-
-        The hidden states move device-to-host, the expert runs on the CPU,
-        and the result returns host-to-device; per the paper these
-        activation transfers are ~1/10000 the size of the expert weights.
-        ``token_idx`` optionally selects rows of ``x`` as in
-        :meth:`~repro.model.moe_block.MoEBlock.expert_forward`.  Returns
-        the output and the H2D op that lands it back on the GPU.  Routed
-        CPU executions run gathered (:meth:`_execute_block_work_gathered`);
-        this single-sequence form serves DAOP's pre-calculation.
-        """
-        n_tokens = x.shape[0] if token_idx is None else len(token_idx)
-        d2h = ctx.timeline.add(
-            D2H,
-            self.framework_overhead_s
-            + self.cost_model.activation_transfer_time(n_tokens),
-            deps=deps, label=f"act>cpu B{block_idx}", kind="act_d2h",
-        )
-        y = self.model.blocks[block_idx].expert_forward(
-            expert, x, token_idx=token_idx
-        )
-        exec_op = ctx.timeline.add(
-            CPU,
-            self.framework_overhead_s
-            + self.cost_model.expert_time(self.platform.cpu, n_tokens),
-            deps=[d2h], label=f"E{expert}@B{block_idx} cpu", kind="expert_cpu",
-        )
-        h2d = ctx.timeline.add(
-            H2D,
-            self.framework_overhead_s
-            + self.cost_model.activation_transfer_time(n_tokens),
-            deps=[exec_op], label=f"act>gpu B{block_idx}", kind="act_h2d",
-        )
-        ctx.counters.cpu_expert_execs += 1
-        if stale_input:
-            ctx.counters.stale_input_execs += 1
-        return y, h2d
 
     def _upload_expert(self, ctx: SequenceState, block_idx: int,
                        expert: int, deps: list[Op],
@@ -1305,6 +1290,11 @@ class BaseEngine:
                                      phase: str = SEQ_DECODE) -> list:
         """Execute one block round of a cohort, gathered across sequences.
 
+        The one expert-execution path: it runs the members' routed
+        :class:`~repro.core.batching.BlockWork` and, without
+        ``gather_stats``, DAOP's
+        :class:`~repro.core.batching.PrecalcWork` sub-rounds.
+
         Calls that target the same ``(block, expert, location)`` run as
         one simulated kernel charged the cost model's batched time over
         all participants' rows (weight bytes read once, one framework
@@ -1317,7 +1307,8 @@ class BaseEngine:
         never depend on the cohort.
 
         Args:
-            works: ``(state, BlockWork)`` per sequence, admission order.
+            works: ``(state, BlockWork)`` (or ``PrecalcWork``) per
+                sequence, admission order.
             gather_stats: optional
                 :class:`~repro.core.batching.GatherStats` accumulator.
             phase: which phase's stats bucket the kernels land in

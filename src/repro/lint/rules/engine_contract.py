@@ -8,8 +8,9 @@ same cost model, timeline semantics, and trace instrumentation as DAOP
    (Algorithm 1, SS IV-B) -- the data-aware allocation *is* the
    contribution under test, so baselines must not call it;
 2. a baseline overriding the shared substrate primitives (``generate``,
-   ``_expert_cpu``, ``_upload_expert``, ...) instead of the policy hooks,
-   which would let it charge different costs for the same op;
+   ``_upload_expert``, ``_execute_block_work_gathered``, ...) instead of
+   the policy hooks, which would let it charge different costs for the
+   same op;
 3. any engine-layer code reaching into ``_``-private attributes of the
    Timeline / CostModel / ExpertPlacement objects, bypassing the public
    accounting API;
@@ -56,13 +57,14 @@ _MIGRATION_NAMES = frozenset({
 #: they are the *policy* hooks of the block-work protocol (engines
 #: describe routed expert work there), while the one step body that
 #: executes the described work (``_step_cohort``, its entries ``step``,
-#: ``step_batch``, ``step_prefill_batch``, and its stacked attention
-#: round ``_advance``/``_attention_round``) is substrate.
+#: ``step_batch``, ``step_prefill_batch``, its stacked attention round
+#: ``_advance``/``_attention_round``, which also drives the gathered
+#: pre-calculation sub-round) is substrate.
 _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
     "_step_cohort", "_advance", "_attention_round", "finish",
     "checkpoint_sequence", "restore_sequence",
-    "_attention", "_gate", "_expert_cpu", "_upload_expert",
+    "_attention", "_gate", "_upload_expert",
     "_drop_expert", "_lm_head_batch", "_record_activation_counters",
     "_prefill_blocks_standard", "_decode_blocks_standard",
     "_routed_block_work", "_execute_block_work_gathered",

@@ -12,6 +12,7 @@ from repro.core.batching import (
     BlockWork,
     ExpertCall,
     GatherStats,
+    PrecalcWork,
     group_block_work,
 )
 from repro.core.engine import SequenceRequest
@@ -254,3 +255,120 @@ def test_step_prefill_batch_cohort_counts_and_token_parity(
     # Totals accrue to the same ledger, so the decode share stays zero.
     assert stats.decode_expert_ops == 0
     assert stats.lm_head_ops == stats.prefill_lm_head_ops
+
+
+# ---- gathered pre-calculation ------------------------------------------------
+
+
+def _decode_cohort(engine, bundle, seeds, monkeypatch):
+    """Prefill ``seeds``' prompts on one clock, then gather one decode step.
+
+    Returns the states and every pre-calculation sub-round the step ran,
+    as ``(works, results)`` pairs of ``_execute_block_work_gathered``.
+    """
+    rounds = []
+    execute = engine._execute_block_work_gathered
+
+    def spy(works, gather_stats=None, phase="decode"):
+        results = execute(works, gather_stats, phase)
+        if isinstance(works[0][1], PrecalcWork):
+            rounds.append((works, results))
+        return results
+
+    clock = ResourceClock()
+    states = []
+    for seed in seeds:
+        state = engine.start(
+            SequenceRequest(prompt_tokens=_prompt(bundle, seed),
+                            max_new_tokens=4, seq_id=seed),
+            timeline=Timeline(clock=clock),
+        )
+        engine.step(state)
+        states.append(state)
+    monkeypatch.setattr(engine, "_execute_block_work_gathered", spy)
+    engine.step_batch(states)
+    return states, rounds
+
+
+def _solo_decode(engine, bundle, seed):
+    """The same prompt's prefill and first decode step, alone."""
+    state = engine.start(SequenceRequest(
+        prompt_tokens=_prompt(bundle, seed), max_new_tokens=4, seq_id=seed,
+    ))
+    engine.step(state)
+    engine.step(state)
+    return state
+
+
+def _op_names(state):
+    return sorted((op.label, op.kind) for op in state.timeline.ops)
+
+
+def test_shared_precalc_expert_runs_as_one_cpu_kernel(
+        daop, tiny_bundle, platform, monkeypatch):
+    """Two members pre-calculating one (block, expert) share its kernel."""
+    states, rounds = _decode_cohort(daop, tiny_bundle, (2, 3), monkeypatch)
+    shared = [
+        (works, results) for works, results in rounds
+        if len(works) == 2
+        and works[0][1].block_idx == works[1][1].block_idx
+        and works[0][1].calls[0].expert == works[1][1].calls[0].expert
+    ]
+    assert shared, "seeds 2 and 3 no longer share a pre-calculation"
+    overhead = daop.framework_overhead_s
+    for works, results in shared:
+        h2ds = [result[0][1] for result in results]
+        cpus = [state.timeline.ops[h2d.dep_indices[0]]
+                for state, h2d in zip(states, h2ds)]
+        d2hs = [state.timeline.ops[cpu.dep_indices[0]]
+                for state, cpu in zip(states, cpus)]
+        pred_gates = [state.timeline.ops[d2h.dep_indices[0]]
+                      for state, d2h in zip(states, d2hs)]
+        assert [op.kind for op in cpus] == ["expert_cpu"] * 2
+        assert all(op.label.startswith("pred-gate") for op in pred_gates)
+        assert sum(op.duration for op in cpus) == pytest.approx(
+            overhead + daop.cost_model.expert_time(platform.cpu, 2),
+            rel=1e-12,
+        )
+        # One kernel: the first slice waits for the later pred-gate, and
+        # the second slice follows it directly on each lane.
+        assert pred_gates[0].end < pred_gates[1].end <= d2hs[0].start
+        for first, second in (d2hs, cpus, h2ds):
+            assert second.start == first.end
+
+    for state in states:
+        solo = _solo_decode(daop, tiny_bundle, state.seq_id)
+        assert state.generated == solo.generated
+        assert state.counters.cpu_expert_execs == \
+            solo.counters.cpu_expert_execs
+        assert state.counters.stale_input_execs == \
+            solo.counters.stale_input_execs > 0
+
+
+def test_member_without_precalc_keeps_the_cohort_block_locked(
+        daop, tiny_bundle, monkeypatch):
+    """A round where one member pre-calculates and the other does not
+    still advances both a block at a time (the stacked attention round
+    raises on a lost lock), and each records its solo run's ops."""
+    states, rounds = _decode_cohort(daop, tiny_bundle, (0, 1), monkeypatch)
+    assert any(len(works) == 1 for works, _ in rounds)
+    for state in states:
+        solo = _solo_decode(daop, tiny_bundle, state.seq_id)
+        assert state.generated == solo.generated
+        assert _op_names(state) == _op_names(solo)
+
+
+def test_precalc_values_equal_solo_expert_forward(
+        daop, tiny_bundle, monkeypatch):
+    """Each member's pre-calculated output is its solo ``expert_forward``
+    on the stale input, byte for byte, gathered or not."""
+    _, rounds = _decode_cohort(daop, tiny_bundle, (2, 3), monkeypatch)
+    assert any(len(works) == 2 for works, _ in rounds)
+    blocks = tiny_bundle.model.blocks
+    for works, results in rounds:
+        for (_, work), result in zip(works, results):
+            for call, (y, _) in zip(work.calls, result):
+                solo = blocks[work.block_idx].expert_forward(
+                    call.expert, call.h_att
+                )
+                assert y.tobytes() == solo.tobytes()

@@ -167,7 +167,7 @@ def test_baseline_may_not_override_substrate_primitives():
         class Sneaky(BaseEngine):
             """Doc."""
 
-            def _expert_cpu(self, ctx, block_idx, expert, x, deps):
+            def _upload_expert(self, ctx, block_idx, expert, deps):
                 """Doc."""
                 return None
 
