@@ -97,9 +97,7 @@ class MixtralOffloadingEngine(BaseEngine):
                 label=f"up E{expert}@B{block_idx}",
                 kind="expert_upload",
             )
-            from repro.hardware.device import DeviceKind
-            ctx.placement.set_device(block_idx, expert, DeviceKind.GPU)
-            ctx.counters.expert_uploads += 1
+            self._admit_expert(ctx, block_idx, expert)
             dequant = ctx.timeline.add(
                 GPU,
                 self.cost_model.dequant_time(

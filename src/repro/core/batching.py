@@ -9,14 +9,15 @@ generator yields an :class:`AttentionRequest` (the block's attention
 input and the gates that read its output), optionally a
 :class:`PrecalcWork` (DAOP's stale-input CPU pre-calculation of the
 next block's predicted experts), then a :class:`BlockWork` (its routed
-expert executions).  One step body,
+expert executions, and the swap uploads they wait on).  One step body,
 :meth:`~repro.core.engine.BaseEngine._step_cohort`, runs a same-phase
 cohort of sequences block-locked: every member's attention and gate
 rows of a round are evaluated as stacked calls, and expert calls from
 *different sequences* that target the same ``(block, expert, device)``
 — routed or pre-calculated — are grouped into one simulated kernel
 whose cost follows the hardware batch-efficiency curves
-(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`).  Each
+(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`), and
+members uploading the same ``(block, expert)`` share one transfer.  Each
 participant's functional values are evaluated through the cache-aware
 stacked stage API (:meth:`~repro.model.moe_block.MoEBlock.
 attention_rows`, :meth:`~repro.model.moe_block.MoEBlock.
@@ -134,10 +135,18 @@ class BlockWork:
     aligned with ``calls``.  ``calls`` may be empty (every selected
     expert was pre-calculated) — the yield still happens so all
     sequences advance block-locked.
+
+    ``uploads`` names experts whose weights the driver lands on the
+    device before ``calls`` run (DAOP's Algorithm 1 swaps), in policy
+    order, each transfer waiting on ``upload_deps``.  Members uploading
+    the same ``(block, expert)`` in one round share one transfer, and
+    the call of an uploaded expert waits for its member's share.
     """
 
     block_idx: int
     calls: tuple[ExpertCall, ...]
+    uploads: tuple[int, ...] = ()
+    upload_deps: tuple[Op, ...] = ()
 
 
 @dataclass
@@ -301,4 +310,24 @@ def group_block_work(works: list) -> dict:
         for j, call in enumerate(work.calls):
             key = (work.block_idx, call.expert, call.location)
             groups.setdefault(key, []).append((i, j))
+    return groups
+
+
+def group_uploads(works: list) -> dict:
+    """Group requested uploads across sequences by ``(block, expert)``.
+
+    Args:
+        works: list of ``BlockWork`` (or ``PrecalcWork``, which uploads
+            nothing) items, one per sequence, in admission order.
+
+    Returns:
+        Mapping from ``(block_idx, expert)`` to the indices of the works
+        asking for that upload, insertion-ordered by sequence then
+        upload (first-request order, as :func:`group_block_work`).
+    """
+    groups: dict = {}
+    for i, work in enumerate(works):
+        if isinstance(work, BlockWork):
+            for expert in work.uploads:
+                groups.setdefault((work.block_idx, expert), []).append(i)
     return groups

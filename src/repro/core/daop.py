@@ -190,16 +190,16 @@ class DAOPEngine(BaseEngine):
         plans = plan_block_swaps(
             block_idx, activity, ctx.placement, self.swap_threshold
         )
-        extra: dict[int, list[Op]] = {}
+        uploads = []
         for plan in plans:
             # Read-only inference weights: the outgoing expert's host copy
             # is valid, so the swap costs one H2D upload that overlaps with
-            # the ongoing prefill compute.
+            # the ongoing prefill compute.  The cohort driver lands it,
+            # shared with every member swapping the same expert in.
             self._drop_expert(ctx, block_idx, plan.cold_expert)
-            up = self._upload_expert(ctx, block_idx, plan.hot_expert, deps)
-            extra[plan.hot_expert] = [up]
+            uploads.append(plan.hot_expert)
             ctx.counters.prefill_swaps += 1
-        return BlockPlan(extra_deps=extra)
+        return BlockPlan(uploads=tuple(uploads))
 
     # ---- decode: predictive pre-calculation ---------------------------------------
 

@@ -25,6 +25,7 @@ from repro.core.batching import (
     ExpertCall,
     PrecalcWork,
     group_block_work,
+    group_uploads,
 )
 from repro.events import (
     ENGINE_STEP,
@@ -285,10 +286,17 @@ class BlockPlan:
         force_gpu: experts that must execute on the GPU regardless of
             the placement map (streamed through scratch buffers that the
             placement bookkeeping has already released).
+        uploads: experts whose weights must land on the device before
+            this block's calls, in the order the policy asked for them.
+            The cohort driver lands them (:meth:`BaseEngine.
+            _land_uploads`): members uploading the same ``(block,
+            expert)`` in one round share one transfer, and the expert
+            turns GPU-resident then.
     """
 
     extra_deps: dict[int, list[Op]] = field(default_factory=dict)
     force_gpu: set[int] | None = None
+    uploads: tuple[int, ...] = ()
 
 
 @dataclass
@@ -1112,9 +1120,19 @@ class BaseEngine:
             + self.cost_model.expert_transfer_time(quant_ratio),
             deps=deps, label=f"up E{expert}@B{block_idx}", kind="expert_upload",
         )
+        self._admit_expert(ctx, block_idx, expert)
+        return op
+
+    def _admit_expert(self, ctx: SequenceState, block_idx: int,
+                      expert: int) -> None:
+        """Residency half of an upload: mark the expert GPU-resident.
+
+        Every upload admits through here: inline
+        (:meth:`_upload_expert`, or a baseline's own transfer op) or
+        landed by the cohort driver (:meth:`_land_uploads`).
+        """
         ctx.placement.set_device(block_idx, expert, DeviceKind.GPU)
         ctx.counters.expert_uploads += 1
-        return op
 
     def _drop_expert(self, ctx: SequenceState, block_idx: int,
                      expert: int) -> None:
@@ -1143,7 +1161,8 @@ class BaseEngine:
         """Hook: arrange residency for a prefill block's activated experts.
 
         Returns a :class:`BlockPlan` carrying per-expert extra
-        dependencies (e.g. upload ops) and any forced-GPU executions.
+        dependencies (e.g. upload ops), any forced-GPU executions and
+        the uploads the cohort driver lands before the block's calls.
         """
         return BlockPlan()
 
@@ -1191,12 +1210,13 @@ class BaseEngine:
                 ctx, block_idx, np.unique(routing.experts), activity,
                 [gate_op],
             )
-            for experts in selected:
-                self._record_activation_counters(ctx, block_idx, experts)
             h, expert_ops = yield from self._routed_block_work(
                 ctx, block_idx, h_att, routing.experts, routing.weights,
-                [gate_op], plan.extra_deps, plan.force_gpu,
+                [gate_op], plan.extra_deps, plan.force_gpu, plan.uploads,
             )
+            # After the round: the plan's uploads are resident by now.
+            for experts in selected:
+                self._record_activation_counters(ctx, block_idx, experts)
             last_ops = expert_ops
         ctx.position += n_tokens
         done = ctx.timeline.add(
@@ -1214,14 +1234,17 @@ class BaseEngine:
         deps: list[Op],
         extra_deps: dict[int, list[Op]] | None = None,
         force_gpu: set[int] | None = None,
+        uploads: tuple[int, ...] = (),
     ):
         """Describe one block's routed expert executions, then combine.
 
         A generator: yields one :class:`~repro.core.batching.BlockWork`
         describing each activated expert's execution (ascending expert
-        order, each with its dependencies and location), receives
-        the driver's ``(output, op)`` results back, and returns the
-        combined block output plus the expert ops.  Use as
+        order, each with its dependencies and location) and the
+        ``uploads`` to land first (waiting on ``deps``; their experts
+        execute on the GPU), receives the driver's ``(output, op)``
+        results back, and returns the combined block output plus the
+        expert ops.  Use as
         ``h, ops = yield from self._routed_block_work(...)``.
         """
         extra_deps = extra_deps or {}
@@ -1231,7 +1254,7 @@ class BaseEngine:
         groups = group_by_expert(experts_per_token.tolist())
         calls: list[ExpertCall] = []
         for expert, (token_idx, _) in groups.items():
-            on_gpu = (expert in force_gpu
+            on_gpu = (expert in force_gpu or expert in uploads
                       or ctx.placement.is_on_gpu(block_idx, expert))
             calls.append(ExpertCall(
                 expert=expert,
@@ -1240,7 +1263,10 @@ class BaseEngine:
                 deps=tuple(deps + extra_deps.get(expert, [])),
                 token_idx=token_idx,
             ))
-        results = yield BlockWork(block_idx=block_idx, calls=tuple(calls))
+        results = yield BlockWork(
+            block_idx=block_idx, calls=tuple(calls), uploads=tuple(uploads),
+            upload_deps=tuple(deps),
+        )
         outs = np.zeros(
             (n_tokens, top_k, h_att.shape[1]), dtype=np.float32
         )
@@ -1295,9 +1321,11 @@ class BaseEngine:
         ``gather_stats``, DAOP's
         :class:`~repro.core.batching.PrecalcWork` sub-rounds.
 
-        Calls that target the same ``(block, expert, location)`` run as
-        one simulated kernel charged the cost model's batched time over
-        all participants' rows (weight bytes read once, one framework
+        The round's requested uploads land first (:meth:`_land_uploads`),
+        and each call of an uploaded expert waits for its member's share
+        of the transfer.  Calls that target the same ``(block, expert,
+        location)`` run as one simulated kernel charged the cost model's
+        batched time over all participants' rows (weight bytes read once, one framework
         overhead), sliced into per-sequence ops.  A CPU group's three
         stages (activations device-to-host, CPU execution, result
         host-to-device) each run as one such kernel.  Functional values
@@ -1326,6 +1354,7 @@ class BaseEngine:
         overhead = self.framework_overhead_s
         cost = self.cost_model
         results = [[None] * len(work.calls) for _, work in works]
+        landed = self._land_uploads(works)
         groups = group_block_work([work for _, work in works])
         for (block_idx, expert, location), participants in groups.items():
             states, segments, deps = [], [], []
@@ -1334,7 +1363,7 @@ class BaseEngine:
                 call = work.calls[j]
                 states.append(state)
                 segments.append((call.h_att, call.token_idx))
-                deps.append(call.deps)
+                deps.append(call.deps + landed.get((i, expert), ()))
             ys = self.model.blocks[block_idx].expert_forward_rows(
                 expert, segments
             )
@@ -1374,6 +1403,39 @@ class BaseEngine:
                     gather_stats.prefill_expert_kernels += 1
                     gather_stats.prefill_expert_ops += len(participants)
         return results
+
+    def _land_uploads(self, works: list) -> dict:
+        """Land a round's requested uploads, one transfer per expert.
+
+        Members whose :class:`~repro.core.batching.BlockWork` asks for
+        the same ``(block, expert)`` share one host-to-device transfer
+        of the expert's weights (:meth:`_add_slices`, equal shares), so
+        a cohort uploads each swapped-in expert once; each member then
+        admits the expert into its own residency
+        (:meth:`_admit_expert`).  Transfers run in first-request order
+        (:func:`~repro.core.batching.group_uploads`): a cohort of one
+        records its uploads exactly as an inline :meth:`_upload_expert`
+        in policy order would.
+
+        Returns:
+            ``{(member index, expert): (slice op,)}`` for the member's
+            call of that expert to wait on.
+        """
+        landed: dict = {}
+        transfer = (self.framework_overhead_s
+                    + self.cost_model.expert_transfer_time())
+        for (block_idx, expert), members in group_uploads(
+                [work for _, work in works]).items():
+            states = [works[i][0] for i in members]
+            ops = self._add_slices(
+                H2D, states, [1] * len(members), transfer,
+                [works[i][1].upload_deps for i in members],
+                f"up E{expert}@B{block_idx}", "expert_upload",
+            )
+            for i, state, op in zip(members, states, ops):
+                self._admit_expert(state, block_idx, expert)
+                landed[i, expert] = op
+        return landed
 
     @staticmethod
     def _add_slices(resource: str, states: list, counts: list,

@@ -120,7 +120,7 @@ class EngineContractGuard:
         if self._originals:
             return self
         self._wrap("generate", self._guarded_generate)
-        self._wrap("_upload_expert", self._guarded_upload)
+        self._wrap("_admit_expert", self._guarded_admit)
         return self
 
     def detach(self) -> None:
@@ -161,8 +161,10 @@ class EngineContractGuard:
             self._check_slot_budget(result.placement)
         return result
 
-    def _guarded_upload(self, original, ctx, *args, **kwargs):
-        # The uploading sequence's state carries its own phase and
+    def _guarded_admit(self, original, ctx, *args, **kwargs):
+        # Every upload admits through _admit_expert: inline uploads and
+        # the ones the cohort driver lands for Algorithm 1 swaps.  The
+        # uploading sequence's state carries its own phase and
         # placement, which stay correct when a scheduler batches several
         # sequences (one may be in decode while another is still
         # prefilling, and each holds its own residency).
@@ -172,10 +174,9 @@ class EngineContractGuard:
                 "decode, but migration is restricted to prefill "
                 "(SS IV-B, decode_realloc_interval is None)"
             )
-        op = original(ctx, *args, **kwargs)
+        original(ctx, *args, **kwargs)
         if self.slot_budget:
             self._check_slot_budget(ctx.placement)
-        return op
 
     def _check_slot_budget(self, placement) -> None:
         validate_slot_budget(

@@ -45,12 +45,10 @@ import ast
 from repro.lint.registry import LintContext, Rule, dotted_name, register
 
 #: Modules that implement DAOP's data-aware migration machinery.
-_MIGRATION_MODULES = ("repro.core.allocation", "repro.memory.migration")
+_MIGRATION_MODULES = ("repro.core.allocation",)
 
 #: Names from those modules that baselines must never touch.
-_MIGRATION_NAMES = frozenset({
-    "plan_block_swaps", "SwapPlan", "MigrationEngine", "MigrationRecord",
-})
+_MIGRATION_NAMES = frozenset({"plan_block_swaps", "SwapPlan"})
 
 #: BaseEngine substrate primitives baselines may use but never redefine.
 #: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
@@ -64,11 +62,11 @@ _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
     "_step_cohort", "_advance", "_attention_round", "finish",
     "checkpoint_sequence", "restore_sequence",
-    "_attention", "_gate", "_upload_expert",
+    "_attention", "_gate", "_upload_expert", "_admit_expert",
     "_drop_expert", "_lm_head_batch", "_record_activation_counters",
     "_prefill_blocks_standard", "_decode_blocks_standard",
     "_routed_block_work", "_execute_block_work_gathered",
-    "_add_slices", "_device_spec",
+    "_land_uploads", "_add_slices", "_device_spec",
 })
 
 #: The checkpoint policy-hook pair every engine implements together.

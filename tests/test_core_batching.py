@@ -1,4 +1,4 @@
-"""The decode block-work protocol and gathered-batch validation."""
+"""The block-work protocol and gathered-batch validation."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ from repro.core.batching import (
     PrecalcWork,
     group_block_work,
 )
+from repro.audit.parity import value_differences
 from repro.core.engine import SequenceRequest
 from repro.hardware.timeline import ResourceClock, Timeline
 
@@ -372,3 +373,91 @@ def test_precalc_values_equal_solo_expert_forward(
                     call.expert, call.h_att
                 )
                 assert y.tobytes() == solo.tobytes()
+
+
+# ---- gathered swap uploads ---------------------------------------------------
+
+
+def _prefill_cohort(engine, bundle, seeds, monkeypatch, max_new_tokens=2):
+    """Prefill ``seeds``' prompts as one gathered cohort on one clock.
+
+    Returns the states and every upload transfer the cohort landed, as
+    ``(label, slice ops)`` pairs: one entry per physical transfer, one
+    slice per member sharing it.
+    """
+    transfers = []
+    add_slices = engine._add_slices
+
+    def spy(resource, states, counts, total, deps, label, kind):
+        ops = add_slices(resource, states, counts, total, deps, label, kind)
+        if kind == "expert_upload":
+            transfers.append((label, [op for op, in ops]))
+        return ops
+
+    monkeypatch.setattr(engine, "_add_slices", spy)
+    clock = ResourceClock()
+    states = [
+        engine.start(
+            SequenceRequest(prompt_tokens=_prompt(bundle, seed),
+                            max_new_tokens=max_new_tokens, seq_id=seed),
+            timeline=Timeline(clock=clock),
+        )
+        for seed in seeds
+    ]
+    engine.step_prefill_batch(states)
+    return states, transfers
+
+
+def test_shared_swap_lands_as_one_transfer(daop, tiny_bundle, monkeypatch):
+    """Two members swapping one (block, expert) in share its upload."""
+    states, transfers = _prefill_cohort(daop, tiny_bundle, (0, 1),
+                                        monkeypatch)
+    shared = [(label, ops) for label, ops in transfers if len(ops) == 2]
+    assert shared, "seeds 0 and 1 no longer swap one expert in together"
+    # One transfer per shared (block, expert), one per lone swap.
+    assert len(transfers) + len(shared) == sum(
+        state.counters.expert_uploads for state in states
+    )
+    transfer = (daop.framework_overhead_s
+                + daop.cost_model.expert_transfer_time())
+    for label, slices in shared:
+        assert [op.label for op in slices] == [label] * 2
+        assert sum(op.duration for op in slices) == pytest.approx(
+            transfer, rel=1e-12
+        )
+        assert slices[1].start == slices[0].end
+        kernels = [
+            next(op for op in state.timeline.ops
+                 if op.label == f"{label[3:]} gpu")
+            for state in states
+        ]
+        # The shared kernel waits for the whole transfer.
+        for kernel in kernels:
+            assert kernel.start >= slices[1].end
+
+
+def test_lone_swap_keeps_a_full_transfer(daop, tiny_bundle, monkeypatch):
+    """A swap only one member makes pays the whole upload."""
+    _, transfers = _prefill_cohort(daop, tiny_bundle, (0, 1), monkeypatch)
+    lone = [ops[0] for _, ops in transfers if len(ops) == 1]
+    assert lone, "seeds 0 and 1 no longer swap an expert in alone"
+    transfer = (daop.framework_overhead_s
+                + daop.cost_model.expert_transfer_time())
+    assert all(op.duration == transfer for op in lone)
+
+
+def test_gathered_swaps_keep_solo_values(daop, tiny_bundle, platform,
+                                         monkeypatch, audit_result):
+    """Sharing uploads changes the schedule, never a member's values."""
+    states, _ = _prefill_cohort(daop, tiny_bundle, (0, 1), monkeypatch,
+                                max_new_tokens=4)
+    while not all(state.done for state in states):
+        daop.step_batch([state for state in states if not state.done])
+    for state in states:
+        result = daop.finish(state)
+        solo = daop.generate(_prompt(tiny_bundle, state.seq_id), 4)
+        assert value_differences(solo, result) == []
+        counters = result.stats.counters
+        assert counters.prefill_swaps == solo.stats.counters.prefill_swaps > 0
+        assert counters.expert_uploads == solo.stats.counters.expert_uploads
+        audit_result(daop, result, platform=platform)

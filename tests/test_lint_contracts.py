@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_engine
+from repro.core.batching import BlockWork
 from repro.core.calibration import calibrate_activation_probs
 from repro.core.engine import SequenceRequest
 from repro.hardware.timeline import GPU, ResourceClock, Timeline
@@ -116,7 +117,47 @@ def test_daop_generation_conserves_slot_budget(
         engine.initial_placement.gpu_count()
 
 
+def test_swap_landed_by_the_upload_stage_is_budget_checked(
+        tiny_bundle, platform, tiny_calibration, sequence,
+        engine_contracts, monkeypatch):
+    """Algorithm 1 swaps land through the cohort driver's upload stage,
+    not ``_upload_expert``; a swap that skips its swap-out must trip the
+    slot budget at the admission itself (``step`` is not wrapped)."""
+    engine = build("daop", tiny_bundle, platform, tiny_calibration)
+    engine_contracts(engine)
+    monkeypatch.setattr(engine, "_drop_expert",
+                        lambda ctx, block_idx, expert: None)
+    state = engine.start(SequenceRequest(
+        prompt_tokens=sequence.prompt_tokens, max_new_tokens=DECODE_LEN,
+    ))
+    with pytest.raises(ContractViolation, match="slot budget"):
+        engine.step(state)
+    assert state.counters.prefill_swaps > 0
+
+
 # ---- prefill-only migration ----------------------------------------------------
+
+
+def test_decode_admission_by_the_upload_stage_trips_contract(
+        tiny_bundle, platform, tiny_calibration, sequence,
+        engine_contracts):
+    """An upload the cohort driver lands during decode is a migration
+    too: the prefill-only contract trips at its admission."""
+    engine = build("daop", tiny_bundle, platform, tiny_calibration)
+    engine_contracts(engine, slot_budget=False)
+    state = engine.start(SequenceRequest(
+        prompt_tokens=sequence.prompt_tokens, max_new_tokens=DECODE_LEN,
+    ))
+    engine.step(state)
+    assert state.phase == "decode"
+    block, expert = next(
+        (b, e) for b in range(tiny_bundle.arch.n_blocks)
+        for e in range(tiny_bundle.arch.n_experts)
+        if not state.placement.is_on_gpu(b, e)
+    )
+    work = BlockWork(block_idx=block, calls=(), uploads=(expert,))
+    with pytest.raises(ContractViolation, match="prefill"):
+        engine._execute_block_work_gathered([(state, work)])
 
 
 def test_paper_daop_never_migrates_during_decode(
