@@ -343,9 +343,8 @@ def _check_gathered(comparison: Comparison, engine, label: str,
                     prompts: list, solo_refs: list, max_new_tokens: int,
                     audit_invariants: bool):
     """Run ``prompts`` through a gathered scheduler and assert each
-    sequence's values equal its solo run.
-
-    Returns the batch's :class:`~repro.core.batching.GatherStats`.
+    sequence's values equal its solo run, and that every prompt
+    prefilled in one gathered cohort.
     """
     batch = ContinuousBatchScheduler(engine, max_batch=len(prompts)).run([
         SequenceRequest(prompt_tokens=p, max_new_tokens=max_new_tokens,
@@ -357,7 +356,17 @@ def _check_gathered(comparison: Comparison, engine, label: str,
         comparison.check(f"{label} seq{i}", solo, record.result,
                          differences=value_differences,
                          engine=engine if audit_invariants else None)
-    return batch.gather
+    gather = batch.gather
+    if gather.prefill_lm_head_kernels != 1:
+        comparison.problems.append(
+            f"{label}: prompts prefilled in "
+            f"{gather.prefill_lm_head_kernels} cohorts, not one"
+        )
+    elif not gather.prefill_expert_kernels < gather.prefill_expert_ops:
+        comparison.problems.append(
+            f"{label}: prefill expert calls were not amortized across "
+            "the cohort"
+        )
 
 
 def run_step_parity_audit(
@@ -391,17 +400,18 @@ def run_step_parity_audit(
     events, counters and final placement — the ``step_batch`` contract
     is that only the simulated schedule may change), with each batched
     result passing the invariant audit on its rebased timeline.  The
-    four prompts share one length, so the scheduler's prompt-length
-    bucketing forms a prefill cohort and the same parity check covers
-    gathered *prefill* too; the audit additionally asserts that prefill
-    kernels really were gathered, so this coverage cannot silently
-    degrade to solo prefill.
+    scheduler prefills all four prompts as one cohort, so the same
+    parity check covers gathered *prefill* too; the audit additionally
+    asserts one prefill cohort (one LM-head kernel) whose expert calls
+    were gathered, so this coverage cannot silently degrade to split or
+    solo prefill.
     A fifth path repeats the check with four prompts of mixed lengths
-    (``gathered-mixed@4``): prefill cohorts then stack members of
-    unequal row counts, and decode cohorts attend over unequal context
-    lengths, which runs the per-member attention core.  It runs with any
-    compute cache detached, so the stacked computation itself is
-    compared with the solo runs.
+    (``gathered-mixed@4``), under the same one-cohort assertion: the
+    prefill cohort then stacks members of unequal row counts, and
+    decode cohorts attend over unequal context lengths, which runs the
+    per-member attention core.  It runs with any compute cache
+    detached, so the stacked computation itself is compared with the
+    solo runs.
 
     An optional shared ``compute_cache`` is attached for the whole run —
     the paths then also exercise the memoization layer under the step
@@ -456,21 +466,10 @@ def run_step_parity_audit(
                 solo_refs = [reference] + [
                     engine.generate(p, max_new_tokens) for p in prompts[1:]
                 ]
-                gather = _check_gathered(
+                _check_gathered(
                     comparison, engine, "gathered@4", prompts, solo_refs,
                     max_new_tokens, audit_invariants,
                 )
-                if gather.prefill_expert_kernels == 0:
-                    comparison.problems.append(
-                        "gathered@4: prefill kernels were not gathered "
-                        "(bucketing did not form a cohort)"
-                    )
-                elif not (gather.prefill_expert_kernels
-                          < gather.prefill_expert_ops):
-                    comparison.problems.append(
-                        "gathered@4: prefill expert calls were not "
-                        "amortized across the cohort"
-                    )
                 solo_mixed = [engine.generate(p, max_new_tokens)
                               for p in mixed]
                 # Detached, so the gathered run computes (a cache would

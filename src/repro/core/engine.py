@@ -612,11 +612,12 @@ class BaseEngine:
     def step_prefill_batch(self, states: list, gather_stats=None) -> list:
         """Advance several prefill-phase sequences one full pass, gathered.
 
-        The prefill cohort entry of :meth:`_step_cohort`: a
-        prompt-length cohort's passes run block-locked, same-expert
-        calls merge into one kernel, and attention and gate ops are
-        priced as shares of one batched launch.  Arguments, return value
-        and errors mirror :meth:`step_batch`, for prefill-phase states.
+        The prefill cohort entry of :meth:`_step_cohort`: the members'
+        passes, whatever their prompt lengths, run block-locked,
+        same-expert calls merge into one kernel, and attention and gate
+        ops are priced as shares of one batched launch.  Arguments,
+        return value and errors mirror :meth:`step_batch`, for
+        prefill-phase states.
         """
         return self._step_cohort(states, gather_stats, SEQ_PREFILL)
 
@@ -1186,8 +1187,8 @@ class BaseEngine:
 
         Per block: attend -> gate -> prepare -> describe the routed
         expert executions.  Yields exactly ``n_blocks`` request/work
-        pairs and returns ``(h_last, done_op)``; a prompt-length
-        cohort's same-expert calls merge into shared kernels.
+        pairs and returns ``(h_last, done_op)``; a prefill cohort's
+        same-expert calls merge into shared kernels.
         """
         from repro.core.allocation import activity_from_routing
 

@@ -143,10 +143,12 @@ class CostModel:
         """Batch-efficiency curve of a block's attention projections.
 
         Prices the weight-bound part of :meth:`non_moe_time` (the QKV/O
-        projections); the per-sequence score/value work against the KV
-        cache scales with each sequence's own context and never
-        amortizes, so gathered prefill pricing applies this curve to the
-        whole attention op as a conservative lower bound on the gain.
+        projections).  Gathered prefill pricing applies this curve to
+        the whole attention op, although the per-sequence score/value
+        work against the KV cache scales with each sequence's own
+        context and never amortizes; it therefore slightly overstates
+        the gain (docs/batching.md, "Full-pass batch pricing", records
+        the size).
         """
         return self.batch_efficiency(
             device, self.arch.attention_params, n_tokens, overhead_s

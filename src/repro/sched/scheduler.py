@@ -17,12 +17,11 @@ Scheduling discipline (deterministic by construction):
   later than the GPU lane's availability (all sequence work enters
   through a GPU attention op, so the GPU lane is the admission clock);
   when the batch is empty the clock fast-forwards to the next arrival.
-- Stepping runs in cohorts: each round, the prefill-phase sequences of
-  each prompt-length bucket (:mod:`repro.core.bucketing`) advance one
-  whole pass together, then every decode-phase sequence advances one
-  token together, each cohort through one gathered engine step (a
-  singleton bucket is a cohort of one).  Then finished sequences retire
-  and new ones are admitted.
+- Stepping runs in cohorts: each round, every prefill-phase sequence
+  advances one whole pass together, whatever its prompt length, then
+  every decode-phase sequence advances one token together, each cohort
+  through one gathered engine step (a lone sequence is a cohort of
+  one).  Then finished sequences retire and new ones are admitted.
 - When the batch drains completely, every lane synchronizes to the last
   finish before new work starts -- so at ``max_batch=1`` the schedule
   degenerates to the sequential FIFO service of
@@ -47,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.batching import GatherStats
-from repro.core.bucketing import bucket_prompt_lengths
 from repro.core.engine import (
     SEQ_PREFILL,
     BaseEngine,
@@ -469,24 +467,19 @@ class ContinuousBatchScheduler:
     def _step_round(self, active: list, report: BatchReport) -> None:
         """Advance every resident sequence one unit of work, in cohorts.
 
-        Prefill-phase sequences group into prompt-length buckets, each
-        advancing through one
-        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call;
-        buckets follow first-appearance (admission) order and members
-        keep admission order within a bucket.  Then all decode-phase
-        sequences advance together through one
-        :meth:`~repro.core.engine.BaseEngine.step_batch` call.  Each
-        active sequence steps exactly once per round, and the schedule
-        is deterministic.
+        All prefill-phase sequences, whatever their prompt lengths,
+        advance as one cohort in admission order through one
+        :meth:`~repro.core.engine.BaseEngine.step_prefill_batch` call,
+        so every member shares the round's expert kernels and swap
+        uploads.  Then all decode-phase sequences advance together
+        through one :meth:`~repro.core.engine.BaseEngine.step_batch`
+        call.  Each active sequence steps exactly once per round, and
+        the schedule is deterministic.
         """
         prefill = [e.state for e in active if e.state.phase == SEQ_PREFILL]
         decode = [e.state for e in active if e.state.phase != SEQ_PREFILL]
-        lengths = [int(s.request.prompt_tokens.size) for s in prefill]
-        for bucket in bucket_prompt_lengths(lengths):
-            self.engine.step_prefill_batch(
-                [prefill[i] for i in bucket.indices],
-                gather_stats=report.gather,
-            )
+        if prefill:
+            self.engine.step_prefill_batch(prefill, gather_stats=report.gather)
         if decode:
             self.engine.step_batch(decode, gather_stats=report.gather)
 

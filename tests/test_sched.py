@@ -8,10 +8,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.audit import result_differences, value_differences
 from repro.core import build_engine
-from repro.core.engine import SequenceRequest
+from repro.core.engine import SEQ_PREFILL, SequenceRequest
+from repro.hardware.presets import default_platform
 from repro.hardware.timeline import ResourceClock, Timeline
+from repro.model.zoo import build_tiny_moe
 from repro.sched import BatchReport, ContinuousBatchScheduler
 
 PROMPT_LEN = 10
@@ -344,8 +349,8 @@ def test_batch_report_json_carries_kernels(fiddler, tiny_bundle):
 # ---- gathered prefill --------------------------------------------------------
 
 
-def test_singleton_prefill_bucket_is_a_cohort_of_one(daop, tiny_bundle):
-    """A lone prompt in its bucket still runs as a (counted) cohort."""
+def test_lone_prefill_is_a_cohort_of_one(daop, tiny_bundle):
+    """A lone prefilling sequence still runs as a (counted) cohort."""
     report = ContinuousBatchScheduler(daop, max_batch=1).run(
         _requests(tiny_bundle, n=2)
     )
@@ -366,10 +371,146 @@ def test_batch_report_json_carries_phase_stats(fiddler, tiny_bundle):
     assert prefill["expert_amortization"] > 1.0
     assert prefill["attn_kernels"] > 0
     assert prefill["gate_kernels"] > 0
-    assert prefill["lm_head_kernels"] == 1  # all 4 prompts, one bucket
+    assert prefill["lm_head_kernels"] == 1  # all 4 prompts, one cohort
     assert decode["expert_kernels"] < decode["expert_ops"]
     assert (prefill["expert_ops"] + decode["expert_ops"]
             == payload["n_expert_ops"])
+
+
+# ---- one prefill cohort per round, whatever the prompt lengths ---------------
+
+MIXED_LENGTHS = (9, 12, 20, 40)
+
+
+def _mixed_requests(bundle, lengths=MIXED_LENGTHS, max_new=MAX_NEW, seed=13):
+    rng = np.random.default_rng(seed)
+    return [
+        SequenceRequest(
+            prompt_tokens=rng.integers(0, bundle.vocab.vocab_size,
+                                       size=n, dtype=np.int64),
+            max_new_tokens=max_new,
+            seq_id=i,
+        )
+        for i, n in enumerate(lengths)
+    ]
+
+
+@pytest.mark.parametrize("engine_fixture", ["fiddler", "daop"])
+def test_mixed_prompt_lengths_prefill_as_one_cohort(
+        engine_fixture, tiny_bundle, request, audit_result):
+    """Prompts of 9-40 tokens share one prefill pass, value-exact."""
+    engine = request.getfixturevalue(engine_fixture)
+    requests = _mixed_requests(tiny_bundle)
+    solos = [engine.generate(r.prompt_tokens, r.max_new_tokens)
+             for r in requests]
+    report = ContinuousBatchScheduler(engine, max_batch=4).run(requests)
+    gather = report.gather
+    n_blocks = tiny_bundle.model.n_blocks
+    assert gather.prefill_lm_head_kernels == 1
+    assert gather.prefill_lm_head_ops == len(requests)
+    assert gather.attn_kernels == n_blocks
+    assert gather.attn_ops == n_blocks * len(requests)
+    assert gather.prefill_expert_kernels < gather.prefill_expert_ops
+    for record in report.records:
+        assert value_differences(solos[record.seq_id], record.result) == []
+        audit_result(engine, record.result)
+
+
+def test_mixed_prefill_cohort_checkpoint_resumes_bitwise(
+        tiny_bundle, platform, tiny_calibration):
+    """A session cut right after its mixed-length prefill round resumes
+    to the uninterrupted run, report bytes and every result."""
+    def scheduler():
+        engine = build_engine("daop", tiny_bundle, platform,
+                              expert_cache_ratio=0.5,
+                              calibration_probs=tiny_calibration)
+        return ContinuousBatchScheduler(engine, max_batch=4)
+
+    requests = _mixed_requests(tiny_bundle)
+    reference = scheduler().run(requests)
+    cut = scheduler()
+    session = cut.begin(requests)
+    assert cut.tick(session)
+    assert session.report.gather.prefill_lm_head_kernels == 1
+    payload = json.loads(json.dumps(cut.checkpoint_session(session)))
+    resumed = scheduler()
+    resumed_session = resumed.restore_session(payload)
+    while resumed.tick(resumed_session):
+        pass
+    got = resumed.finish(resumed_session)
+    assert got.to_json() == reference.to_json()
+    by_id = {record.seq_id: record for record in got.records}
+    for record in reference.records:
+        assert result_differences(record.result,
+                                  by_id[record.seq_id].result) == []
+
+
+class _PrefillCohortRecorder:
+    """Wraps an engine, checking that each prefill cohort is every
+    prefill-phase resident of the session, in admission order."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.session = None
+        self.cohorts = []
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def step_prefill_batch(self, states, gather_stats=None):
+        cohort = [state.seq_id for state in states]
+        assert cohort == [entry.state.seq_id for entry in self.session.active
+                          if entry.state.phase == SEQ_PREFILL]
+        self.cohorts.append(cohort)
+        return self._engine.step_prefill_batch(
+            states, gather_stats=gather_stats
+        )
+
+
+_PROPERTY_BUNDLE = build_tiny_moe(seed=0, n_blocks=4)
+_PROPERTY_PLATFORM = default_platform()
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(["fiddler", "daop"]),
+    lengths=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+    gaps=st.lists(st.sampled_from([0.0, 0.01, 0.1]), min_size=4,
+                  max_size=4),
+    max_new=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_property_every_round_prefills_one_cohort(name, lengths, gaps,
+                                                  max_new, seed):
+    """Any mix of 1-4 prompt lengths and arrivals: each round prefills
+    every prefill-phase resident as one cohort, and each member's values
+    equal its solo run."""
+    engine = build_engine(name, _PROPERTY_BUNDLE, _PROPERTY_PLATFORM, 0.5)
+    requests = _mixed_requests(_PROPERTY_BUNDLE, lengths, max_new, seed)
+    arrivals = np.cumsum(gaps[:len(requests)])
+    solos = [engine.generate(r.prompt_tokens, r.max_new_tokens)
+             for r in requests]
+    recorder = _PrefillCohortRecorder(engine)
+    scheduler = ContinuousBatchScheduler(recorder, max_batch=4)
+    recorder.session = scheduler.begin(requests, arrival_times=arrivals)
+    while True:
+        before = len(recorder.cohorts)
+        if not scheduler.tick(recorder.session):
+            break
+        assert len(recorder.cohorts) - before <= 1
+    report = scheduler.finish(recorder.session)
+    assert sorted(i for cohort in recorder.cohorts for i in cohort) == list(
+        range(len(requests))
+    )
+    if arrivals[-1] == 0.0:
+        assert recorder.cohorts == [list(range(len(requests)))]
+    gather = report.gather
+    assert gather.prefill_lm_head_kernels == len(recorder.cohorts)
+    assert (gather.attn_kernels
+            == _PROPERTY_BUNDLE.model.n_blocks * len(recorder.cohorts))
+    for record in report.records:
+        assert value_differences(solos[record.seq_id], record.result) == []
 
 
 def test_session_checkpoint_rejects_mode_carrying_version_2(daop,
