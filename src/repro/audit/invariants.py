@@ -315,19 +315,25 @@ def check_divergence_provenance(result: GenerationResult,
                        "predicted")
 
 
-def check_pending_uploads_resident(engine, report: AuditReport) -> None:
+def check_pending_uploads_resident(engine, result: GenerationResult,
+                                   report: AuditReport) -> None:
     """Pending decode-migration uploads must name GPU-resident experts.
 
     A re-allocation that swaps an expert back out purges its pending
     upload; a surviving stale key would let a future activation depend on
-    an upload for weights that are no longer resident.
+    an upload for weights that are no longer resident.  The keys and the
+    placement are the audited result's own (its sequence's final
+    residency), so a batched audit reads the right sequence.  Only DAOP's
+    pending uploads are swap-issued (engines carrying
+    ``decode_realloc_interval``); a prefetching baseline's unconsumed
+    prefetch may name an expert evicted since, so its results are not
+    checked.
     """
     report.checks_run.append("pending-uploads-resident")
-    keys = getattr(engine, "pending_upload_keys", None)
-    if keys is None:
+    if not hasattr(engine, "decode_realloc_interval"):
         return
-    for block, expert in keys:
-        if not engine.placement.is_on_gpu(block, expert):
+    for block, expert in result.pending_uploads:
+        if not result.placement.is_on_gpu(block, expert):
             report.add("pending-uploads-resident",
                        f"pending upload for E{expert}@B{block} but that "
                        "expert is not GPU-resident")
@@ -400,5 +406,5 @@ def audit_generation(engine, result: GenerationResult,
         platform=platform or getattr(engine, "platform", None),
         prefill_only_uploads=expects_prefill_only_uploads(engine),
     )
-    check_pending_uploads_resident(engine, report)
+    check_pending_uploads_resident(engine, result, report)
     return report

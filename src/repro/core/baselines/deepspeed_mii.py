@@ -14,21 +14,25 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from repro.core.engine import BaseEngine, BlockPlan, SequenceState
+from repro.core.engine import BaseEngine
 from repro.hardware.platform import Platform
-from repro.hardware.timeline import Op
 from repro.memory.placement import ExpertPlacement
+from repro.memory.policies import LRU
 from repro.model.zoo import ModelBundle
 
 KERNEL_SPEEDUP = 1.12
 
 
 class DeepSpeedMIIEngine(BaseEngine):
-    """Streaming baseline: every expert use is a fresh PCIe upload."""
+    """Streaming baseline: every expert use is a fresh PCIe upload.
+
+    No expert is GPU-resident, so every block's eviction cache has no
+    slots and the shared residency path streams each activated expert
+    through a scratch buffer.
+    """
 
     name = "deepspeed-mii"
+    eviction_policy = LRU
 
     def __init__(self, bundle: ModelBundle, platform: Platform) -> None:
         # Optimized CUDA kernels: bump the GPU efficiency a little.
@@ -45,23 +49,3 @@ class DeepSpeedMIIEngine(BaseEngine):
             bundle.model.n_blocks, bundle.model.n_experts
         )
         super().__init__(bundle, platform, initial_placement=placement)
-
-    def _stream_experts(self, ctx: SequenceState, block_idx: int,
-                        activated: np.ndarray,
-                        deps: list[Op]) -> BlockPlan:
-        extra: dict[int, list[Op]] = {}
-        force_gpu: set[int] = set()
-        for expert in np.atleast_1d(activated):
-            expert = int(expert)
-            op = self._upload_expert(ctx, block_idx, expert, deps)
-            self._drop_expert(ctx, block_idx, expert)
-            extra[expert] = [op]
-            force_gpu.add(expert)
-        return BlockPlan(extra_deps=extra, force_gpu=force_gpu)
-
-    def _prepare_prefill_block(self, ctx, block_idx, activated, activity,
-                               deps):
-        return self._stream_experts(ctx, block_idx, activated, deps)
-
-    def _prepare_decode_block(self, ctx, block_idx, activated, deps):
-        return self._stream_experts(ctx, block_idx, activated, deps)

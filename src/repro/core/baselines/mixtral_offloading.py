@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, BlockPlan, SequenceState
+from repro.core.engine import BaseEngine, SequenceState
 from repro.hardware.platform import Platform
-from repro.hardware.timeline import GPU, Op
+from repro.hardware.timeline import GPU, H2D, Op
 from repro.memory.cache import CacheConfig
-from repro.memory.lru import LRUExpertCache
+from repro.memory.policies import LRU
 from repro.model.zoo import ModelBundle
 
 DEFAULT_QUANT_RATIO = 0.25
@@ -33,6 +33,7 @@ class MixtralOffloadingEngine(BaseEngine):
     """LRU expert cache with quantized uploads."""
 
     name = "mixtral-offloading"
+    eviction_policy = LRU
 
     def __init__(
         self,
@@ -55,74 +56,23 @@ class MixtralOffloadingEngine(BaseEngine):
         self.quant_ratio = quant_ratio
         self.stream_overhead = stream_overhead
 
-    def _begin_sequence(self, ctx: SequenceState) -> None:
-        lru: list[LRUExpertCache] = []
-        probs = self.calibration_probs
-        for block_idx in range(self.model.n_blocks):
-            resident = list(ctx.placement.gpu_experts(block_idx))
-            cache = LRUExpertCache(capacity=max(len(resident), 0))
-            if probs is not None:
-                resident.sort(key=lambda e: probs[block_idx][e])
-            cache.seed([int(e) for e in resident])
-            lru.append(cache)
-        ctx.policy = lru
-
-    def _policy_state_dict(self, state):
-        return {
-            "lru": [cache.to_state_dict() for cache in state.policy],
-        }
-
-    def _restore_policy(self, state, payload):
-        state.policy = [
-            LRUExpertCache.from_state_dict(cache)
-            for cache in payload["lru"]
-        ]
-
-    def _ensure_resident(self, ctx: SequenceState, block_idx: int,
-                         activated: np.ndarray,
-                         deps: list[Op]) -> BlockPlan:
-        extra: dict[int, list[Op]] = {}
-        cache = ctx.policy[block_idx]
-        force_gpu: set[int] = set()
-        for expert in np.atleast_1d(activated):
-            expert = int(expert)
-            if cache.capacity > 0 and expert in cache:
-                cache.touch(expert)
-                continue
-            up = ctx.timeline.add(
-                "h2d",
-                self.stream_overhead
-                * self.cost_model.expert_transfer_time(self.quant_ratio),
-                deps=deps,
-                label=f"up E{expert}@B{block_idx}",
-                kind="expert_upload",
-            )
-            self._admit_expert(ctx, block_idx, expert)
-            dequant = ctx.timeline.add(
-                GPU,
-                self.cost_model.dequant_time(
-                    self.platform.gpu, self.quant_ratio
-                ),
-                deps=[up],
-                label=f"dequant E{expert}@B{block_idx}",
-                kind="dequant",
-            )
-            extra[expert] = [dequant]
-            if cache.capacity > 0:
-                evicted = cache.admit(expert)
-                if evicted is not None:
-                    self._drop_expert(ctx, block_idx, int(evicted))
-            else:
-                self._drop_expert(ctx, block_idx, expert)
-        # All activated experts execute on the GPU: even one evicted by a
-        # sibling's admission before executing runs out of its staging
-        # buffer (Mixtral-Offloading never computes experts on the CPU).
-        force_gpu.update(int(e) for e in np.atleast_1d(activated))
-        return BlockPlan(extra_deps=extra, force_gpu=force_gpu)
-
-    def _prepare_prefill_block(self, ctx, block_idx, activated, activity,
-                               deps):
-        return self._ensure_resident(ctx, block_idx, activated, deps)
-
-    def _prepare_decode_block(self, ctx, block_idx, activated, deps):
-        return self._ensure_resident(ctx, block_idx, activated, deps)
+    def _transfer_expert(self, ctx: SequenceState, block_idx: int,
+                         expert: int, deps: list[Op]) -> Op:
+        # A quantized, derated upload, then the dequantization the
+        # expert's GPU execution waits on.
+        up = ctx.timeline.add(
+            H2D,
+            self.stream_overhead
+            * self.cost_model.expert_transfer_time(self.quant_ratio),
+            deps=deps,
+            label=f"up E{expert}@B{block_idx}",
+            kind="expert_upload",
+        )
+        self._admit_expert(ctx, block_idx, expert)
+        return ctx.timeline.add(
+            GPU,
+            self.cost_model.dequant_time(self.platform.gpu, self.quant_ratio),
+            deps=[up],
+            label=f"dequant E{expert}@B{block_idx}",
+            kind="dequant",
+        )

@@ -11,22 +11,21 @@ per second on Mixtral 8x7B.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.engine import BaseEngine, BlockPlan, SequenceState
+from repro.core.engine import BaseEngine
 from repro.hardware.platform import Platform
-from repro.hardware.timeline import Op
 from repro.memory.cache import CacheConfig
-from repro.memory.policies import LRU, EvictionPolicyCache
+from repro.memory.policies import LRU
 from repro.model.zoo import ModelBundle
 
 
 class MoEOnDemandEngine(BaseEngine):
     """Caching baseline: migrate missing experts to the GPU on demand.
 
-    The eviction policy is pluggable (LRU by default, matching the paper's
-    description; LFU and calibrated-priority are available for the
-    eviction-policy ablation).
+    The shared residency path does all the work (every activated expert
+    goes through :meth:`~repro.core.engine.BaseEngine._ensure_resident`
+    in prefill and decode); the engine only chooses the eviction policy:
+    LRU by default, matching the paper's description, with LFU and
+    calibrated-priority available for the eviction-policy ablation.
     """
 
     name = "moe-ondemand"
@@ -45,70 +44,3 @@ class MoEOnDemandEngine(BaseEngine):
             calibration_probs=calibration_probs,
         )
         self.eviction_policy = eviction_policy
-
-    def _begin_sequence(self, ctx: SequenceState) -> None:
-        # Per-block policy cache over the GPU-resident experts, seeded from
-        # the calibrated placement (coldest first so hot experts survive).
-        caches: list[EvictionPolicyCache] = []
-        probs = self.calibration_probs
-        for block_idx in range(self.model.n_blocks):
-            resident = list(ctx.placement.gpu_experts(block_idx))
-            cache = EvictionPolicyCache(
-                capacity=max(len(resident), 0),
-                policy=self.eviction_policy,
-                priorities=None if probs is None else probs[block_idx],
-            )
-            if probs is not None:
-                resident.sort(key=lambda e: probs[block_idx][e])
-            cache.seed([int(e) for e in resident])
-            caches.append(cache)
-        ctx.policy = caches
-
-    def _policy_state_dict(self, state):
-        return {
-            "caches": [cache.to_state_dict() for cache in state.policy],
-        }
-
-    def _restore_policy(self, state, payload):
-        state.policy = [
-            EvictionPolicyCache.from_state_dict(cache)
-            for cache in payload["caches"]
-        ]
-
-    def _ensure_resident(self, ctx: SequenceState, block_idx: int,
-                         activated: np.ndarray,
-                         deps: list[Op]) -> BlockPlan:
-        extra: dict[int, list[Op]] = {}
-        cache = ctx.policy[block_idx]
-        activated = [int(e) for e in np.atleast_1d(activated)]
-        if cache.capacity == 0:
-            # No GPU slots at all: experts stream through a scratch buffer;
-            # each use is a fresh upload and nothing stays resident.
-            force_gpu: set[int] = set()
-            for expert in activated:
-                op = self._upload_expert(ctx, block_idx, expert, deps)
-                self._drop_expert(ctx, block_idx, expert)
-                extra[expert] = [op]
-                force_gpu.add(expert)
-            return BlockPlan(extra_deps=extra, force_gpu=force_gpu)
-        # Hits refresh recency; misses upload + evict LRU.  If the cache is
-        # smaller than the activated set, an activated expert can be
-        # evicted by a sibling's admission before it executes -- it still
-        # runs on the GPU out of the staging buffer its upload landed in.
-        for expert in activated:
-            if expert in cache:
-                cache.touch(expert)
-                continue
-            evicted = cache.admit(expert)
-            if evicted is not None:
-                self._drop_expert(ctx, block_idx, int(evicted))
-            op = self._upload_expert(ctx, block_idx, expert, deps)
-            extra[expert] = [op]
-        return BlockPlan(extra_deps=extra, force_gpu=set(activated))
-
-    def _prepare_prefill_block(self, ctx, block_idx, activated, activity,
-                               deps):
-        return self._ensure_resident(ctx, block_idx, activated, deps)
-
-    def _prepare_decode_block(self, ctx, block_idx, activated, deps):
-        return self._ensure_resident(ctx, block_idx, activated, deps)

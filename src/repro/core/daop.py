@@ -25,7 +25,7 @@ trade Tables V and VI of the paper measure.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +60,13 @@ class _DAOPSequencePolicy:
         window: rolling per-token ``(n_blocks, n_experts)`` routing
             counts for the decode re-allocation extension.
         steps: decode tokens completed so far.
-        pending_uploads: in-flight decode-migration uploads keyed by
-            ``(block, expert)``.
+
+    The extension's in-flight swap uploads live in the sequence's
+    residency (``ctx.residency.pending``).
     """
 
     window: deque
     steps: int = 0
-    pending_uploads: dict = field(default_factory=dict)
 
 
 class DAOPEngine(BaseEngine):
@@ -136,9 +136,9 @@ class DAOPEngine(BaseEngine):
         )
 
     def _begin_sequence(self, ctx: SequenceState) -> None:
-        # Window and pending-upload map are used only when the decode
-        # re-allocation extension is enabled; they live on the sequence
-        # state so interleaved sequences never share migration state.
+        # The window is used only when the decode re-allocation
+        # extension is enabled; it lives on the sequence state so
+        # interleaved sequences never share migration state.
         ctx.policy = _DAOPSequencePolicy(
             window=deque(maxlen=self.decode_realloc_window)
         )
@@ -148,10 +148,6 @@ class DAOPEngine(BaseEngine):
         return {
             "window": [encode_array(counts) for counts in policy.window],
             "steps": policy.steps,
-            "pending_uploads": [
-                [block, expert, op.index]
-                for (block, expert), op in policy.pending_uploads.items()
-            ],
         }
 
     def _restore_policy(self, state, payload):
@@ -161,24 +157,7 @@ class DAOPEngine(BaseEngine):
                 maxlen=self.decode_realloc_window,
             ),
             steps=int(payload["steps"]),
-            pending_uploads={
-                (int(block), int(expert)): state.timeline.ops[int(idx)]
-                for block, expert, idx in payload["pending_uploads"]
-            },
         )
-
-    @property
-    def pending_upload_keys(self) -> tuple[tuple[int, int], ...]:
-        """In-flight decode-migration uploads as ``(block, expert)`` keys.
-
-        Deprecated view of the most recently started sequence (like
-        :attr:`BaseEngine.placement`); every key must name a
-        GPU-resident expert, since a swap-out purges its pending upload
-        (audited by :mod:`repro.audit.invariants`).
-        """
-        if self._active_state is None or self._active_state.policy is None:
-            return ()
-        return tuple(sorted(self._active_state.policy.pending_uploads))
 
     # ---- prefill: Algorithm 1 ---------------------------------------------------
 
@@ -188,7 +167,8 @@ class DAOPEngine(BaseEngine):
         if not self.enable_seq_allocation:
             return BlockPlan()
         plans = plan_block_swaps(
-            block_idx, activity, ctx.placement, self.swap_threshold
+            block_idx, activity, ctx.residency.placement,
+            self.swap_threshold,
         )
         uploads = []
         for plan in plans:
@@ -268,6 +248,7 @@ class DAOPEngine(BaseEngine):
             for expert in event.experts:
                 counts[event.block, expert] += 1.0
         policy = ctx.policy
+        residency = ctx.residency
         policy.window.append(counts)
         policy.steps += 1
         if policy.steps % self.decode_realloc_interval != 0:
@@ -275,7 +256,7 @@ class DAOPEngine(BaseEngine):
         window_activity = np.sum(policy.window, axis=0)
         for block_idx in range(self.model.n_blocks):
             plans = plan_block_swaps(
-                block_idx, window_activity[block_idx], ctx.placement,
+                block_idx, window_activity[block_idx], residency.placement,
                 self.decode_realloc_threshold,
             )
             plans = [
@@ -286,13 +267,12 @@ class DAOPEngine(BaseEngine):
                 self._drop_expert(ctx, block_idx, plan.cold_expert)
                 # The swapped-out expert's weights are no longer resident:
                 # any still-pending upload of it must not survive as a
-                # dependency for a future activation.
-                policy.pending_uploads.pop((block_idx, plan.cold_expert),
-                                           None)
-                up = self._upload_expert(
-                    ctx, block_idx, plan.hot_expert, [done]
-                )
-                policy.pending_uploads[(block_idx, plan.hot_expert)] = up
+                # dependency for a future activation (audited by
+                # repro.audit.invariants).
+                residency.pending.pop((block_idx, plan.cold_expert), None)
+                residency.pending[block_idx, plan.hot_expert] = \
+                    self._upload_expert(ctx, block_idx, plan.hot_expert,
+                                        [done])
                 ctx.counters.decode_swaps += 1
 
     def _issue_precalc(self, ctx: SequenceState, block_idx: int,
@@ -318,18 +298,19 @@ class DAOPEngine(BaseEngine):
             + self.cost_model.gate_time(self.platform.gpu, 1),
             deps=[attn_op], label=f"pred-gate B{block_idx + 1}", kind="gate",
         )
+        placement = ctx.residency.placement
         degradation = apply_graceful_degradation(
             block_idx + 1,
             prediction.experts,
             prediction.logits,
-            ctx.placement,
+            placement,
             max_cpu_experts=self.max_cpu_experts,
             enabled=self.graceful_degradation,
         )
         ctx.counters.degraded_swaps += len(degradation.replaced)
         calls = []
         for expert in degradation.experts.tolist():
-            if not ctx.placement.is_on_gpu(block_idx + 1, expert):
+            if not placement.is_on_gpu(block_idx + 1, expert):
                 calls.append(ExpertCall(expert=expert, location=CPU_LOC,
                                         h_att=h_att, deps=(pred_gate,)))
         cpu_results: dict[int, tuple[np.ndarray, Op]] = {}
@@ -369,9 +350,8 @@ class DAOPEngine(BaseEngine):
         """Dependencies on in-flight decode-migration uploads."""
         extra: dict[int, list[Op]] = {}
         for expert in np.atleast_1d(experts):
-            pending = ctx.policy.pending_uploads.pop(
-                (block_idx, int(expert)), None
-            )
+            pending = ctx.residency.pending.pop((block_idx, int(expert)),
+                                                None)
             if pending is not None:
                 extra[int(expert)] = [pending]
         return extra
@@ -409,9 +389,8 @@ class DAOPEngine(BaseEngine):
             expert = int(expert)
             if expert in cpu_results:
                 precomputed[slot] = cpu_results[expert]
-            elif ctx.placement.is_on_gpu(block_idx, expert):
-                pending = ctx.policy.pending_uploads.pop((block_idx, expert),
-                                                         None)
+            elif ctx.residency.placement.is_on_gpu(block_idx, expert):
+                pending = ctx.residency.pending.pop((block_idx, expert), None)
                 gpu_deps = (attn_op,) + ((pending,) if pending else ())
                 calls.append(ExpertCall(
                     expert=expert, location=GPU_LOC, h_att=h_att,

@@ -40,6 +40,7 @@ from repro.hardware.platform import Platform
 from repro.hardware.timeline import CPU, D2H, GPU, H2D, Op, Timeline
 from repro.memory.cache import CacheConfig, build_calibrated_placement
 from repro.memory.placement import ExpertPlacement
+from repro.memory.residency import Residency
 from repro.model.attention import KVCache
 from repro.model.gating import group_by_expert
 from repro.model.sampling import greedy
@@ -55,8 +56,9 @@ from repro.trace.recorder import DECODE, PREFILL, ActivationTrace
 
 #: Version of the sequence-checkpoint payload layout.  Bumped whenever
 #: the state-dict schema changes shape; restore rejects other versions
-#: instead of misreading them.
-SEQUENCE_CHECKPOINT_VERSION = 1
+#: instead of misreading them.  Version 2 keeps placement, eviction
+#: caches and in-flight uploads in one ``"residency"`` entry.
+SEQUENCE_CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -179,13 +181,19 @@ class GenerationStats:
 
 @dataclass
 class GenerationResult:
-    """Everything produced by one engine generation."""
+    """Everything produced by one engine generation.
+
+    ``placement`` and ``pending_uploads`` are the finished sequence's
+    residency: where its experts ended up, and the ``(block, expert)``
+    keys of uploads still in flight (sorted).
+    """
 
     tokens: np.ndarray
     trace: ActivationTrace
     timeline: Timeline
     stats: GenerationStats
     placement: ExpertPlacement
+    pending_uploads: tuple[tuple[int, int], ...]
 
     def to_state_dict(self) -> dict:
         """Serialize the result for a checkpoint.
@@ -200,6 +208,7 @@ class GenerationResult:
             "timeline": self.timeline.to_state_dict(include_clock=False),
             "stats": self.stats.to_state_dict(),
             "placement": self.placement.to_state_dict(),
+            "pending_uploads": [list(key) for key in self.pending_uploads],
         }
 
     @classmethod
@@ -211,6 +220,10 @@ class GenerationResult:
             timeline=Timeline.from_state_dict(payload["timeline"]),
             stats=GenerationStats.from_state_dict(payload["stats"]),
             placement=ExpertPlacement.from_state_dict(payload["placement"]),
+            pending_uploads=tuple(
+                (int(block), int(expert))
+                for block, expert in payload["pending_uploads"]
+            ),
         )
 
 
@@ -306,9 +319,10 @@ class SequenceState:
     A state is created by :meth:`BaseEngine.start`, advanced one prefill
     pass or one decode token at a time by :meth:`BaseEngine.step`, and
     summarized into a :class:`GenerationResult` by
-    :meth:`BaseEngine.finish`.  Because the placement copy, KV caches,
-    trace, counters, and engine-policy state all live here (not on the
-    engine), any number of states may be interleaved on one engine.
+    :meth:`BaseEngine.finish`.  Because the residency (placement copy,
+    eviction caches, in-flight uploads), KV caches, trace, counters, and
+    engine-policy state all live here (not on the engine), any number of
+    states may be interleaved on one engine.
 
     ``policy`` belongs to the engine subclass (set in
     ``_begin_sequence``); ``extra`` is scratch private to
@@ -318,7 +332,7 @@ class SequenceState:
 
     request: SequenceRequest
     sampler: object
-    placement: ExpertPlacement
+    residency: Residency
     caches: list[KVCache]
     timeline: Timeline
     trace: ActivationTrace
@@ -363,7 +377,7 @@ class SequenceState:
         """
         return {
             "request": self.request.to_state_dict(),
-            "placement": self.placement.to_state_dict(),
+            "residency": self.residency.to_state_dict(),
             "caches": [cache.to_state_dict() for cache in self.caches],
             "timeline": self.timeline.to_state_dict(
                 include_clock=include_clock
@@ -397,7 +411,8 @@ class SequenceState:
         state = cls(
             request=SequenceRequest.from_state_dict(payload["request"]),
             sampler=greedy,
-            placement=ExpertPlacement.from_state_dict(payload["placement"]),
+            residency=Residency.from_state_dict(payload["residency"],
+                                                timeline.ops),
             caches=[
                 KVCache.from_state_dict(cache)
                 for cache in payload["caches"]
@@ -447,6 +462,12 @@ class BaseEngine:
     #: still reproduces, while engines charge this on every scheduled op.
     FRAMEWORK_OVERHEAD_S = 2.5e-4
 
+    #: Eviction policy of the per-block expert caches each sequence's
+    #: :class:`~repro.memory.residency.Residency` keeps (see
+    #: :mod:`repro.memory.policies`); ``None`` keeps no cache, and the
+    #: placement changes only where the engine moves experts itself.
+    eviction_policy: str | None = None
+
     def __init__(
         self,
         bundle: ModelBundle,
@@ -495,25 +516,8 @@ class BaseEngine:
         #: Instance-scoped event bus; subscribers observe the sequence
         #: lifecycle (start / step / finish) without perturbing it.
         self.events = EventBus()
-        #: Most recently started sequence state (deprecated access path
-        #: for post-hoc inspection; see the ``placement`` property).
-        self._active_state: SequenceState | None = None
 
     # ---- public API ------------------------------------------------------------
-
-    @property
-    def placement(self) -> ExpertPlacement:
-        """Deprecated: the most recently started sequence's placement.
-
-        Residency now lives on each :class:`SequenceState` so multiple
-        sequences can interleave on one engine without corrupting each
-        other; this read-only view exists for the audit harness and
-        older tests that inspect placement right after a ``generate()``
-        call.  Engine policy code must use ``ctx.placement``.
-        """
-        if self._active_state is None:
-            return self.initial_placement
-        return self._active_state.placement
 
     def start(self, request: SequenceRequest,
               timeline: Timeline | None = None) -> SequenceState:
@@ -553,13 +557,14 @@ class BaseEngine:
         state = SequenceState(
             request=request,
             sampler=request.sampler or greedy,
-            placement=self.initial_placement.copy(),
+            residency=Residency.seeded(self.initial_placement.copy(),
+                                       self.eviction_policy,
+                                       self.calibration_probs),
             caches=self.model.new_caches(),
             timeline=timeline if timeline is not None else Timeline(),
             trace=ActivationTrace(self.model.n_blocks, self.model.n_experts),
             counters=EngineCounters(),
         )
-        self._active_state = state
         self._begin_sequence(state)
         if self.events.active:
             self.events.emit(
@@ -811,7 +816,8 @@ class BaseEngine:
             trace=state.trace,
             timeline=state.timeline,
             stats=stats,
-            placement=state.placement,
+            placement=state.residency.placement,
+            pending_uploads=tuple(sorted(state.residency.pending)),
         )
 
     def generate(
@@ -917,7 +923,6 @@ class BaseEngine:
             )
         state = SequenceState.from_state_dict(payload["state"], clock=clock)
         self._restore_policy(state, payload["policy"])
-        self._active_state = state
         return state
 
     # ---- policy hooks (subclasses override) -------------------------------------
@@ -929,9 +934,9 @@ class BaseEngine:
         """Hook: serialize ``state.policy`` as plain data (or ``None``).
 
         Engines whose ``_begin_sequence`` installs policy state must
-        override this together with :meth:`_restore_policy`.  Ops held
-        by policy state (pending prefetches) serialize as their index in
-        ``state.timeline.ops``.
+        override this together with :meth:`_restore_policy`.  Residency
+        (placement, eviction caches, in-flight uploads) is serialized
+        with the sequence state, not here.
         """
         if state.policy is None:
             return None
@@ -1129,25 +1134,67 @@ class BaseEngine:
         """Residency half of an upload: mark the expert GPU-resident.
 
         Every upload admits through here: inline
-        (:meth:`_upload_expert`, or a baseline's own transfer op) or
-        landed by the cohort driver (:meth:`_land_uploads`).
+        (:meth:`_upload_expert`, or a baseline's own
+        :meth:`_transfer_expert`) or landed by the cohort driver
+        (:meth:`_land_uploads`).
         """
-        ctx.placement.set_device(block_idx, expert, DeviceKind.GPU)
+        ctx.residency.placement.set_device(block_idx, expert, DeviceKind.GPU)
         ctx.counters.expert_uploads += 1
+
+    def _ensure_resident(self, ctx: SequenceState, block_idx: int,
+                         experts, deps: list[Op]) -> BlockPlan:
+        """Make one block's ``experts`` executable on the GPU, in order.
+
+        The one residency decision of the caching baselines, made on
+        the sequence's eviction cache: a cached expert is a hit and
+        refreshes the cache; a miss admits it, drops the policy's
+        victim from the placement and transfers the expert in
+        (:meth:`_transfer_expert`); in a block without slots each
+        expert streams through a scratch buffer (transferred, then
+        dropped again).  An engine without an eviction cache gets an
+        empty plan.
+
+        Returns:
+            A :class:`BlockPlan` whose ``extra_deps`` hold each
+            transferred expert's transfer op and whose ``force_gpu``
+            names every expert: one evicted by a sibling's admission
+            before it executes still runs out of the staging buffer its
+            upload landed in.
+        """
+        caches = ctx.residency.caches
+        if caches is None:
+            return BlockPlan()
+        cache = caches[block_idx]
+        experts = np.atleast_1d(experts).tolist()
+        transferred: dict[int, list[Op]] = {}
+        for expert in experts:
+            if expert in cache:
+                cache.touch(expert)
+                continue
+            evicted = cache.admit(expert)
+            if evicted is not None:
+                self._drop_expert(ctx, block_idx, evicted)
+            transferred[expert] = [
+                self._transfer_expert(ctx, block_idx, expert, deps)
+            ]
+            if cache.capacity == 0:
+                self._drop_expert(ctx, block_idx, expert)
+        return BlockPlan(extra_deps=transferred, force_gpu=set(experts))
 
     def _drop_expert(self, ctx: SequenceState, block_idx: int,
                      expert: int) -> None:
         """Free a device copy (host copy of inference weights stays valid)."""
-        ctx.placement.set_device(block_idx, expert, DeviceKind.CPU)
+        ctx.residency.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
     def _record_activation_counters(self, ctx: SequenceState,
                                     block_idx: int,
                                     experts: np.ndarray | list[int]) -> None:
         """Update GPU-residency hit counters for activated experts."""
         counters = ctx.counters
+        placement = ctx.residency.placement
         for expert in np.atleast_1d(experts).tolist():
             counters.activated_total += 1
-            if ctx.placement.is_on_gpu(block_idx, expert):
+            if placement.is_on_gpu(block_idx, expert):
                 counters.activated_gpu_resident += 1
 
     # ---- standard prefill / decode skeletons ------------------------------------
@@ -1164,14 +1211,29 @@ class BaseEngine:
         Returns a :class:`BlockPlan` carrying per-expert extra
         dependencies (e.g. upload ops), any forced-GPU executions and
         the uploads the cohort driver lands before the block's calls.
+        By default an engine with an eviction cache makes every
+        activated expert resident (:meth:`_ensure_resident`); one
+        without leaves its placement alone.
         """
-        return BlockPlan()
+        return self._ensure_resident(ctx, block_idx, activated, deps)
 
     def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
                               activated: np.ndarray,
                               deps: list[Op]) -> BlockPlan:
-        """Hook: arrange residency for a decode block's activated experts."""
-        return BlockPlan()
+        """Hook: arrange residency for a decode block's activated experts
+        (by default as :meth:`_prepare_prefill_block` does)."""
+        return self._ensure_resident(ctx, block_idx, activated, deps)
+
+    def _transfer_expert(self, ctx: SequenceState, block_idx: int,
+                         expert: int, deps: list[Op]) -> Op:
+        """Hook: bring one expert's weights onto the GPU for
+        :meth:`_ensure_resident`.
+
+        Must admit the expert (:meth:`_admit_expert`) and return the op
+        its execution waits on.  The default is one full-precision
+        :meth:`_upload_expert`.
+        """
+        return self._upload_expert(ctx, block_idx, expert, deps)
 
     # ---- block-work protocol ------------------------------------------------------
     #
@@ -1253,10 +1315,11 @@ class BaseEngine:
         block = self.model.blocks[block_idx]
         n_tokens, top_k = experts_per_token.shape
         groups = group_by_expert(experts_per_token.tolist())
+        placement = ctx.residency.placement
         calls: list[ExpertCall] = []
         for expert, (token_idx, _) in groups.items():
             on_gpu = (expert in force_gpu or expert in uploads
-                      or ctx.placement.is_on_gpu(block_idx, expert))
+                      or placement.is_on_gpu(block_idx, expert))
             calls.append(ExpertCall(
                 expert=expert,
                 location=GPU_LOC if on_gpu else CPU_LOC,

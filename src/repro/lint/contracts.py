@@ -176,7 +176,7 @@ class EngineContractGuard:
             )
         original(ctx, *args, **kwargs)
         if self.slot_budget:
-            self._check_slot_budget(ctx.placement)
+            self._check_slot_budget(ctx.residency.placement)
 
     def _check_slot_budget(self, placement) -> None:
         validate_slot_budget(

@@ -63,7 +63,8 @@ _SUBSTRATE_METHODS = frozenset({
     "_step_cohort", "_advance", "_attention_round", "finish",
     "checkpoint_sequence", "restore_sequence",
     "_attention", "_gate", "_upload_expert", "_admit_expert",
-    "_drop_expert", "_lm_head_batch", "_record_activation_counters",
+    "_ensure_resident", "_drop_expert", "_lm_head_batch",
+    "_record_activation_counters",
     "_prefill_blocks_standard", "_decode_blocks_standard",
     "_routed_block_work", "_execute_block_work_gathered",
     "_land_uploads", "_add_slices", "_device_spec",

@@ -66,8 +66,9 @@ from repro.workloads.requests import RequestAggregates, ServedRequest
 #: other versions instead of misreading them.  Version 3 dropped the
 #: execution-mode fields: the scheduler has one mode.  Version 4 writes
 #: completed records in the served-request vocabulary (``request_id``,
-#: ``start_s``, ``energy_j``).
-SCHED_CHECKPOINT_VERSION = 4
+#: ``start_s``, ``energy_j``).  Version 5 records carry each result's
+#: in-flight upload keys (``pending_uploads``).
+SCHED_CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)

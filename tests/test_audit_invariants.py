@@ -13,6 +13,8 @@ from repro.audit import (
     expects_prefill_only_uploads,
 )
 from repro.core import ENGINE_NAMES, build_engine
+from repro.core.engine import SequenceRequest
+from repro.sched import ContinuousBatchScheduler
 from repro.workloads import C4, SequenceGenerator
 
 PROMPT = 12
@@ -147,21 +149,71 @@ def test_stale_pending_upload_detected():
         def is_on_gpu(self, block, expert):
             return False
 
-    class FakeEngine:
-        pending_upload_keys = ((0, 3),)
+    class FakeResult:
+        pending_uploads = ((0, 3),)
         placement = FakePlacement()
 
+    class FakeDAOP:
+        decode_realloc_interval = 2
+
     report = AuditReport(engine="fake")
-    check_pending_uploads_resident(FakeEngine(), report)
+    check_pending_uploads_resident(FakeDAOP(), FakeResult(), report)
     assert not report.ok
     assert "E3@B0" in report.violations[0].format()
 
 
 def test_engines_without_pending_uploads_skip_the_check():
+    class FakeResult:
+        pending_uploads = ((0, 3),)
+        placement = None
+
+    # Only swap-issued (DAOP) pending uploads are audited; a prefetching
+    # baseline's unconsumed prefetch may name an evicted expert.
     report = AuditReport(engine="plain")
-    check_pending_uploads_resident(object(), report)
+    check_pending_uploads_resident(object(), FakeResult(), report)
     assert report.ok
     assert "pending-uploads-resident" in report.checks_run
+
+
+def test_batched_audit_reads_the_audited_sequence(tiny_bundle, platform,
+                                                  tiny_calibration):
+    """Each result carries its own sequence's pending uploads.
+
+    Two DAOP sequences share one scheduler; a stale pending key planted
+    only in the first-started sequence must be flagged on that
+    sequence's result and not on the other's (the last-started one,
+    whose view an engine-level audit would have read).
+    """
+    engine = build_engine("daop", tiny_bundle, platform, 0.5,
+                          tiny_calibration)
+    gen = SequenceGenerator(C4, tiny_bundle.vocab, seed=5)
+    requests = [
+        SequenceRequest(
+            prompt_tokens=gen.sample_sequence(
+                PROMPT, DECODE, sample_idx=i).prompt_tokens,
+            max_new_tokens=DECODE, seq_id=i,
+        )
+        for i in range(2)
+    ]
+    scheduler = ContinuousBatchScheduler(engine, max_batch=2)
+    session = scheduler.begin(requests)
+    scheduler.tick(session)  # admits both and prefills them together
+    assert [entry.state.seq_id for entry in session.active] == [0, 1]
+    first = session.active[0].state
+    # The last block runs on a prediction, which never consumes a
+    # pending upload of a CPU-resident expert: the key survives.
+    block = tiny_bundle.model.n_blocks - 1
+    expert = int(first.residency.placement.cpu_experts(block)[0])
+    first.residency.pending[block, expert] = first.timeline.ops[-1]
+    while scheduler.tick(session):
+        pass
+    results = {record.seq_id: record.result
+               for record in scheduler.finish(session).records}
+    assert (block, expert) in results[0].pending_uploads
+    stale = audit_generation(engine, results[0])
+    assert not stale.ok
+    assert f"E{expert}@B{block}" in stale.format()
+    assert audit_generation(engine, results[1]).ok
 
 
 def test_report_format_mentions_engine_and_violations():

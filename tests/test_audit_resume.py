@@ -17,21 +17,22 @@ import pytest
 
 from repro.audit import run_resume_parity_audit, timeline_signature
 from repro.core import ENGINE_NAMES, build_engine
-from repro.core.engine import SequenceRequest
+from repro.core.engine import SEQUENCE_CHECKPOINT_VERSION, SequenceRequest
+from repro.model.serialization import canonical_digest
 from repro.workloads import C4, SequenceGenerator
 
 #: Digest of every engine's sequence checkpoint after three steps of the
 #: recipe in :func:`checkpoint_after_three_steps` (fixture model:
 #: tiny-MoE seed 0, 8 blocks; calibration seed 0).
 GOLDEN_CHECKPOINT_DIGESTS = {
-    "official": "c69735df46cdbbd537f263e55ada82eb",
-    "moe-ondemand": "dca1994b47c869314b9aaf4faa34d3af",
-    "deepspeed-mii": "a1fe9e562a3c57dafd773a965e977018",
-    "mixtral-offloading": "b196df0c3918b28a97360f459dff09c4",
-    "moe-infinity": "00d41a38be3112c69bacf1c05129141d",
-    "fiddler": "5c592d23efd1170130c3d381f72fd599",
-    "pregated-moe": "7423c376157624f7383476d375703f06",
-    "daop": "fa619e1c2cd36243ce9731c2dd905c9e",
+    "official": "e26ee210ded1ca23cbbc17a27cf58d0e",
+    "moe-ondemand": "46e39a91f801bb7eb3830cf7932ec55c",
+    "deepspeed-mii": "e33dac6cdeb43982a3573c59e09131f6",
+    "mixtral-offloading": "36316492ca734b318b88114c34d433ed",
+    "moe-infinity": "66a2dc8dc849e815006e826c718b3e17",
+    "fiddler": "fe856b3eabd666418344a39ca1f33bb4",
+    "pregated-moe": "d8dce319a79235f14c1e1d46bf566364",
+    "daop": "cbfd0993fe721ae499a2dd0e6269775d",
 }
 
 
@@ -122,11 +123,30 @@ class TestSequenceCheckpointRejection:
     def test_version_skew_rejected(self, checkpointed):
         engine, _, payload = checkpointed
         doctored = dict(payload)
-        doctored["version"] = 2
+        doctored["version"] = 3
         with pytest.raises(ValueError,
                            match="unsupported sequence-checkpoint "
-                                 "version 2"):
+                                 "version 3"):
             engine.restore_sequence(doctored)
+
+    def test_version_1_residency_layout_rejected(self, checkpointed):
+        """Version 1 kept a bare ``placement`` and per-engine cache and
+        pending-upload payloads; version 2 holds them in one
+        ``residency``.  An intact version-1 payload is refused before
+        its layout is read."""
+        engine, _, payload = checkpointed
+        assert SEQUENCE_CHECKPOINT_VERSION == 2
+        assert "residency" in payload["state"]
+        state = dict(payload["state"])
+        residency = state.pop("residency")
+        state["placement"] = residency["placement"]
+        old = {"version": 1, "engine": payload["engine"], "state": state,
+               "policy": {**payload["policy"], "pending_uploads": []}}
+        old["digest"] = canonical_digest(old)
+        with pytest.raises(ValueError,
+                           match="unsupported sequence-checkpoint "
+                                 "version 1"):
+            engine.restore_sequence(old)
 
     def test_foreign_engine_rejected(self, checkpointed, tiny_bundle,
                                      platform, tiny_calibration):

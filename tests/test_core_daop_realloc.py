@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.daop import DAOPEngine
+from repro.core.engine import SequenceRequest
 from repro.memory.cache import CacheConfig
 from repro.workloads import GSM8K, SequenceGenerator
 
@@ -106,8 +107,13 @@ def test_decode_window_matches_trace(tiny_bundle, platform,
     engine = make(tiny_bundle, platform, tiny_calibration,
                   decode_realloc_interval=8, decode_realloc_window=6)
     seq = drifty_sequences[0]
-    result = engine.generate(seq.prompt_tokens, 16,
-                             forced_tokens=seq.continuation_tokens)
+    state = engine.start(SequenceRequest(
+        prompt_tokens=seq.prompt_tokens, max_new_tokens=16,
+        forced_tokens=seq.continuation_tokens,
+    ))
+    while not state.done:
+        engine.step(state)
+    result = engine.finish(state)
     per_token = {}
     for event in result.trace.events:
         if event.phase != "decode":
@@ -119,7 +125,7 @@ def test_decode_window_matches_trace(tiny_bundle, platform,
         for expert in event.experts:
             counts[event.block, expert] += 1.0
     expected = [per_token[pos] for pos in sorted(per_token)][-6:]
-    window = list(engine._active_state.policy.window)
+    window = list(state.policy.window)
     assert len(window) == len(expected)
     for got, want in zip(window, expected):
         np.testing.assert_array_equal(got, want)
@@ -132,10 +138,10 @@ def test_pending_uploads_stay_gpu_resident(tiny_bundle, platform,
     engine = make(tiny_bundle, platform, tiny_calibration,
                   decode_realloc_interval=4)
     for seq in drifty_sequences:
-        engine.generate(seq.prompt_tokens, 24,
-                        forced_tokens=seq.continuation_tokens)
-        for block, expert in engine.pending_upload_keys:
-            assert engine.placement.is_on_gpu(block, expert), (
+        result = engine.generate(seq.prompt_tokens, 24,
+                                 forced_tokens=seq.continuation_tokens)
+        for block, expert in result.pending_uploads:
+            assert result.placement.is_on_gpu(block, expert), (
                 f"pending upload for E{expert}@B{block} references a "
                 "non-resident expert"
             )

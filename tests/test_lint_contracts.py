@@ -94,11 +94,11 @@ def test_slot_budget_checks_the_uploading_sequence(platform,
     )
     budget = engine.initial_placement.gpu_count()
     for state in (first, second):
-        assert state.placement.gpu_count() == budget
+        assert state.residency.placement.gpu_count() == budget
         block, expert = next(
             (b, e) for b in range(bundle.arch.n_blocks)
             for e in range(bundle.arch.n_experts)
-            if not state.placement.is_on_gpu(b, e)
+            if not state.residency.placement.is_on_gpu(b, e)
         )
         with pytest.raises(ContractViolation, match="slot budget"):
             engine._upload_expert(state, block, expert, deps=[])
@@ -113,7 +113,7 @@ def test_daop_generation_conserves_slot_budget(
     result = engine.generate(sequence.prompt_tokens, DECODE_LEN)
     # Algorithm 1 swaps happened and never exceeded the budget.
     assert result.stats.counters.prefill_swaps >= 0
-    assert engine.placement.gpu_count() <= \
+    assert result.placement.gpu_count() <= \
         engine.initial_placement.gpu_count()
 
 
@@ -153,7 +153,7 @@ def test_decode_admission_by_the_upload_stage_trips_contract(
     block, expert = next(
         (b, e) for b in range(tiny_bundle.arch.n_blocks)
         for e in range(tiny_bundle.arch.n_experts)
-        if not state.placement.is_on_gpu(b, e)
+        if not state.residency.placement.is_on_gpu(b, e)
     )
     work = BlockWork(block_idx=block, calls=(), uploads=(expert,))
     with pytest.raises(ContractViolation, match="prefill"):

@@ -180,6 +180,30 @@ def test_baseline_may_not_override_substrate_primitives():
     assert len(diags) == 1  # the hook override is allowed
 
 
+def test_baseline_may_not_override_the_shared_residency_decision():
+    """Baselines choose an eviction policy and a transfer; the hit/miss/
+    evict/stream decision itself is substrate."""
+    source = '''\
+        """Doc."""
+        from repro.core.engine import BaseEngine
+
+        class Sneaky(BaseEngine):
+            """Doc."""
+
+            def _ensure_resident(self, ctx, block_idx, experts, deps):
+                """Doc."""
+                return None
+
+            def _transfer_expert(self, ctx, block_idx, expert, deps):
+                """Doc."""
+                return None
+        '''
+    diags = lint(source, path=BASELINE, select=["substrate-override"])
+    assert codes(diags) == {"ENG002"}
+    assert len(diags) == 1  # the transfer hook override is allowed
+    assert "_ensure_resident" in diags[0].message
+
+
 def test_private_substrate_access_flagged_only_off_self():
     source = '''\
         """Doc."""

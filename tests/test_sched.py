@@ -523,7 +523,7 @@ def test_session_checkpoint_rejects_mode_carrying_version_2(daop,
     session = scheduler.begin(_requests(tiny_bundle, n=2))
     scheduler.tick(session)
     payload = scheduler.checkpoint_session(session)
-    assert SCHED_CHECKPOINT_VERSION == 4
+    assert SCHED_CHECKPOINT_VERSION == 5
     assert "mode" not in payload and "gathered_prefill" not in payload
     old = {key: value for key, value in payload.items() if key != "digest"}
     old.update(version=2, mode="gathered", gathered_prefill=True)
@@ -563,3 +563,31 @@ def test_session_checkpoint_rejects_version_3_record_layout(daop,
     restored = scheduler.restore_session(json.loads(json.dumps(payload)))
     assert ([r.served_fields() for r in restored.report.records]
             == [r.served_fields() for r in session.report.records])
+
+
+def test_session_checkpoint_rejects_version_4_result_layout(daop,
+                                                           tiny_bundle):
+    """Version-4 checkpoints wrote results without their in-flight
+    upload keys; version 5 round-trips them."""
+    from repro.model.serialization import canonical_digest
+
+    scheduler = ContinuousBatchScheduler(daop, max_batch=1)
+    session = scheduler.begin(_requests(tiny_bundle, n=2))
+    while not session.report.records:
+        scheduler.tick(session)
+    # A pending key on the finished result must survive the round trip.
+    record = session.report.records[0]
+    record.result.pending_uploads = ((0, 1),)
+    payload = scheduler.checkpoint_session(session)
+    old = {key: value for key, value in payload.items() if key != "digest"}
+    old["version"] = 4
+    old["records"] = [
+        {**r, "result": {key: value for key, value in r["result"].items()
+                         if key != "pending_uploads"}}
+        for r in payload["records"]
+    ]
+    old["digest"] = canonical_digest(old)
+    with pytest.raises(ValueError, match="scheduler-checkpoint version 4"):
+        scheduler.restore_session(old)
+    restored = scheduler.restore_session(json.loads(json.dumps(payload)))
+    assert restored.report.records[0].result.pending_uploads == ((0, 1),)
