@@ -75,7 +75,8 @@ class MoEInfinityEngine(BaseEngine):
     def _prepare_prefill_block(self, ctx, block_idx, activated, activity,
                                deps):
         ctx.policy[block_idx] += activity
-        return self._ensure_resident(ctx, block_idx, activated, deps)
+        return self._ensure_resident(ctx, block_idx, activated.tolist(),
+                                     deps)
 
     # ---- decode: activation-aware prefetch ------------------------------------
 
@@ -85,7 +86,7 @@ class MoEInfinityEngine(BaseEngine):
         pending = residency.pending
         # Exponential-moving-average update of the sequence's pattern.
         scores[block_idx] *= self.score_decay
-        activated = np.atleast_1d(activated).tolist()
+        activated = activated.tolist()
         for expert in activated:
             scores[block_idx, expert] += 1.0
         extra: dict[int, list[Op]] = {}
@@ -100,7 +101,7 @@ class MoEInfinityEngine(BaseEngine):
                     cache.touch(expert)
                 continue
             extra.update(self._ensure_resident(
-                ctx, block_idx, expert, deps
+                ctx, block_idx, (expert,), deps
             ).extra_deps)
         # Prefetch the sequence's hottest experts `lookahead` blocks out.
         target = block_idx + self.lookahead
@@ -112,7 +113,7 @@ class MoEInfinityEngine(BaseEngine):
                 if residency.placement.is_on_gpu(target, expert) \
                         or (target, expert) in pending:
                     continue
-                fetched = self._ensure_resident(ctx, target, expert, deps)
+                fetched = self._ensure_resident(ctx, target, (expert,), deps)
                 for fetched_expert, (op,) in fetched.extra_deps.items():
                     pending[target, fetched_expert] = op
         return BlockPlan(extra_deps=extra, force_gpu=set(activated))

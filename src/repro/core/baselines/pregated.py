@@ -84,7 +84,8 @@ class PreGatedMoEEngine(BaseEngine):
                     label=f"pred-gate B{block_idx + 1}", kind="gate",
                 )
                 prefetch = self._ensure_resident(
-                    ctx, block_idx + 1, prediction.experts, [pred_gate]
+                    ctx, block_idx + 1, prediction.experts.tolist(),
+                    [pred_gate],
                 )
                 for expert, (op,) in prefetch.extra_deps.items():
                     pending[(block_idx + 1, expert)] = op
@@ -109,7 +110,7 @@ class PreGatedMoEEngine(BaseEngine):
                 elif not placement.is_on_gpu(block_idx, expert):
                     # Misprediction: on-demand upload on the critical path.
                     extra.update(self._ensure_resident(
-                        ctx, block_idx, expert, [gate_op]
+                        ctx, block_idx, (expert,), [gate_op]
                     ).extra_deps)
             h, expert_ops = yield from self._routed_block_work(
                 ctx, block_idx, h_att, routing.experts, routing.weights,

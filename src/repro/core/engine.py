@@ -1142,7 +1142,8 @@ class BaseEngine:
         ctx.counters.expert_uploads += 1
 
     def _ensure_resident(self, ctx: SequenceState, block_idx: int,
-                         experts, deps: list[Op]) -> BlockPlan:
+                         experts: list[int] | tuple[int, ...],
+                         deps: list[Op]) -> BlockPlan:
         """Make one block's ``experts`` executable on the GPU, in order.
 
         The one residency decision of the caching baselines, made on
@@ -1165,7 +1166,6 @@ class BaseEngine:
         if caches is None:
             return BlockPlan()
         cache = caches[block_idx]
-        experts = np.atleast_1d(experts).tolist()
         transferred: dict[int, list[Op]] = {}
         for expert in experts:
             if expert in cache:
@@ -1215,14 +1215,16 @@ class BaseEngine:
         activated expert resident (:meth:`_ensure_resident`); one
         without leaves its placement alone.
         """
-        return self._ensure_resident(ctx, block_idx, activated, deps)
+        return self._ensure_resident(ctx, block_idx, activated.tolist(),
+                                     deps)
 
     def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
                               activated: np.ndarray,
                               deps: list[Op]) -> BlockPlan:
         """Hook: arrange residency for a decode block's activated experts
         (by default as :meth:`_prepare_prefill_block` does)."""
-        return self._ensure_resident(ctx, block_idx, activated, deps)
+        return self._ensure_resident(ctx, block_idx, activated.tolist(),
+                                     deps)
 
     def _transfer_expert(self, ctx: SequenceState, block_idx: int,
                          expert: int, deps: list[Op]) -> Op:
