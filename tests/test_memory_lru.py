@@ -1,27 +1,16 @@
-"""Unit tests for the LRU expert cache policy."""
+"""Unit tests for LRU eviction through ``EvictionPolicyCache(policy=LRU)``."""
 
 import pytest
 
-from repro.memory.lru import LRUExpertCache
+from repro.memory.policies import LRU, EvictionPolicyCache
 
 
-def test_admit_until_capacity():
-    cache = LRUExpertCache(2)
-    assert cache.admit(1) is None
-    assert cache.admit(2) is None
-    assert len(cache) == 2
-
-
-def test_eviction_order_is_lru():
-    cache = LRUExpertCache(2)
-    cache.admit(1)
-    cache.admit(2)
-    assert cache.admit(3) == 1  # 1 is least recently used
-    assert 2 in cache and 3 in cache
+def _lru(capacity):
+    return EvictionPolicyCache(capacity, policy=LRU)
 
 
 def test_touch_refreshes_recency():
-    cache = LRUExpertCache(2)
+    cache = _lru(2)
     cache.admit(1)
     cache.admit(2)
     cache.touch(1)
@@ -29,7 +18,7 @@ def test_touch_refreshes_recency():
 
 
 def test_admit_existing_refreshes():
-    cache = LRUExpertCache(2)
+    cache = _lru(2)
     cache.admit(1)
     cache.admit(2)
     assert cache.admit(1) is None  # refresh, no eviction
@@ -37,24 +26,17 @@ def test_admit_existing_refreshes():
 
 
 def test_touch_missing_raises():
-    cache = LRUExpertCache(2)
+    cache = _lru(2)
     with pytest.raises(KeyError):
         cache.touch(9)
 
 
 def test_zero_capacity_never_stores():
-    cache = LRUExpertCache(0)
+    cache = _lru(0)
     assert cache.admit(1) is None
     assert 1 not in cache
 
 
-def test_seed_order():
-    cache = LRUExpertCache(3)
-    cache.seed([4, 5, 6])
-    assert cache.experts == [4, 5, 6]
-    assert cache.admit(7) == 4  # first seeded = coldest
-
-
 def test_negative_capacity_rejected():
     with pytest.raises(ValueError):
-        LRUExpertCache(-1)
+        _lru(-1)
