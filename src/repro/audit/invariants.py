@@ -381,14 +381,14 @@ def audit_result(
 def expects_prefill_only_uploads(engine) -> bool:
     """Whether an engine promises to migrate experts only during prefill.
 
-    DAOP promises it exactly when the decode re-allocation extension is
-    off (``decode_realloc_interval is None``); the official and Fiddler
-    engines never move experts at all.  Caching/prefetching baselines
-    upload during decode as their published behavior.
+    An engine with an eviction cache (the caching and prefetching
+    baselines) uploads during decode as its published behavior; DAOP
+    does so only with the decode re-allocation extension on
+    (``decode_realloc_interval`` set).  The rest move experts during
+    prefill at most.
     """
-    if hasattr(engine, "decode_realloc_interval"):
-        return engine.decode_realloc_interval is None
-    return getattr(engine, "name", "") in ("official", "fiddler")
+    return getattr(engine, "eviction_policy", None) is None \
+        and getattr(engine, "decode_realloc_interval", None) is None
 
 
 def audit_generation(engine, result: GenerationResult,

@@ -5,7 +5,7 @@ paper notes -- "lack[s] an efficient expert offloading mechanism": when
 the model does not fit in GPU memory, expert weights stream across PCIe
 for every use without persisting in a device-side cache.  We model this as
 an engine whose experts always live in host memory and are uploaded
-through a scratch buffer each time they are activated; compute itself runs
+through a staging buffer each time they are activated; compute itself runs
 at a slightly higher GPU efficiency (the optimized kernels), which is
 irrelevant next to the transfer wall.
 """
@@ -28,7 +28,7 @@ class DeepSpeedMIIEngine(BaseEngine):
 
     No expert is GPU-resident, so every block's eviction cache has no
     slots and the shared residency path streams each activated expert
-    through a scratch buffer.
+    through a staging buffer.
     """
 
     name = "deepspeed-mii"

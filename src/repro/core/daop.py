@@ -176,7 +176,7 @@ class DAOPEngine(BaseEngine):
             # is valid, so the swap costs one H2D upload that overlaps with
             # the ongoing prefill compute.  The cohort driver lands it,
             # shared with every member swapping the same expert in.
-            self._drop_expert(ctx, block_idx, plan.cold_expert)
+            ctx.residency.evict(block_idx, plan.cold_expert)
             uploads.append(plan.hot_expert)
             ctx.counters.prefill_swaps += 1
         return BlockPlan(uploads=tuple(uploads))
@@ -264,7 +264,7 @@ class DAOPEngine(BaseEngine):
                 if plan.hot_activity >= self.decode_realloc_min_activity
             ][: self.decode_realloc_max_swaps_per_block]
             for plan in plans:
-                self._drop_expert(ctx, block_idx, plan.cold_expert)
+                residency.evict(block_idx, plan.cold_expert)
                 # The swapped-out expert's weights are no longer resident:
                 # any still-pending upload of it must not survive as a
                 # dependency for a future activation (audited by

@@ -34,7 +34,6 @@ from repro.events import (
     EventBus,
 )
 from repro.hardware.cost_model import CostModel
-from repro.hardware.device import DeviceKind
 from repro.hardware.energy import EnergyBreakdown, EnergyModel
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import CPU, D2H, GPU, H2D, Op, Timeline
@@ -297,8 +296,9 @@ class BlockPlan:
         extra_deps: per-expert additional dependency ops (e.g. the
             upload that brings the expert's weights onto the device).
         force_gpu: experts that must execute on the GPU regardless of
-            the placement map (streamed through scratch buffers that the
-            placement bookkeeping has already released).
+            the placement map (run from the staging buffer they
+            streamed into: a block without slots never makes them
+            resident, and a sibling's admission may have evicted them).
         uploads: experts whose weights must land on the device before
             this block's calls, in the order the policy asked for them.
             The cohort driver lands them (:meth:`BaseEngine.
@@ -1131,14 +1131,16 @@ class BaseEngine:
 
     def _admit_expert(self, ctx: SequenceState, block_idx: int,
                       expert: int) -> None:
-        """Residency half of an upload: mark the expert GPU-resident.
+        """Residency half of an upload: count it and admit the expert
+        (:meth:`~repro.memory.residency.Residency.admit`, which refuses
+        a full block).
 
         Every upload admits through here: inline
         (:meth:`_upload_expert`, or a baseline's own
         :meth:`_transfer_expert`) or landed by the cohort driver
         (:meth:`_land_uploads`).
         """
-        ctx.residency.placement.set_device(block_idx, expert, DeviceKind.GPU)
+        ctx.residency.admit(block_idx, expert)
         ctx.counters.expert_uploads += 1
 
     def _ensure_resident(self, ctx: SequenceState, block_idx: int,
@@ -1148,11 +1150,11 @@ class BaseEngine:
 
         The one residency decision of the caching baselines, made on
         the sequence's eviction cache: a cached expert is a hit and
-        refreshes the cache; a miss admits it, drops the policy's
-        victim from the placement and transfers the expert in
+        refreshes the cache; a miss admits it, evicts the policy's
+        victim from the residency and transfers the expert in
         (:meth:`_transfer_expert`); in a block without slots each
-        expert streams through a scratch buffer (transferred, then
-        dropped again).  An engine without an eviction cache gets an
+        expert streams through a staging buffer and stays
+        non-resident.  An engine without an eviction cache gets an
         empty plan.
 
         Returns:
@@ -1173,18 +1175,11 @@ class BaseEngine:
                 continue
             evicted = cache.admit(expert)
             if evicted is not None:
-                self._drop_expert(ctx, block_idx, evicted)
+                ctx.residency.evict(block_idx, evicted)
             transferred[expert] = [
                 self._transfer_expert(ctx, block_idx, expert, deps)
             ]
-            if cache.capacity == 0:
-                self._drop_expert(ctx, block_idx, expert)
         return BlockPlan(extra_deps=transferred, force_gpu=set(experts))
-
-    def _drop_expert(self, ctx: SequenceState, block_idx: int,
-                     expert: int) -> None:
-        """Free a device copy (host copy of inference weights stays valid)."""
-        ctx.residency.placement.set_device(block_idx, expert, DeviceKind.CPU)
 
     def _record_activation_counters(self, ctx: SequenceState,
                                     block_idx: int,

@@ -1,4 +1,4 @@
-"""daoplint: AST-based invariant checker + runtime contracts for DAOP.
+"""daoplint: AST-based invariant checker for DAOP.
 
 The reproduction rests on invariants the paper states in prose but code
 cannot express locally: migration is prefill-only (SS IV-B, Algorithm 1),
@@ -13,20 +13,16 @@ deterministic end-to-end.  This package enforces them mechanically:
 - a whole-program semantic layer (``repro lint --semantic``) with a
   project index, call graph, CFGs, and flow-sensitive rule families
   (:mod:`repro.lint.semantics`); findings can be exported as SARIF
-  (:mod:`repro.lint.sarif`) for GitHub code scanning;
-- opt-in runtime contract validators for timeline monotonicity, slot
-  budgets, and prefill-only migration (:mod:`repro.lint.contracts`).
+  (:mod:`repro.lint.sarif`) for GitHub code scanning.
+
+Runtime invariants are not linted: ``repro.memory.Residency`` refuses
+an admission past a block's slots, and ``repro.audit`` checks lane
+order and prefill-only migration on finished results.
 
 See ``docs/linting.md`` for every rule and its paper justification and
 ``docs/static-analysis.md`` for the semantic framework.
 """
 
-from repro.lint.contracts import (
-    ContractViolation,
-    EngineContractGuard,
-    validate_slot_budget,
-    validate_timeline,
-)
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import (
     LintContext,
@@ -56,10 +52,6 @@ from repro.lint.semantics import (
 from repro.lint.suppressions import SuppressionIndex, SuppressionMarker
 
 __all__ = [
-    "ContractViolation",
-    "EngineContractGuard",
-    "validate_slot_budget",
-    "validate_timeline",
     "Diagnostic",
     "Severity",
     "LintContext",

@@ -34,8 +34,8 @@ experts during decode: on-demand caching and prefetching baselines
 (MoE-OnDemand, Mixtral-Offloading, Pre-gated MoE, ...) upload as their
 published behavior.  What is forbidden statically is using DAOP's swap
 planner; "migration stays in prefill when ``decode_realloc_interval`` is
-None" is a *runtime* contract checked by
-:mod:`repro.lint.contracts`.
+None" is a *runtime* property, checked on finished results by
+:func:`repro.audit.invariants.check_prefill_only_migration`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ _SUBSTRATE_METHODS = frozenset({
     "_step_cohort", "_advance", "_attention_round", "finish",
     "checkpoint_sequence", "restore_sequence",
     "_attention", "_gate", "_upload_expert", "_admit_expert",
-    "_ensure_resident", "_drop_expert", "_lm_head_batch",
+    "_ensure_resident", "_lm_head_batch",
     "_record_activation_counters",
     "_prefill_blocks_standard", "_decode_blocks_standard",
     "_routed_block_work", "_execute_block_work_gathered",

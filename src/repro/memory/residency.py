@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hardware.device import DeviceKind
 from repro.memory.placement import ExpertPlacement
 from repro.memory.policies import EvictionPolicyCache
 
@@ -19,9 +20,14 @@ from repro.memory.policies import EvictionPolicyCache
 class Residency:
     """Where one sequence's experts live, and what is on its way.
 
+    Each block has a fixed number of GPU slots: as many experts as the
+    placement it is built with holds there.  :meth:`admit` and
+    :meth:`evict` are the only writers of the placement, so no block
+    ever holds more experts than its slots.
+
     Attributes:
-        placement: the :class:`ExpertPlacement` the engine reads and
-            mutates.
+        placement: the :class:`ExpertPlacement` the engine reads;
+            changed only through :meth:`admit` and :meth:`evict`.
         caches: one :class:`EvictionPolicyCache` per block over the
             GPU-resident experts, or ``None`` for an engine without an
             eviction cache (Fiddler, DAOP, the official engine).
@@ -35,6 +41,10 @@ class Residency:
         self.placement = placement
         self.caches = caches
         self.pending = {} if pending is None else pending
+        #: GPU slots per block, fixed at construction.  Every block is
+        #: full between engine steps, so a restored checkpoint recovers
+        #: the same capacity from its placement.
+        self.capacity = placement.as_matrix().sum(axis=1).tolist()
 
     @classmethod
     def seeded(cls, placement: ExpertPlacement, policy: str | None,
@@ -60,6 +70,34 @@ class Residency:
             cache.seed(resident)
             caches.append(cache)
         return cls(placement, caches)
+
+    def admit(self, block: int, expert: int) -> None:
+        """Make ``expert`` GPU-resident in a free slot of ``block``.
+
+        A resident expert stays as it is.  A block without slots holds
+        nothing: its expert runs from the staging buffer it streamed
+        into, and the placement does not change.
+
+        Raises:
+            RuntimeError: if every slot of ``block`` is taken; the
+                caller must evict an expert first (Algorithm 1 frees
+                the cold expert before the hot one comes in).
+        """
+        placement = self.placement
+        slots = self.capacity[block]
+        if not slots or placement.is_on_gpu(block, expert):
+            return
+        if placement.gpu_count(block) >= slots:
+            raise RuntimeError(
+                f"cannot admit E{expert}@B{block}: all {slots} GPU "
+                "slot(s) of the block are taken"
+            )
+        placement.set_device(block, expert, DeviceKind.GPU)
+
+    def evict(self, block: int, expert: int) -> None:
+        """Free ``expert``'s slot in ``block`` (its host copy stays
+        valid)."""
+        self.placement.set_device(block, expert, DeviceKind.CPU)
 
     def to_state_dict(self) -> dict:
         """Serialize for a checkpoint; pending ops as timeline indices."""

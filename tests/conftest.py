@@ -59,27 +59,3 @@ def audit_result():
         return report
 
     return _audit
-
-
-@pytest.fixture()
-def engine_contracts():
-    """Opt-in runtime contracts: ``engine_contracts(engine, **kwargs)``.
-
-    Attaches an :class:`repro.lint.contracts.EngineContractGuard` to an
-    engine (timeline monotonicity, slot-budget conservation, and
-    prefill-only migration when ``decode_realloc_interval`` is None) and
-    detaches every guard at test teardown.
-    """
-    from repro.lint.contracts import EngineContractGuard
-
-    guards = []
-
-    def _attach(engine, **kwargs):
-        guard = EngineContractGuard(engine, **kwargs)
-        guard.attach()
-        guards.append(guard)
-        return guard
-
-    yield _attach
-    for guard in guards:
-        guard.detach()
