@@ -283,11 +283,27 @@ def check_energy_consistency(result: GenerationResult,
 
 def check_prefill_only_migration(result: GenerationResult,
                                  report: AuditReport) -> None:
-    """No expert upload may start after prefill completes (SS IV-B)."""
+    """No expert upload may be issued, or run, after prefill (SS IV-B).
+
+    A sequence's timeline records its ops in submission order, and
+    every step ends in one LM-head op, so an upload recorded after the
+    first LM-head op was issued by a decode step -- even one whose
+    transfer ran on an idle copy lane before prefill ended.
+    """
     report.checks_run.append("prefill-only-migration")
+    ops = result.timeline.ops
+    prefill_end = next((op.index for op in ops if op.kind == "lm_head"),
+                       len(ops))
     cutoff = result.stats.prefill_time_s + TIME_TOLERANCE_S
-    for op in result.timeline.ops:
-        if op.kind == "expert_upload" and op.start > cutoff:
+    for op in ops:
+        if op.kind != "expert_upload":
+            continue
+        if op.index > prefill_end:
+            report.add("prefill-only-migration",
+                       f"upload op {op.index} ({op.label!r}) was issued "
+                       f"during decode, after prefill's LM-head op "
+                       f"{prefill_end}")
+        elif op.start > cutoff:
             report.add("prefill-only-migration",
                        f"upload op {op.index} ({op.label!r}) starts at "
                        f"{op.start}, after prefill ended at "
@@ -358,7 +374,8 @@ def audit_result(
             transition check (needs the pre-generation placement).
         platform: when given, the energy breakdown is re-integrated from
             the timeline and compared.
-        prefill_only_uploads: assert no upload op starts after prefill
+        prefill_only_uploads: assert no upload op is issued or starts
+            after prefill
             (the paper's DAOP configuration and all never-migrating
             engines; caching baselines legitimately upload in decode).
 

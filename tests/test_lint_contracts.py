@@ -171,29 +171,33 @@ def test_swap_landed_by_the_upload_stage_is_budget_checked(
 def test_decode_admission_by_the_upload_stage_trips_contract(
         tiny_bundle, platform, tiny_calibration, sequence):
     """An upload the cohort driver lands during decode is a migration
-    too: the prefill-only audit flags it on the finished result."""
+    too: the prefill-only audit flags it on the finished result, by the
+    step that issued it, though its transfer ran before prefill ended."""
     engine = build("daop", tiny_bundle, platform, tiny_calibration)
     state = engine.start(SequenceRequest(
         prompt_tokens=sequence.prompt_tokens, max_new_tokens=DECODE_LEN,
     ))
-    engine.step(state)  # prefill
-    engine.step(state)  # first decode token
+    engine.step(state)
     assert state.phase == "decode"
     placement = state.residency.placement
     block = next(b for b in range(tiny_bundle.arch.n_blocks)
                  if 0 < placement.gpu_count(b) < tiny_bundle.arch.n_experts)
+    # Free a slot so only the prefill-only contract is broken.
     state.residency.evict(block, int(placement.gpu_experts(block)[0]))
     expert = int(placement.cpu_experts(block)[-1])
-    # Like a policy's upload, the transfer waits on decode work.
-    work = BlockWork(block_idx=block, calls=(), uploads=(expert,),
-                     upload_deps=(state.last_op,))
+    work = BlockWork(block_idx=block, calls=(), uploads=(expert,))
+    n_ops = len(state.timeline.ops)
     engine._execute_block_work_gathered([(state, work)])
     while not state.done:
         engine.step(state)
     result = engine.finish(state)
+    upload = result.timeline.ops[n_ops]
+    assert upload.kind == "expert_upload"
+    assert upload.start < result.stats.prefill_time_s
     flagged = prefill_only_violations(result)
     assert len(flagged) == 1
     assert f"E{expert}@B{block}" in flagged[0].message
+    assert "issued during decode" in flagged[0].message
 
 
 def test_paper_daop_never_migrates_during_decode(
