@@ -794,7 +794,8 @@ class BaseEngine:
                 f"sequence {state.seq_id} is still in phase "
                 f"{state.phase!r}; step() it to completion first"
             )
-        t0 = state.timeline.ops[0].start if state.timeline.ops else 0.0
+        starts = state.timeline.starts
+        t0 = starts[0] if starts else 0.0
         state.timeline.rebase(t0)
         state.prefill_time_s -= t0
         stats = GenerationStats(

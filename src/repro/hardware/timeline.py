@@ -9,11 +9,24 @@ pools, and copy engines.
 The timeline records every op with its start/end time, so benchmarks can
 compute makespans, per-resource utilization, and Gantt-style renderings
 (paper Fig. 8), and the energy model can integrate busy time.
+
+Ops are stored as typed columns, one row per op: ``durations``,
+``starts`` and ``ends`` are ``array('d')``; ``resources``, ``kinds`` and
+``labels`` are lists of interned strings; and the dependency indices of
+every op are flattened into one ``array('q')`` (``dep_flat``) cut by an
+offsets column (``dep_offsets``).  A row costs ~64 bytes where an object
+per op cost ~260.  An :class:`Op` is a two-slot ``(timeline, index)``
+handle that reads its row, and ``Timeline.ops`` is a read-only sequence
+of such handles.
 """
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from sys import intern
 
 GPU = "gpu"
 CPU = "cpu"
@@ -22,12 +35,35 @@ D2H = "d2h"
 
 RESOURCES = (GPU, CPU, H2D, D2H)
 
+#: Field order of one op's row (its equality and ``repr``).
+_ROW_FIELDS = ("index", "resource", "duration", "start", "end", "label",
+               "kind", "dep_indices")
 
-@dataclass
+
+def _column(name: str, doc: str) -> property:
+    """Read/write property on the op's row of one timeline column."""
+
+    def get(op: "Op"):
+        return getattr(op.timeline, name)[op.index]
+
+    def put(op: "Op", value) -> None:
+        getattr(op.timeline, name)[op.index] = value
+
+    return property(get, put, doc=doc)
+
+
 class Op:
-    """One scheduled operation on a resource.
+    """Handle on one scheduled operation: row ``index`` of ``timeline``.
+
+    The attributes read the row, so a held handle sees in-place edits
+    such as :meth:`Timeline.rebase`.  Assigning ``resource``,
+    ``duration``, ``start``, ``end``, ``label`` or ``kind`` writes the
+    row (the audits' planted-defect tests corrupt schedules this way);
+    ``dep_indices`` is read-only.  Two handles are equal when their rows
+    are, whichever timeline holds them.
 
     Attributes:
+        timeline: the :class:`Timeline` whose columns hold the row.
         index: submission-order identifier within the timeline.
         resource: executing lane (``gpu``/``cpu``/``h2d``/``d2h``).
         duration: busy time charged to the lane, in simulated seconds.
@@ -40,44 +76,76 @@ class Op:
             implicit and not recorded here).
     """
 
-    index: int
-    resource: str
-    duration: float
-    start: float
-    end: float
-    label: str = ""
-    kind: str = ""
-    dep_indices: tuple[int, ...] = ()
+    __slots__ = ("timeline", "index")
+
+    def __init__(self, timeline: "Timeline", index: int) -> None:
+        self.timeline = timeline
+        self.index = index
+
+    resource = _column("resources", "Executing lane.")
+    duration = _column("durations", "Busy time charged to the lane (s).")
+    start = _column("starts", "Start time (simulated s).")
+    end = _column("ends", "Completion time (simulated s).")
+    label = _column("labels", "Human-readable op label.")
+    kind = _column("kinds", "Op category.")
+
+    @property
+    def dep_indices(self) -> tuple[int, ...]:
+        """Indices of the ops this op waited on."""
+        offsets = self.timeline.dep_offsets
+        return tuple(self.timeline.dep_flat[
+            offsets[self.index]:offsets[self.index + 1]
+        ])
+
+    def _row(self) -> tuple:
+        """The op's values, in :data:`_ROW_FIELDS` order."""
+        return (self.index, self.resource, self.duration, self.start,
+                self.end, self.label, self.kind, self.dep_indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Op):
+            return NotImplemented
+        return self._row() == other._row()
 
     def __hash__(self) -> int:
         return self.index
 
-    def to_state_dict(self) -> dict:
-        """Serialize the op for a checkpoint (all plain data)."""
-        return {
-            "index": self.index,
-            "resource": self.resource,
-            "duration": self.duration,
-            "start": self.start,
-            "end": self.end,
-            "label": self.label,
-            "kind": self.kind,
-            "dep_indices": list(self.dep_indices),
-        }
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(_ROW_FIELDS, self._row()))
+        return f"Op({values})"
 
-    @classmethod
-    def from_state_dict(cls, payload: dict) -> "Op":
-        """Rebuild an op captured by :meth:`to_state_dict`."""
-        return cls(
-            index=int(payload["index"]),
-            resource=payload["resource"],
-            duration=payload["duration"],
-            start=payload["start"],
-            end=payload["end"],
-            label=payload["label"],
-            kind=payload["kind"],
-            dep_indices=tuple(int(i) for i in payload["dep_indices"]),
-        )
+
+class OpsView(Sequence):
+    """Read-only sequence of a timeline's op handles (``Timeline.ops``).
+
+    Supports ``len``, iteration and int (also negative) indexing; a slice
+    returns a list of handles.
+    """
+
+    __slots__ = ("_timeline",)
+
+    def __init__(self, timeline: "Timeline") -> None:
+        self._timeline = timeline
+
+    def __len__(self) -> int:
+        return len(self._timeline.starts)
+
+    def __getitem__(self, key):
+        timeline = self._timeline
+        n = len(timeline.starts)
+        if isinstance(key, slice):
+            return [Op(timeline, i) for i in range(*key.indices(n))]
+        index = operator.index(key)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("op index out of range")
+        return Op(timeline, index)
+
+    def __iter__(self):
+        timeline = self._timeline
+        return (Op(timeline, i) for i in range(len(timeline.starts)))
 
 
 @dataclass
@@ -118,8 +186,9 @@ class ResourceClock:
         timeline-local (an op's ``dep_indices`` index its own
         timeline), so the cross-sequence coupling flows through the
         shared clock — never through cross-timeline dependency edges,
-        which would corrupt the causality audit.  A lane already past
-        ``t`` is left untouched.
+        which :meth:`Timeline.add` refuses (an index names a row of its
+        own timeline only).  A lane already past ``t`` is left
+        untouched.
 
         Raises:
             ValueError: for an unknown resource name.
@@ -149,34 +218,81 @@ class ResourceClock:
         return clock
 
 
-@dataclass
 class Timeline:
-    """Accumulates ops and resolves their start/end times on submission."""
+    """Accumulates ops and resolves their start/end times on submission.
 
-    ops: list[Op] = field(default_factory=list)
-    clock: ResourceClock = field(default_factory=ResourceClock)
+    Attributes:
+        clock: lane-availability state the ops are resolved against
+            (private by default, or shared between timelines).
+        durations: per-op busy time, ``array('d')``.
+        starts: per-op start time, ``array('d')``.
+        ends: per-op completion time, ``array('d')``.
+        resources: per-op lane name (interned strings).
+        kinds: per-op category (interned strings).
+        labels: per-op label (interned strings).
+        dep_offsets: ``array('q')`` of ``len(ops) + 1`` offsets; op
+            ``i``'s dependency indices are
+            ``dep_flat[dep_offsets[i]:dep_offsets[i + 1]]``.
+        dep_flat: every op's dependency indices, concatenated.
+    """
+
+    def __init__(self, clock: ResourceClock | None = None) -> None:
+        self.clock = ResourceClock() if clock is None else clock
+        self.durations = array("d")
+        self.starts = array("d")
+        self.ends = array("d")
+        self.resources: list[str] = []
+        self.kinds: list[str] = []
+        self.labels: list[str] = []
+        self.dep_offsets = array("q", [0])
+        self.dep_flat = array("q")
+
+    @property
+    def ops(self) -> OpsView:
+        """Read-only sequence of the recorded ops, in submission order."""
+        return OpsView(self)
 
     def add(self, resource: str, duration: float,
             deps: list[Op] | None = None, label: str = "",
             kind: str = "") -> Op:
-        """Schedule an op; returns its handle with resolved times."""
+        """Schedule an op; returns its handle with resolved times.
+
+        Raises:
+            ValueError: for an unknown resource, a negative duration, or
+                a dependency recorded in another timeline (dependencies
+                are timeline-local; sequences couple through a shared
+                :class:`ResourceClock`, see :meth:`ResourceClock.hold`).
+        """
         free = self.clock.free
         ready = free.get(resource)
         if ready is None:
             raise ValueError(f"unknown resource {resource!r}")
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        dep_indices = ()
+        flat = self.dep_flat
         if deps:
+            ends = self.ends
             for dep in deps:
-                if dep.end > ready:
-                    ready = dep.end
-            dep_indices = tuple(dep.index for dep in deps)
-        op = Op(len(self.ops), resource, duration, ready, ready + duration,
-                label, kind, dep_indices)
-        self.ops.append(op)
-        free[resource] = op.end
-        return op
+                if dep.timeline is not self:
+                    del flat[self.dep_offsets[-1]:]
+                    raise ValueError(
+                        f"dependency op {dep.index} was recorded in another "
+                        "timeline; dependencies must be timeline-local"
+                    )
+                index = dep.index
+                if ends[index] > ready:
+                    ready = ends[index]
+                flat.append(index)
+        end = ready + duration
+        self.durations.append(duration)
+        self.starts.append(ready)
+        self.ends.append(end)
+        self.resources.append(intern(resource))
+        self.kinds.append(intern(kind))
+        self.labels.append(intern(label))
+        self.dep_offsets.append(len(flat))
+        free[resource] = end
+        return Op(self, len(self.ends) - 1)
 
     def rebase(self, t0: float) -> None:
         """Shift every recorded op ``t0`` seconds toward zero.
@@ -188,23 +304,22 @@ class Timeline:
         is what :class:`GenerationStats` and the energy integral expect.
         Only a finished timeline may be rebased -- the shared clock is
         deliberately left untouched, so adding ops afterwards would
-        desynchronize the record.  The ops shift in place, so every
-        held handle (a sequence's ``last_op``) reads rebased times.
+        desynchronize the record.  The columns shift, so every held
+        handle (a sequence's ``last_op``) reads rebased times.
 
         Raises:
             ValueError: if ``t0`` exceeds the earliest op start (a shift
                 that would move an op before time zero).
         """
-        if t0 == 0.0 or not self.ops:
+        if t0 == 0.0 or not self.starts:
             return
-        first = min(op.start for op in self.ops)
+        first = min(self.starts)
         if t0 > first + 1e-12:
             raise ValueError(
                 f"cannot rebase by {t0}: earliest op starts at {first}"
             )
-        for op in self.ops:
-            op.start -= t0
-            op.end -= t0
+        self.starts = array("d", (start - t0 for start in self.starts))
+        self.ends = array("d", (end - t0 for end in self.ends))
 
     def barrier(self, deps: list[Op]) -> float:
         """Latest finish time among ``deps`` (no op is scheduled)."""
@@ -219,7 +334,22 @@ class Timeline:
         — the owning scheduler checkpoints the clock once and hands it
         back to every restored timeline, preserving the lane coupling.
         """
-        payload = {"ops": [op.to_state_dict() for op in self.ops]}
+        offsets, flat = self.dep_offsets, self.dep_flat
+        payload = {"ops": [
+            {
+                "index": i,
+                "resource": resource,
+                "duration": duration,
+                "start": start,
+                "end": end,
+                "label": label,
+                "kind": kind,
+                "dep_indices": flat[offsets[i]:offsets[i + 1]].tolist(),
+            }
+            for i, (resource, duration, start, end, label, kind)
+            in enumerate(zip(self.resources, self.durations, self.starts,
+                             self.ends, self.labels, self.kinds))
+        ]}
         if include_clock:
             payload["clock"] = self.clock.to_state_dict()
         return payload
@@ -234,14 +364,27 @@ class Timeline:
             clock: externally restored shared clock; ``None`` restores
                 the private clock stored in the payload (or a fresh one
                 if the payload carries none).
+
+        Raises:
+            ValueError: if an op's ``index`` is not its position.
         """
         if clock is None:
             clock = (ResourceClock.from_state_dict(payload["clock"])
                      if "clock" in payload else ResourceClock())
         timeline = cls(clock=clock)
-        timeline.ops.extend(
-            Op.from_state_dict(op) for op in payload["ops"]
-        )
+        for position, op in enumerate(payload["ops"]):
+            if int(op["index"]) != position:
+                raise ValueError(
+                    f"op at position {position} carries index {op['index']}"
+                )
+            timeline.durations.append(op["duration"])
+            timeline.starts.append(op["start"])
+            timeline.ends.append(op["end"])
+            timeline.resources.append(intern(op["resource"]))
+            timeline.kinds.append(intern(op["kind"]))
+            timeline.labels.append(intern(op["label"]))
+            timeline.dep_flat.extend(int(i) for i in op["dep_indices"])
+            timeline.dep_offsets.append(len(timeline.dep_flat))
         return timeline
 
     # ---- statistics ----------------------------------------------------------
@@ -249,11 +392,12 @@ class Timeline:
     @property
     def makespan(self) -> float:
         """End time of the last-finishing op."""
-        return max((op.end for op in self.ops), default=0.0)
+        return max(self.ends, default=0.0)
 
     def busy_time(self, resource: str) -> float:
         """Total execution time charged to one resource."""
-        return sum(op.duration for op in self.ops if op.resource == resource)
+        return sum(duration for duration, lane
+                   in zip(self.durations, self.resources) if lane == resource)
 
     def utilization(self, resource: str) -> float:
         """Busy fraction of one resource over the makespan."""
@@ -264,11 +408,14 @@ class Timeline:
 
     def ops_on(self, resource: str) -> list[Op]:
         """All ops scheduled on one resource, in submission order."""
-        return [op for op in self.ops if op.resource == resource]
+        return [Op(self, i) for i, lane in enumerate(self.resources)
+                if lane == resource]
 
     def window(self, t0: float, t1: float) -> list[Op]:
         """Ops overlapping the time window ``[t0, t1)``."""
-        return [op for op in self.ops if op.start < t1 and op.end > t0]
+        return [Op(self, i)
+                for i, (start, end) in enumerate(zip(self.starts, self.ends))
+                if start < t1 and end > t0]
 
     def render_gantt(self, t0: float = 0.0, t1: float | None = None,
                      width: int = 100) -> str:

@@ -3,11 +3,15 @@
 Every paper number in this repo — makespans, utilizations, energy
 integrals, critical paths — is derived from ``Timeline.ops``.  The
 timeline resolves each op's start/end *at submission* against per-lane
-FIFO state, so the list is only meaningful if it is built exclusively
+FIFO state, so the record is only meaningful if it is built exclusively
 through ``Timeline.add()``: code elsewhere appending, reordering, or
-rewriting ``ops`` entries would silently desynchronize the schedule from
-the per-resource clocks and corrupt every downstream metric.  Reading
-``.ops`` (iteration, indexing, rendering) is of course fine and common.
+rewriting ``ops`` entries would desynchronize the schedule from the
+per-resource clocks and corrupt every downstream metric.  ``ops`` is a
+read-only view, so such a write fails at run time too; this rule
+reports it statically.  Reading ``.ops`` (iteration, indexing,
+rendering) is of course fine and common.  The timeline's columns
+(``starts``, ``ends``, ``labels``, ...) are the same record and are
+guarded the same way.
 
 This is one of the ROADMAP's candidate rules: forbid ``Timeline.ops``
 mutation outside :mod:`repro.hardware`, statically.
@@ -26,9 +30,17 @@ _MUTATING_METHODS = frozenset({
 })
 
 
-def _is_ops_attribute(node) -> bool:
-    """Whether ``node`` is an ``<expr>.ops`` attribute access."""
-    return isinstance(node, ast.Attribute) and node.attr == "ops"
+#: Attributes holding the timeline's op record: the ``ops`` view and
+#: the columns behind it.
+_RECORD_ATTRIBUTES = frozenset({
+    "ops", "durations", "starts", "ends", "resources", "kinds", "labels",
+    "dep_offsets", "dep_flat",
+})
+
+
+def _is_record_attribute(node) -> bool:
+    """Whether ``node`` is an ``<expr>.ops`` (or column) attribute access."""
+    return isinstance(node, ast.Attribute) and node.attr in _RECORD_ATTRIBUTES
 
 
 def _owner(node) -> str:
@@ -43,16 +55,18 @@ class TimelineOpsMutationRule(Rule):
     name = "timeline-ops-mutation"
     code = "TL001"
     description = ("Timeline.ops is append-only via Timeline.add(); no "
-                   "mutation of a .ops attribute outside repro.hardware")
+                   "mutation of a .ops attribute (or a timeline column) "
+                   "outside repro.hardware")
 
     def check(self, ctx: LintContext):
-        """Flag writes to any ``.ops`` attribute outside the owner package.
+        """Flag writes to any ``.ops`` attribute (or timeline column)
+        outside the owner package.
 
-        The check is name-based (any attribute called ``ops``), matching
-        the bluntness of the other static rules: the only ``ops``
-        attribute in the library is the timeline's op record, and a
-        false positive on a future unrelated ``ops`` is a naming smell
-        worth flagging anyway.
+        The check is name-based (any attribute called ``ops``,
+        ``starts``, ``labels``, ...), matching the bluntness of the
+        other static rules: the only such attributes in the library are
+        the timeline's op record, and a false positive on a future
+        unrelated one is a naming smell worth flagging anyway.
         """
         if ctx.in_subpath("hardware"):
             return
@@ -60,10 +74,11 @@ class TimelineOpsMutationRule(Rule):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in _MUTATING_METHODS \
-                    and _is_ops_attribute(node.func.value):
+                    and _is_record_attribute(node.func.value):
                 yield self.diag(
                     ctx, node,
-                    f"'{_owner(node.func.value.value)}.ops"
+                    f"'{_owner(node.func.value.value)}"
+                    f".{node.func.value.attr}"
                     f".{node.func.attr}(...)' mutates the timeline op "
                     "record; ops are appended only by Timeline.add() in "
                     "repro.hardware",
@@ -80,19 +95,20 @@ class TimelineOpsMutationRule(Rule):
     def _check_write(self, ctx: LintContext, target):
         """Diagnostics for one assignment/deletion target."""
         # x.ops = ... / del x.ops
-        if _is_ops_attribute(target):
+        if _is_record_attribute(target):
             yield self.diag(
                 ctx, target,
-                f"assignment to '{_owner(target.value)}.ops' replaces "
-                "the timeline op record; build schedules through "
+                f"assignment to '{_owner(target.value)}.{target.attr}' "
+                "replaces the timeline op record; build schedules through "
                 "Timeline.add() in repro.hardware",
             )
         # x.ops[i] = ... / del x.ops[i] / x.ops[i:j] = ...
         elif isinstance(target, ast.Subscript) \
-                and _is_ops_attribute(target.value):
+                and _is_record_attribute(target.value):
             yield self.diag(
                 ctx, target,
-                f"item write on '{_owner(target.value.value)}.ops' "
+                f"item write on '{_owner(target.value.value)}"
+                f".{target.value.attr}' "
                 "mutates the timeline op record; ops are append-only "
                 "via Timeline.add() in repro.hardware",
             )

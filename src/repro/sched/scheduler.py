@@ -156,8 +156,8 @@ class BatchReport(RequestAggregates):
         return sum(
             1
             for r in self.records
-            for op in r.result.timeline.ops
-            if op.kind in ("expert_gpu", "expert_cpu")
+            for kind in r.result.timeline.kinds
+            if kind in ("expert_gpu", "expert_cpu")
         )
 
     @property
@@ -507,9 +507,9 @@ class ContinuousBatchScheduler:
         """Capture absolute times, then finalize the sequence."""
         state = entry.state
         timeline = state.timeline
-        service_start = min(op.start for op in timeline.ops)
+        service_start = min(timeline.starts)
         first_token = state.prefill_time_s
-        finish = max(op.end for op in timeline.ops)
+        finish = max(timeline.ends)
         result = self.engine.finish(state)
         if self.events.active:
             self.events.emit(

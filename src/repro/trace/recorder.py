@@ -8,7 +8,7 @@ computed from these traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,11 +17,25 @@ DECODE = "decode"
 PHASES = (PREFILL, DECODE)
 
 
-def _int_tuple(experts) -> tuple[int, ...]:
-    """Expert ids (a scalar, list or array) as a tuple of plain ints."""
-    return tuple(map(int, np.atleast_1d(experts).tolist()))
+def _slotted(cls):
+    """Rebuild dataclass ``cls`` with ``__slots__`` for its fields.
+
+    The same rebuild ``dataclass(slots=True)`` does on Python 3.10+,
+    for 3.9: an instance stores its fields in slots instead of a
+    ``__dict__``.  Field defaults live on in the generated ``__init__``;
+    methods must not use zero-argument ``super()``, whose cell would
+    still name the original class.
+    """
+    names = tuple(f.name for f in fields(cls))
+    namespace = {
+        key: value for key, value in cls.__dict__.items()
+        if key not in names and key not in ("__dict__", "__weakref__")
+    }
+    namespace["__slots__"] = names
+    return type(cls)(cls.__name__, cls.__bases__, namespace)
 
 
+@_slotted
 @dataclass
 class RoutingEvent:
     """Expert activations of one token at one block."""
@@ -70,6 +84,17 @@ class ActivationTrace:
     n_blocks: int
     n_experts: int
     events: list[RoutingEvent] = field(default_factory=list)
+    #: One shared tuple per distinct expert selection (at most
+    #: ``n_experts * (n_experts - 1)`` ordered top-2 pairs), so events
+    #: do not each hold their own copy.
+    _tuples: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+
+    def _shared(self, experts) -> tuple[int, ...]:
+        """Expert ids (a scalar, list or array) as the trace's shared
+        tuple of plain ints."""
+        key = tuple(map(int, np.atleast_1d(experts).tolist()))
+        return self._tuples.setdefault(key, key)
 
     def record(self, phase: str, block: int, token_pos: int,
                experts, executed_experts=None, predicted: bool = False) -> None:
@@ -81,10 +106,10 @@ class ActivationTrace:
                 phase=phase,
                 block=block,
                 token_pos=token_pos,
-                experts=_int_tuple(experts),
+                experts=self._shared(experts),
                 executed_experts=(
                     None if executed_experts is None
-                    else _int_tuple(executed_experts)
+                    else self._shared(executed_experts)
                 ),
                 predicted=predicted,
             )

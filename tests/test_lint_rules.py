@@ -389,6 +389,24 @@ def test_timeline_ops_mutations_flagged():
     assert len(diags) == 7
 
 
+def test_timeline_column_mutations_flagged():
+    source = '''\
+        """Doc."""
+
+        def tamper(timeline):
+            """Doc."""
+            timeline.starts[0] = -1.0
+            timeline.ends = []
+            timeline.labels.append("x")
+            del timeline.dep_flat[0]
+        '''
+    diags = lint(source, select=["timeline-ops-mutation"])
+    assert codes(diags) == {"TL001"}
+    assert len(diags) == 4
+    assert lint('"""Doc."""\nlast = max(t.ends) + t.starts[0]\n',
+                select=["timeline-ops-mutation"]) == []
+
+
 def test_timeline_ops_tuple_target_flagged():
     diags = lint('"""Doc."""\n(a, t.ops) = (1, [])\n',
                  select=["timeline-ops-mutation"])
