@@ -101,48 +101,36 @@ def attribution_report(timeline: Timeline,
 def critical_path(timeline: Timeline) -> CriticalPath:
     """Trace the chain of ops that determines the makespan.
 
-    Walks backward from the last-finishing op: at each step the
-    predecessor is whichever op (a declared dependency or the previous op
-    on the same resource) ends exactly when this op starts -- i.e. the op
-    this one actually waited for.  Submission-order (FIFO) waits count as
-    dependencies because the timeline executes each resource in order.
+    Walks backward from the last-finishing op.  An op starts when the
+    latest of its declared dependencies (``dep_indices``) and the
+    previous op on its resource lane (the timeline executes each lane
+    in submission order) ends, so that op is its predecessor on the
+    path; of equal ends the earliest-recorded wins.  The walk stops at
+    an op starting at time 0 or without predecessors.  On a private
+    clock the path therefore runs contiguously from 0 to the makespan;
+    on a clock shared with other sequences an op may also have waited
+    for another timeline's op, which this timeline does not record.
     """
     if not timeline.ops:
         return CriticalPath()
-
-    # Precompute each op's FIFO predecessor on its resource.
-    fifo_pred: dict[int, Op] = {}
-    last_on: dict[str, Op] = {}
-    deps_of: dict[int, list[Op]] = {}
-    for op in timeline.ops:
-        if op.resource in last_on:
-            fifo_pred[op.index] = last_on[op.resource]
-        last_on[op.resource] = op
-
-    # The timeline does not retain dependency lists, so recover "waited
-    # for" relations by timing: any earlier op whose end equals this op's
-    # start is a candidate predecessor.  Build an index from end time.
-    ends: dict[float, list[Op]] = {}
-    for op in timeline.ops:
-        ends.setdefault(round(op.end, 15), []).append(op)
+    ends = timeline.ends
+    lane_prev: list[int | None] = []
+    last_on: dict[str, int] = {}
+    for index, resource in enumerate(timeline.resources):
+        lane_prev.append(last_on.get(resource))
+        last_on[resource] = index
 
     path: list[Op] = []
-    current = max(timeline.ops, key=lambda o: o.end)
-    visited = set()
-    while current is not None and current.index not in visited:
-        visited.add(current.index)
-        path.append(current)
-        if current.start <= 0.0:
+    current = max(range(len(ends)), key=ends.__getitem__)
+    while True:
+        op = timeline.ops[current]
+        path.append(op)
+        candidates = list(op.dep_indices)
+        if lane_prev[current] is not None:
+            candidates.append(lane_prev[current])
+        if op.start <= 0.0 or not candidates:
             break
-        predecessor = None
-        # Prefer a timing-exact predecessor (the op we waited on).
-        for candidate in ends.get(round(current.start, 15), []):
-            if candidate.index < current.index:
-                predecessor = candidate
-                break
-        if predecessor is None:
-            predecessor = fifo_pred.get(current.index)
-        current = predecessor
+        current = max(candidates, key=lambda index: (ends[index], -index))
     path.reverse()
     return CriticalPath(ops=path)
 

@@ -67,8 +67,8 @@ class PreGatedMoEEngine(BaseEngine):
         placement = ctx.residency.placement
         for block_idx in range(self.model.n_blocks):
             predicts = self.predictor.can_predict_from(block_idx)
-            h_att, logits, attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, DECODE_PHASE,
+            h_att, logits, rows, attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops,
                 (block_idx, block_idx + 1) if predicts else (block_idx,),
             )
             # Issue the next block's prefetch as soon as this block's
@@ -76,12 +76,9 @@ class PreGatedMoEEngine(BaseEngine):
             if predicts:
                 prediction = self.predictor.from_logits(block_idx,
                                                         logits[1][0])
-                pred_gate = ctx.timeline.add(
-                    GPU,
-                    self.framework_overhead_s
-                    + self.cost_model.gate_time(self.platform.gpu, 1),
-                    deps=[attn_op],
-                    label=f"pred-gate B{block_idx + 1}", kind="gate",
+                pred_gate = self._gate(
+                    ctx, block_idx + 1, logits[1], rows[1], [attn_op],
+                    label=f"pred-gate B{block_idx + 1}",
                 )
                 prefetch = self._ensure_resident(
                     ctx, block_idx + 1, prediction.experts.tolist(),
@@ -90,7 +87,8 @@ class PreGatedMoEEngine(BaseEngine):
                 for expert, (op,) in prefetch.extra_deps.items():
                     pending[(block_idx + 1, expert)] = op
 
-            gate_op = self._gate(ctx, block_idx, logits[0], [attn_op])
+            gate_op = self._gate(ctx, block_idx, logits[0], rows[0],
+                                 [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(
                 logits[0]
             )

@@ -12,12 +12,12 @@ next block's predicted experts), then a :class:`BlockWork` (its routed
 expert executions, and the swap uploads they wait on).  One step body,
 :meth:`~repro.core.engine.BaseEngine._step_cohort`, runs a same-phase
 cohort of sequences block-locked: every member's attention and gate
-rows of a round are evaluated as stacked calls, and expert calls from
-*different sequences* that target the same ``(block, expert, device)``
-— routed or pre-calculated — are grouped into one simulated kernel
-whose cost follows the hardware batch-efficiency curves
-(:meth:`~repro.hardware.cost_model.CostModel.batch_efficiency`), and
-members uploading the same ``(block, expert)`` share one transfer.  Each
+rows of a round are evaluated as stacked calls and priced as shares of
+one launch, expert calls from *different sequences* that target the
+same ``(block, expert, device)`` — routed or pre-calculated — are
+grouped into one simulated kernel charged the cost model's time over
+all participants' rows, and members uploading the same
+``(block, expert)`` share one transfer.  Each
 participant's functional values are evaluated through the cache-aware
 stacked stage API (:meth:`~repro.model.moe_block.MoEBlock.
 attention_rows`, :meth:`~repro.model.moe_block.MoEBlock.
@@ -84,18 +84,26 @@ class AttentionRequest(NamedTuple):
     Yielded by a block-work generator (through
     :meth:`~repro.core.engine.BaseEngine._attention`) before the
     block's :class:`BlockWork`.  The driver evaluates every cohort
-    member's request of a round as stacked calls and sends back
-    ``(h_att, logits)``: the post-attention states and one gate-logits
-    array per entry of ``gate_blocks``.
+    member's request of a round as stacked calls, records each member's
+    share of the round's attention launch, and sends back
+    ``(h_att, logits, gate_rows, op)``: the post-attention states, one
+    gate-logits array and one router row total per entry of
+    ``gate_blocks``, and the member's attention op.
 
     Attributes:
         block_idx: the block whose attention runs (its KV cache is the
             sequence's ``caches[block_idx]``).
         h: the block's input hidden states ``(n, d)``.
         positions: absolute positions of the ``n`` rows, ascending.
+        deps: ops of the sequence's own timeline the attention op
+            waits for.
         gate_blocks: blocks whose gate reads ``h_att``, ascending: the
             own block, plus the next one when a layer-ahead predictor
             reads it.
+        charged_gates: the entries of ``gate_blocks`` whose router the
+            sequence records as a timed op; only these count toward a
+            router launch's rows.  DAOP reads a predicted block's own
+            gate for its oracle trace alone and does not charge it.
 
     A named tuple: one is built per sequence per block.
     """
@@ -103,7 +111,9 @@ class AttentionRequest(NamedTuple):
     block_idx: int
     h: np.ndarray
     positions: np.ndarray
+    deps: tuple[Op, ...]
     gate_blocks: tuple[int, ...]
+    charged_gates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -168,8 +178,8 @@ class GatherStats:
     phases; the ``prefill_*`` fields split out the gathered-prefill
     share (decode's share is the difference, exposed as the
     ``decode_*`` properties).  ``attn_*`` and ``gate_*`` count the
-    non-MoE stages of prefill cohorts (the only ones priced as shared
-    launches).
+    attention and router launches of prefill cohorts only; decode
+    cohorts share those launches too but are not counted here.
     """
 
     expert_ops: int = 0

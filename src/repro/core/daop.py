@@ -191,10 +191,11 @@ class DAOPEngine(BaseEngine):
         :class:`~repro.core.batching.BlockWork` per block;
         :meth:`~repro.core.engine.BaseEngine._step_cohort` evaluates the
         requests stacked across a cohort — a predicting block's request
-        also names the next block's gate, which the predictor reads —
-        and gathers the routed expert executions across the cohort's
-        sequences (in a cohort of one, in slot order).  A predicting
-        block with CPU-resident predictions yields a
+        also names the next block's gate, which the predictor reads, and
+        a predicted block's own gate is read for the oracle trace but
+        not charged — and gathers the routed expert executions across
+        the cohort's sequences (in a cohort of one, in slot order).  A
+        predicting block with CPU-resident predictions yields a
         :class:`~repro.core.batching.PrecalcWork` in between
         (:meth:`_issue_precalc`), which the driver gathers across the
         cohort's pre-calculating members the same way.
@@ -207,18 +208,20 @@ class DAOPEngine(BaseEngine):
         carry = None  # prediction made at the previous block for this one
         for block_idx in range(self.model.n_blocks):
             predicts = self.predictor.can_predict_from(block_idx)
-            h_att, logits, attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, DECODE,
-                (block_idx, block_idx + 1) if predicts else (block_idx,),
+            gate_blocks = ((block_idx, block_idx + 1) if predicts
+                           else (block_idx,))
+            h_att, logits, rows, attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, gate_blocks,
+                gate_blocks if carry is None else gate_blocks[1:],
             )
             next_carry = (
                 (yield from self._issue_precalc(ctx, block_idx, h_att,
-                                                logits[1], attn_op))
+                                                logits[1], rows[1], attn_op))
                 if predicts else None
             )
             if carry is None:
                 h, last_ops = yield from self._true_gated_work(
-                    ctx, block_idx, h_att, logits[0], attn_op
+                    ctx, block_idx, h_att, logits[0], rows[0], attn_op
                 )
             else:
                 h, last_ops = yield from self._predicted_work(
@@ -277,11 +280,12 @@ class DAOPEngine(BaseEngine):
 
     def _issue_precalc(self, ctx: SequenceState, block_idx: int,
                        h_att: np.ndarray, pred_logits: np.ndarray,
-                       attn_op: Op):
+                       pred_rows: int, attn_op: Op):
         """Predict block ``block_idx + 1`` and start its CPU experts early.
 
         ``pred_logits`` is block ``block_idx + 1``'s gate evaluated on
-        ``h_att`` (from the round's stacked gate call).  Generator: the
+        ``h_att`` (from the round's stacked gate call), and
+        ``pred_rows`` that router launch's row total.  Generator: the
         predicted CPU-resident experts, fed the *current* block's
         non-MoE hidden states (one block stale -- the paper's
         approximation), are yielded as one
@@ -292,12 +296,9 @@ class DAOPEngine(BaseEngine):
         ``yield from``.
         """
         prediction = self.predictor.from_logits(block_idx, pred_logits[0])
-        pred_gate = ctx.timeline.add(
-            GPU,
-            self.framework_overhead_s
-            + self.cost_model.gate_time(self.platform.gpu, 1),
-            deps=[attn_op], label=f"pred-gate B{block_idx + 1}", kind="gate",
-        )
+        pred_gate = self._gate(ctx, block_idx + 1, pred_logits, pred_rows,
+                               [attn_op],
+                               label=f"pred-gate B{block_idx + 1}")
         placement = ctx.residency.placement
         degradation = apply_graceful_degradation(
             block_idx + 1,
@@ -324,13 +325,13 @@ class DAOPEngine(BaseEngine):
 
     def _true_gated_work(self, ctx: SequenceState, block_idx: int,
                          h_att: np.ndarray, logits: np.ndarray,
-                         attn_op: Op):
+                         gate_rows: int, attn_op: Op):
         """Blocks without a usable prediction run the original gate.
 
         Generator: yields the block's routed work and returns
         ``(h, expert_ops)``; use via ``yield from``.
         """
-        gate_op = self._gate(ctx, block_idx, logits, [attn_op])
+        gate_op = self._gate(ctx, block_idx, logits, gate_rows, [attn_op])
         routing = self.model.blocks[block_idx].route_from_logits(logits)
         ctx.trace.record(
             DECODE, block_idx, ctx.position, routing.experts[0],

@@ -56,8 +56,9 @@ from repro.trace.recorder import DECODE, PREFILL, ActivationTrace
 #: Version of the sequence-checkpoint payload layout.  Bumped whenever
 #: the state-dict schema changes shape; restore rejects other versions
 #: instead of misreading them.  Version 2 keeps placement, eviction
-#: caches and in-flight uploads in one ``"residency"`` entry.
-SEQUENCE_CHECKPOINT_VERSION = 2
+#: caches and in-flight uploads in one ``"residency"`` entry; version 3
+#: drops the engine-private ``"extra"`` scratch dict.
+SEQUENCE_CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -325,9 +326,7 @@ class SequenceState:
     states may be interleaved on one engine.
 
     ``policy`` belongs to the engine subclass (set in
-    ``_begin_sequence``); ``extra`` is scratch private to
-    ``repro.core.engine`` itself -- policy code must communicate through
-    hook arguments and :class:`BlockPlan` returns (lint rule ENG004).
+    ``_begin_sequence``).
     """
 
     request: SequenceRequest
@@ -343,7 +342,6 @@ class SequenceState:
     last_op: Op | None = None
     prefill_time_s: float = 0.0
     policy: object = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def seq_id(self) -> int:
@@ -389,7 +387,6 @@ class SequenceState:
             "generated": list(self.generated),
             "last_op": None if self.last_op is None else self.last_op.index,
             "prefill_time_s": self.prefill_time_s,
-            "extra": dict(self.extra),
         }
 
     @classmethod
@@ -427,7 +424,6 @@ class SequenceState:
                 None if last_op is None else timeline.ops[int(last_op)]
             ),
             prefill_time_s=payload["prefill_time_s"],
-            extra=dict(payload["extra"]),
         )
         return state
 
@@ -618,9 +614,8 @@ class BaseEngine:
         """Advance several prefill-phase sequences one full pass, gathered.
 
         The prefill cohort entry of :meth:`_step_cohort`: the members'
-        passes, whatever their prompt lengths, run block-locked,
-        same-expert calls merge into one kernel, and attention and gate
-        ops are priced as shares of one batched launch.  Arguments,
+        passes, whatever their prompt lengths, run block-locked, and
+        same-expert calls merge into one kernel.  Arguments,
         return value and errors mirror :meth:`step_batch`, for
         prefill-phase states.
         """
@@ -645,19 +640,12 @@ class BaseEngine:
         cache-aware stacked stage API, whose per-member bytes equal a
         solo evaluation, and every member records its own timed ops in
         its own generator order, so token bytes, cache keys, traces and
-        counters never depend on the cohort.
-
-        In a prefill cohort of two or more, attention and gate ops
-        cannot merge functionally (each works on its own hidden
-        states), but they are priced as shares of one batched launch:
-        each op's solo duration is scaled by ``eff(total cohort rows) /
-        eff(own rows)`` from the cost model's
-        ``attention_batch_efficiency`` / ``gate_batch_efficiency``
-        curves, so the cohort's summed time equals one kernel over all
-        rows.
+        counters never depend on the cohort.  Attention and router ops
+        are each member's share of one launch over the round's rows
+        (:meth:`_attention_round`), in both phases.
 
         A cohort of one is the paper's batch-size-one step: one
-        participant per group, nothing to price or hold.
+        participant per group, whose share is the whole launch.
 
         Args:
             states: sequence states in admission order (the stable
@@ -699,12 +687,6 @@ class BaseEngine:
             )
         prefill = phase == SEQ_PREFILL
         if prefill:
-            if len(states) > 1:
-                rows_total = sum(
-                    int(state.request.prompt_tokens.size) for state in states
-                )
-                for state in states:
-                    state.extra["gather_pricing"] = {"rows_total": rows_total}
             gens = [self._prefill_blocks(state, state.request.prompt_tokens)
                     for state in states]
         else:
@@ -715,37 +697,31 @@ class BaseEngine:
                          if forced is not None else state.generated[-1])
                 gens.append(self._decode_blocks(state, token,
                                                 [state.last_op]))
-        try:
-            results: list = [None] * len(states)
-            for _round in range(self.model.n_blocks):
-                requests = self._advance(states, gens, results,
-                                         AttentionRequest, phase)
-                replies = self._attention_round(states, requests)
-                works = self._advance(states, gens, replies, BlockWork,
-                                      phase)
-                if prefill and gather_stats is not None:
-                    gather_stats.attn_kernels += 1
-                    gather_stats.attn_ops += len(states)
-                    gather_stats.gate_kernels += 1
-                    gather_stats.gate_ops += len(states)
-                results = self._execute_block_work_gathered(
-                    list(zip(states, works)), gather_stats, phase
+        results: list = [None] * len(states)
+        for _round in range(self.model.n_blocks):
+            requests = self._advance(states, gens, results,
+                                     AttentionRequest, phase)
+            replies = self._attention_round(states, requests, phase)
+            works = self._advance(states, gens, replies, BlockWork, phase)
+            if prefill and gather_stats is not None:
+                gather_stats.attn_kernels += 1
+                gather_stats.attn_ops += len(states)
+                gather_stats.gate_kernels += 1
+                gather_stats.gate_ops += len(states)
+            results = self._execute_block_work_gathered(
+                list(zip(states, works)), gather_stats, phase
+            )
+        finals = []
+        for gen, result in zip(gens, results):
+            try:
+                gen.send(result)
+            except StopIteration as stop:
+                finals.append(stop.value)
+            else:
+                raise RuntimeError(
+                    f"{phase} pass of {self.name!r} yielded more than "
+                    "n_blocks request/work pairs"
                 )
-            finals = []
-            for gen, result in zip(gens, results):
-                try:
-                    gen.send(result)
-                except StopIteration as stop:
-                    finals.append(stop.value)
-                else:
-                    raise RuntimeError(
-                        f"{phase} pass of {self.name!r} yielded more than "
-                        "n_blocks request/work pairs"
-                    )
-        finally:
-            if prefill and len(states) > 1:
-                for state in states:
-                    del state.extra["gather_pricing"]
         logits_rows, lm_ops = self._lm_head_batch(
             states, [h for h, _ in finals], [op for _, op in finals],
             gather_stats, phase,
@@ -1008,16 +984,30 @@ class BaseEngine:
                 items[i] = item
         return items
 
-    def _attention_round(self, states: list, requests: list) -> list:
-        """Evaluate one round's attention requests as stacked calls.
+    def _attention_round(self, states: list, requests: list,
+                         phase: str) -> list:
+        """Evaluate and price one round's attention requests.
 
         The round's block attends once over every member
         (:meth:`~repro.model.moe_block.MoEBlock.attention_rows`), then
         each named gate, in ascending block order, runs once over every
         member whose request names it
         (:meth:`~repro.model.moe_block.MoEBlock.gate_logits_rows`).
-        Returns each member's ``(h_att, logits)`` reply, ``logits``
-        aligned with its (ascending) ``gate_blocks``.
+
+        The round is one QKV/O projection launch over its ``R`` rows.
+        Each member records its attention op in its own timeline, after
+        its request's ``deps``: its ``own rows / R`` share of that
+        launch, plus its own KV-context work, which no other member
+        shares.  Each router is one launch over the rows of the members
+        that charge it (``charged_gates``); the member's
+        :meth:`_gate` records its share.  Shares take no lane hold: each
+        starts when its own dependencies and the GPU lane allow.  A lone
+        member's share is the whole launch, so a cohort of one records
+        exactly its solo durations.
+
+        Returns each member's ``(h_att, logits, gate_rows, op)`` reply:
+        ``logits`` and ``gate_rows`` (each router's row total) are
+        aligned with its ascending ``gate_blocks``.
 
         Raises:
             RuntimeError: for requests naming different blocks (a
@@ -1027,6 +1017,7 @@ class BaseEngine:
         block_idx = requests[0].block_idx
         hs, caches, positions = [], [], []
         gating: dict = {}
+        gate_rows: dict = {}
         for i, (state, request) in enumerate(zip(states, requests)):
             if request.block_idx != block_idx:
                 raise RuntimeError(
@@ -1038,6 +1029,9 @@ class BaseEngine:
             positions.append(request.positions)
             for gate_block in request.gate_blocks:
                 gating.setdefault(gate_block, []).append(i)
+            for gate_block in request.charged_gates:
+                gate_rows[gate_block] = (gate_rows.get(gate_block, 0)
+                                         + request.h.shape[0])
         h_atts = blocks[block_idx].attention_rows(hs, caches, positions)
         logits: list = [[] for _ in requests]
         for gate_block in sorted(gating):
@@ -1047,74 +1041,75 @@ class BaseEngine:
             )
             for i, row in zip(idx, rows):
                 logits[i].append(row)
-        return list(zip(h_atts, logits))
+        gpu = self.platform.gpu
+        overhead = self.framework_overhead_s
+        rows_total = sum(h.shape[0] for h in hs)
+        weights = self.cost_model.attention_weight_time(gpu, rows_total)
+        label = f"attn B{block_idx} {phase}"
+        replies = []
+        for state, request, h_att, gates, cache in zip(
+                states, requests, h_atts, logits, caches):
+            n_rows = request.h.shape[0]
+            share = n_rows / rows_total
+            # The cache now holds the round's rows, so its length is the
+            # attended context.  At share 1.0 this is bitwise the solo
+            # overhead + non_moe_time(gpu, n_rows, len(cache)).
+            duration = overhead * share + (
+                weights * share + self.cost_model.attention_context_time(
+                    gpu, n_rows, len(cache)
+                )
+            )
+            op = state.timeline.add(GPU, duration, deps=request.deps,
+                                    label=label, kind="non_moe")
+            replies.append((
+                h_att, gates,
+                [gate_rows.get(block, 0) for block in request.gate_blocks],
+                op,
+            ))
+        return replies
 
     def _attention(self, ctx: SequenceState, block_idx: int,
-                   h: np.ndarray, deps: list[Op], phase: str,
-                   gate_blocks: tuple[int, ...]):
+                   h: np.ndarray, deps: list[Op],
+                   gate_blocks: tuple[int, ...],
+                   charged: tuple[int, ...] | None = None):
         """Non-MoE part of one block on the GPU, as a generator sub-step.
 
         Yields the block's :class:`~repro.core.batching.
-        AttentionRequest` (the driver evaluates it with the cohort's
-        other members) and returns ``(h_att, logits, op)``: the
-        post-attention states, the gate logits of ``gate_blocks`` in
-        order, and the timed attention op.  Use as
-        ``h_att, logits, op = yield from self._attention(...)``.
+        AttentionRequest` (the driver evaluates and prices it with the
+        cohort's other members, :meth:`_attention_round`) and returns
+        ``(h_att, logits, gate_rows, op)``: the post-attention states,
+        the gate logits of ``gate_blocks`` in order, each gate's router
+        row total for :meth:`_gate`, and the timed attention op.
+        ``charged`` names the gates whose router this member records
+        (default: all of ``gate_blocks``).  Use as
+        ``h_att, logits, gate_rows, op = yield from self._attention(...)``.
         """
-        n_tokens = h.shape[0]
-        context_len = len(ctx.caches[block_idx]) + n_tokens
-        h_att, logits = yield AttentionRequest(
+        return (yield AttentionRequest(
             block_idx=block_idx, h=h,
-            positions=ctx.position + np.arange(n_tokens),
-            gate_blocks=gate_blocks,
-        )
-        duration = self.framework_overhead_s + self.cost_model.non_moe_time(
-            self.platform.gpu, n_tokens, context_len
-        )
-        pricing = ctx.extra.get("gather_pricing")
-        if pricing is not None:
-            # Gathered-prefill pricing: scaling each cohort member's solo
-            # duration by eff(R)/eff(own rows) makes the cohort's summed
-            # attention time equal one batched kernel over all R rows.
-            # Only cohorts of two or more carry pricing.
-            duration *= (
-                self.cost_model.attention_batch_efficiency(
-                    self.platform.gpu, int(pricing["rows_total"]),
-                    self.framework_overhead_s,
-                )
-                / self.cost_model.attention_batch_efficiency(
-                    self.platform.gpu, n_tokens, self.framework_overhead_s,
-                )
-            )
-        op = ctx.timeline.add(
-            GPU, duration, deps=deps,
-            label=f"attn B{block_idx} {phase}", kind="non_moe",
-        )
-        return h_att, logits, op
+            positions=ctx.position + np.arange(h.shape[0]),
+            deps=tuple(deps), gate_blocks=gate_blocks,
+            charged_gates=gate_blocks if charged is None else charged,
+        ))
 
     def _gate(self, ctx: SequenceState, block_idx: int,
-              logits: np.ndarray, deps: list[Op]) -> Op:
-        """Timed router op on the GPU for precomputed gate ``logits``
-        (evaluated in the round's stacked gate call)."""
+              logits: np.ndarray, rows_total: int, deps: list[Op],
+              label: str | None = None) -> Op:
+        """Timed router op on the GPU for precomputed gate ``logits``.
+
+        The member's ``own rows / rows_total`` share of one router
+        launch over the ``rows_total`` rows that :meth:`_attention`
+        returned for this gate.  ``label`` defaults to
+        ``"gate B{block_idx}"``; a layer-ahead predictor passes its
+        ``pred-gate`` label.
+        """
         n_rows = int(logits.shape[0])
-        duration = self.framework_overhead_s + self.cost_model.gate_time(
-            self.platform.gpu, n_rows
-        )
-        pricing = ctx.extra.get("gather_pricing")
-        if pricing is not None:
-            # Same cohort pricing as _attention; eff(R)/eff(own rows)
-            # sums to one batched router launch over all R rows.
-            duration *= (
-                self.cost_model.gate_batch_efficiency(
-                    self.platform.gpu, int(pricing["rows_total"]),
-                    self.framework_overhead_s,
-                )
-                / self.cost_model.gate_batch_efficiency(
-                    self.platform.gpu, n_rows, self.framework_overhead_s,
-                )
-            )
+        duration = (
+            self.framework_overhead_s
+            + self.cost_model.gate_time(self.platform.gpu, rows_total)
+        ) * (n_rows / rows_total)
         return ctx.timeline.add(
-            GPU, duration, deps=deps, label=f"gate B{block_idx}", kind="gate",
+            GPU, duration, deps=deps, label=label or f"gate B{block_idx}",
+            kind="gate",
         )
 
     def _upload_expert(self, ctx: SequenceState, block_idx: int,
@@ -1256,10 +1251,10 @@ class BaseEngine:
         n_tokens = prompt_tokens.size
         last_ops: list[Op] = []
         for block_idx in range(self.model.n_blocks):
-            h_att, (logits,), attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, PREFILL, (block_idx,)
+            h_att, (logits,), (rows,), attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, (block_idx,)
             )
-            gate_op = self._gate(ctx, block_idx, logits, [attn_op])
+            gate_op = self._gate(ctx, block_idx, logits, rows, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
             selected = routing.experts.tolist()
             for t, experts in enumerate(selected):
@@ -1350,10 +1345,10 @@ class BaseEngine:
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
         for block_idx in range(self.model.n_blocks):
-            h_att, (logits,), attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, DECODE, (block_idx,)
+            h_att, (logits,), (rows,), attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, (block_idx,)
             )
-            gate_op = self._gate(ctx, block_idx, logits, [attn_op])
+            gate_op = self._gate(ctx, block_idx, logits, rows, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
             selected = routing.experts[0].tolist()
             ctx.trace.record(DECODE, block_idx, ctx.position, selected)

@@ -11,12 +11,13 @@ byte is read once per token); prefill ops over hundreds of tokens shift
 toward the compute roof, which is why CPU prefill of a busy expert is
 expensive and why the paper maps hot experts to the GPU before decode.
 
-The same roofline yields the *batch-efficiency curves* used by gathered
-cross-sequence execution (:meth:`CostModel.batch_efficiency`): a dense op
-over ``n`` token rows reads its weights once instead of ``n`` times and
-pays one fixed per-op overhead instead of ``n``, so in the
-bandwidth-bound decode regime the gathered op costs barely more than a
-solo one until ``n`` crosses into the compute-bound regime.
+The same roofline prices gathered cross-sequence execution: a dense op
+over ``n`` token rows reads its weights once instead of ``n`` times, so
+in the bandwidth-bound decode regime one launch over a cohort's rows
+costs barely more than a solo one until ``n`` crosses into the
+compute-bound regime.  A block's attention splits into that shareable
+weight part (:meth:`CostModel.attention_weight_time`) and a
+per-sequence context part (:meth:`CostModel.attention_context_time`).
 """
 
 from __future__ import annotations
@@ -64,15 +65,26 @@ class CostModel:
     def non_moe_time(self, device: DeviceSpec, n_tokens: int,
                      context_len: int) -> float:
         """One block's non-MoE part: norms + attention over the KV cache."""
-        attn_weight_time = self._weights_op_time(
+        return (self.attention_weight_time(device, n_tokens)
+                + self.attention_context_time(device, n_tokens, context_len))
+
+    def attention_weight_time(self, device: DeviceSpec,
+                              n_tokens: int) -> float:
+        """QKV/O projections over ``n_tokens`` rows: the weight-bound part
+        of :meth:`non_moe_time`, which one gathered launch shares."""
+        return self._weights_op_time(
             device, self.arch.attention_params, n_tokens
         )
-        # Score/value flops against the cached context plus KV-cache traffic.
+
+    def attention_context_time(self, device: DeviceSpec, n_tokens: int,
+                               context_len: int) -> float:
+        """Score/value work of ``n_tokens`` rows against ``context_len``
+        cached tokens plus the KV-cache traffic: the per-sequence part of
+        :meth:`non_moe_time`, which never amortizes across sequences."""
         hd = self.arch.head_dim
         score_flops = 4.0 * n_tokens * context_len * self.arch.n_heads * hd
         kv_bytes = context_len * self.arch.kv_bytes_per_token_per_block
-        attn_ctx_time = device.op_time(score_flops, kv_bytes)
-        return attn_weight_time + attn_ctx_time
+        return device.op_time(score_flops, kv_bytes)
 
     def gate_time(self, device: DeviceSpec, n_tokens: int) -> float:
         """Router (gating MLP) over ``n_tokens`` tokens."""
@@ -95,71 +107,6 @@ class CostModel:
             self.non_moe_time(device, n_tokens, context_len)
             + self.gate_time(device, n_tokens)
             + self.arch.top_k * self.expert_time(device, n_tokens)
-        )
-
-    # ---- batch-efficiency curves ---------------------------------------------
-
-    def batch_efficiency(self, device: DeviceSpec, weight_params: int,
-                         n_tokens: int, overhead_s: float = 0.0) -> float:
-        """Per-token cost of one gathered op relative to ``n_tokens`` solo ops.
-
-        Dimensionless ratio in ``(0, 1]``: ``time(one op over n rows) /
-        (n * time(one op over 1 row))``, each side optionally charged a
-        fixed per-op ``overhead_s`` (seconds, e.g. the engines'
-        framework dispatch overhead).  In the bandwidth-bound decode
-        regime the weight bytes dominate, so a gathered op amortizes
-        them across all rows and the ratio approaches ``1 / n`` plus
-        the per-row activation traffic; past the compute roofline the
-        flops scale with ``n`` and the curve flattens.
-        """
-        if n_tokens < 1:
-            raise ValueError("n_tokens must be positive")
-        gathered = overhead_s + self._weights_op_time(
-            device, weight_params, n_tokens
-        )
-        solo = n_tokens * (
-            overhead_s + self._weights_op_time(device, weight_params, 1)
-        )
-        return gathered / solo
-
-    def expert_batch_efficiency(self, device: DeviceSpec, n_tokens: int,
-                                overhead_s: float = 0.0) -> float:
-        """Batch-efficiency curve of one expert FFN (see
-        :meth:`batch_efficiency`)."""
-        return self.batch_efficiency(
-            device, self.arch.expert_params, n_tokens, overhead_s
-        )
-
-    def lm_head_batch_efficiency(self, device: DeviceSpec, n_tokens: int,
-                                 overhead_s: float = 0.0) -> float:
-        """Batch-efficiency curve of the LM head (see
-        :meth:`batch_efficiency`)."""
-        return self.batch_efficiency(
-            device, self.arch.embedding_params, n_tokens, overhead_s
-        )
-
-    def attention_batch_efficiency(self, device: DeviceSpec, n_tokens: int,
-                                   overhead_s: float = 0.0) -> float:
-        """Batch-efficiency curve of a block's attention projections.
-
-        Prices the weight-bound part of :meth:`non_moe_time` (the QKV/O
-        projections).  Gathered prefill pricing applies this curve to
-        the whole attention op, although the per-sequence score/value
-        work against the KV cache scales with each sequence's own
-        context and never amortizes; it therefore slightly overstates
-        the gain (docs/batching.md, "Full-pass batch pricing", records
-        the size).
-        """
-        return self.batch_efficiency(
-            device, self.arch.attention_params, n_tokens, overhead_s
-        )
-
-    def gate_batch_efficiency(self, device: DeviceSpec, n_tokens: int,
-                              overhead_s: float = 0.0) -> float:
-        """Batch-efficiency curve of the router MLP (see
-        :meth:`batch_efficiency`)."""
-        return self.batch_efficiency(
-            device, self.arch.gate_params, n_tokens, overhead_s
         )
 
     # ---- transfers -----------------------------------------------------------

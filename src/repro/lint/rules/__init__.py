@@ -36,7 +36,6 @@ from repro.lint.rules.engine_contract import (
     BaselineMigrationRule,
     ExpertStageApiRule,
     PrivateSubstrateAccessRule,
-    SequenceExtraAccessRule,
     SubstrateOverrideRule,
 )
 from repro.lint.rules.layering import (
@@ -59,7 +58,6 @@ __all__ = [
     "BaselineMigrationRule",
     "ExpertStageApiRule",
     "PrivateSubstrateAccessRule",
-    "SequenceExtraAccessRule",
     "SubstrateOverrideRule",
     "LAYERS",
     "ImportLayeringRule",

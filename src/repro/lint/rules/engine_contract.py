@@ -2,7 +2,7 @@
 
 The paper's speedups are only meaningful if every baseline runs on the
 same cost model, timeline semantics, and trace instrumentation as DAOP
-(engine.py's stated contract).  Three things would silently break that:
+(engine.py's stated contract).  Five things would silently break that:
 
 1. a baseline borrowing DAOP's sequence-aware migration planner
    (Algorithm 1, SS IV-B) -- the data-aware allocation *is* the
@@ -14,16 +14,12 @@ same cost model, timeline semantics, and trace instrumentation as DAOP
 3. any engine-layer code reaching into ``_``-private attributes of the
    Timeline / CostModel / ExpertPlacement objects, bypassing the public
    accounting API;
-4. engine policy code smuggling state through the sequence state's
-   ``extra`` scratch dict instead of the typed hook API
-   (:class:`~repro.core.engine.BlockPlan` returns and ``ctx.policy``) --
-   the side channel the step-machine refactor removed;
-5. engine or audit code invoking expert math directly
+4. engine or audit code invoking expert math directly
    (``SwiGLUExpert.__call__`` / ``block.experts[i](...)``) instead of the
    cache-aware ``MoEBlock`` stage API -- a direct call bypasses the
    content-addressed compute cache and the shared ``ffn_norm`` hoist, so
    its output would not participate in the cache-parity guarantee;
-6. an engine implementing only half of the checkpoint policy-hook pair
+5. an engine implementing only half of the checkpoint policy-hook pair
    (``_policy_state_dict`` without ``_restore_policy`` or vice versa) --
    a one-sided implementation checkpoints state it can never reinstall
    (or restores state it never saved), breaking the resume-parity
@@ -212,32 +208,6 @@ class PrivateSubstrateAccessRule(Rule):
                 ctx, node,
                 f"access to private attribute '{owner}.{attr}'; use the "
                 "substrate's public API",
-            )
-
-
-@register
-class SequenceExtraAccessRule(Rule):
-    """Policy code communicates via BlockPlan/ctx.policy, not ctx.extra."""
-
-    name = "sequence-extra-access"
-    code = "ENG004"
-    description = ("engines outside repro/core/engine.py may not read or "
-                   "write the sequence state's 'extra' scratch dict; "
-                   "return a BlockPlan or keep state on ctx.policy")
-
-    def check(self, ctx: LintContext):
-        """Flag any ``<obj>.extra`` attribute access in engine code."""
-        if not ctx.in_subpath("core") or ctx.rel == ("core", "engine.py"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute) or node.attr != "extra":
-                continue
-            owner = dotted_name(node.value) or "<expr>"
-            yield self.diag(
-                ctx, node,
-                f"access to sequence scratch dict '{owner}.extra'; pass "
-                "residency through BlockPlan returns and keep per-"
-                "sequence policy state on ctx.policy",
             )
 
 

@@ -59,7 +59,8 @@ class TimelineOpsMutationRule(Rule):
                    "outside repro.hardware")
 
     def check(self, ctx: LintContext):
-        """Flag writes to any ``.ops`` attribute (or timeline column)
+        """Flag writes to any ``.ops`` attribute (or timeline column),
+        and attribute writes through an ``<expr>.ops[...]`` op handle,
         outside the owner package.
 
         The check is name-based (any attribute called ``ops``,
@@ -111,6 +112,19 @@ class TimelineOpsMutationRule(Rule):
                 f".{target.value.attr}' "
                 "mutates the timeline op record; ops are append-only "
                 "via Timeline.add() in repro.hardware",
+            )
+        # x.ops[i].start = ... : a write through an op handle
+        elif isinstance(target, ast.Attribute) \
+                and isinstance(target.value, ast.Subscript) \
+                and isinstance(target.value.value, ast.Attribute) \
+                and target.value.value.attr == "ops":
+            yield self.diag(
+                ctx, target,
+                f"attribute write through an op handle "
+                f"'{_owner(target.value.value.value)}.ops[...]"
+                f".{target.attr}' rewrites the timeline op record; op "
+                "times are resolved only by Timeline.add() in "
+                "repro.hardware",
             )
         # (a, b.ops) = ... style tuple targets
         elif isinstance(target, (ast.Tuple, ast.List)):

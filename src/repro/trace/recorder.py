@@ -9,6 +9,7 @@ computed from these traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from sys import intern
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class RoutingEvent:
         """Rebuild an event captured by :meth:`to_state_dict`."""
         executed = payload["executed_experts"]
         return cls(
-            phase=payload["phase"],
+            phase=intern(payload["phase"]),
             block=int(payload["block"]),
             token_pos=int(payload["token_pos"]),
             experts=tuple(int(e) for e in payload["experts"]),
@@ -127,10 +128,15 @@ class ActivationTrace:
     def from_state_dict(cls, payload: dict) -> "ActivationTrace":
         """Rebuild a trace captured by :meth:`to_state_dict`."""
         trace = cls(int(payload["n_blocks"]), int(payload["n_experts"]))
-        trace.events.extend(
-            RoutingEvent.from_state_dict(event)
-            for event in payload["events"]
-        )
+        share = trace._tuples.setdefault
+        for event_payload in payload["events"]:
+            event = RoutingEvent.from_state_dict(event_payload)
+            # Share expert tuples as record() does.
+            event.experts = share(event.experts, event.experts)
+            if event.executed_experts is not None:
+                event.executed_experts = share(event.executed_experts,
+                                               event.executed_experts)
+            trace.events.append(event)
         return trace
 
     # ---- aggregation ---------------------------------------------------------

@@ -90,6 +90,45 @@ class TestCriticalPath:
         assert path.ops == []
         assert path.length == 0.0
 
+    def test_follows_dependency_not_timing_coincidence(self):
+        """Two ops end when the last one starts; only one is its
+        dependency, and only that one is on the path."""
+        tl = Timeline()
+        tl.add(GPU, 1.0, kind="unrelated")
+        dep = tl.add(CPU, 1.0, kind="dep")
+        final = tl.add(H2D, 1.0, deps=[dep], kind="final")
+        path = critical_path(tl)
+        assert [op.index for op in path.ops] == [dep.index, final.index]
+
+    def test_solo_run_path_is_contiguous_and_keeps_kind_times(
+            self, tiny_bundle, platform, tiny_calibration):
+        """On a solo run each path op starts when its predecessor ends,
+        from 0 to the makespan.  The per-kind times are those the former
+        end-time-matching walk found (its path differed only in
+        zero-duration sync ops)."""
+        engine = build_engine("daop", tiny_bundle, platform, 0.5,
+                              tiny_calibration)
+        gen = SequenceGenerator(C4, tiny_bundle.vocab, seed=51)
+        seq = gen.sample_sequence(12, 6, sample_idx=0)
+        timeline = engine.generate(seq.prompt_tokens, 6).timeline
+        path = critical_path(timeline)
+        ops = path.ops
+        assert ops[0].start == 0.0
+        assert ops[-1].end == timeline.makespan
+        assert all(a.end == b.start for a, b in zip(ops, ops[1:]))
+        kinds = {kind: seconds for kind, seconds
+                 in path.kind_breakdown().items() if seconds}
+        assert kinds == {
+            "act_d2h": 0.006890506666666671,
+            "act_h2d": 0.007685706666666672,
+            "expert_cpu": 0.007779102591876213,
+            "expert_gpu": 0.007569498039215691,
+            "expert_upload": 0.0017638571428571428,
+            "gate": 0.012384909803921576,
+            "lm_head": 0.0015540470588235292,
+            "non_moe": 0.011504484313725485,
+        }
+
     def test_path_length_equals_makespan(self, tiny_bundle, platform,
                                          tiny_calibration):
         engine = build_engine("daop", tiny_bundle, platform, 0.5,

@@ -25,14 +25,14 @@ from repro.workloads import C4, SequenceGenerator
 #: recipe in :func:`checkpoint_after_three_steps` (fixture model:
 #: tiny-MoE seed 0, 8 blocks; calibration seed 0).
 GOLDEN_CHECKPOINT_DIGESTS = {
-    "official": "e26ee210ded1ca23cbbc17a27cf58d0e",
-    "moe-ondemand": "46e39a91f801bb7eb3830cf7932ec55c",
-    "deepspeed-mii": "e33dac6cdeb43982a3573c59e09131f6",
-    "mixtral-offloading": "36316492ca734b318b88114c34d433ed",
-    "moe-infinity": "66a2dc8dc849e815006e826c718b3e17",
-    "fiddler": "fe856b3eabd666418344a39ca1f33bb4",
-    "pregated-moe": "d8dce319a79235f14c1e1d46bf566364",
-    "daop": "cbfd0993fe721ae499a2dd0e6269775d",
+    "official": "279bce53757018444936ecd5119fffc8",
+    "moe-ondemand": "9ace48dea0d3b44d2ad07a0334162533",
+    "deepspeed-mii": "c94734c4c654cfb2a023ca1ad011887e",
+    "mixtral-offloading": "1855bfe0d2dece10cd9349797aa42f56",
+    "moe-infinity": "43af33d3ff0170e32c78629da1199383",
+    "fiddler": "eaea0d832ca6c0b8444db86ab7c226f0",
+    "pregated-moe": "601b380c1d5ff7f3bc81a10421410505",
+    "daop": "6fc4b8f1c607b1f77112b159486f9a1d",
 }
 
 
@@ -123,10 +123,10 @@ class TestSequenceCheckpointRejection:
     def test_version_skew_rejected(self, checkpointed):
         engine, _, payload = checkpointed
         doctored = dict(payload)
-        doctored["version"] = 3
+        doctored["version"] = 4
         with pytest.raises(ValueError,
                            match="unsupported sequence-checkpoint "
-                                 "version 3"):
+                                 "version 4"):
             engine.restore_sequence(doctored)
 
     def test_version_1_residency_layout_rejected(self, checkpointed):
@@ -135,7 +135,7 @@ class TestSequenceCheckpointRejection:
         ``residency``.  An intact version-1 payload is refused before
         its layout is read."""
         engine, _, payload = checkpointed
-        assert SEQUENCE_CHECKPOINT_VERSION == 2
+        assert SEQUENCE_CHECKPOINT_VERSION == 3
         assert "residency" in payload["state"]
         state = dict(payload["state"])
         residency = state.pop("residency")
@@ -146,6 +146,21 @@ class TestSequenceCheckpointRejection:
         with pytest.raises(ValueError,
                            match="unsupported sequence-checkpoint "
                                  "version 1"):
+            engine.restore_sequence(old)
+
+    def test_version_2_extra_layout_rejected(self, checkpointed):
+        """Version 2 carried the engine-private ``extra`` scratch dict;
+        version 3 drops it.  An intact version-2 payload is refused
+        before its layout is read."""
+        engine, _, payload = checkpointed
+        assert "extra" not in payload["state"]
+        old = {"version": 2, "engine": payload["engine"],
+               "state": {**payload["state"], "extra": {}},
+               "policy": payload["policy"]}
+        old["digest"] = canonical_digest(old)
+        with pytest.raises(ValueError,
+                           match="unsupported sequence-checkpoint "
+                                 "version 2"):
             engine.restore_sequence(old)
 
     def test_foreign_engine_rejected(self, checkpointed, tiny_bundle,

@@ -9,6 +9,7 @@ from repro.core import build_engine
 from repro.core.batching import (
     CPU_LOC,
     GPU_LOC,
+    AttentionRequest,
     BlockWork,
     ExpertCall,
     GatherStats,
@@ -461,3 +462,130 @@ def test_gathered_swaps_keep_solo_values(daop, tiny_bundle, platform,
         assert counters.prefill_swaps == solo.stats.counters.prefill_swaps > 0
         assert counters.expert_uploads == solo.stats.counters.expert_uploads
         audit_result(daop, result, platform=platform)
+
+
+# ---- attention and router launches as cohort shares --------------------------
+
+
+def _cohort(engine, prompts):
+    """Start one sequence per prompt on one shared clock."""
+    clock = ResourceClock()
+    return [
+        engine.start(
+            SequenceRequest(prompt_tokens=prompt, max_new_tokens=4,
+                            seq_id=i),
+            timeline=Timeline(clock=clock),
+        )
+        for i, prompt in enumerate(prompts)
+    ]
+
+
+def _launch_shares(engine, states, step):
+    """Run ``step(states)`` and check its attention and router ops.
+
+    Each round's attention ops must sum to one QKV/O projection launch
+    over the round's rows plus every member's own context work, and the
+    ops of each router launch (one label: ``gate B<b>`` or
+    ``pred-gate B<b>``) must sum to one launch over the rows of the
+    members that charge it, each member holding its row share.  Returns
+    ``{label: [member index, ...]}`` of the router launches.
+    """
+    cost, gpu = engine.cost_model, engine.platform.gpu
+    overhead = engine.framework_overhead_s
+    phase = states[0].phase
+    rows = [int(state.request.prompt_tokens.size) if phase == "prefill"
+            else 1 for state in states]
+    contexts = [[len(cache) + n for cache in state.caches]
+                for state, n in zip(states, rows)]
+    marks = [len(state.timeline.ops) for state in states]
+    step(states)
+    launches: dict = {}
+    for i, (state, mark) in enumerate(zip(states, marks)):
+        for op in state.timeline.ops[mark:]:
+            if op.kind in ("non_moe", "gate"):
+                launches.setdefault(op.label, []).append((i, op))
+
+    weights = cost.attention_weight_time(gpu, sum(rows))
+    for block in range(engine.model.n_blocks):
+        members = launches.pop(f"attn B{block} {phase}")
+        assert [i for i, _ in members] == list(range(len(states)))
+        own = [cost.attention_context_time(gpu, rows[i], contexts[i][block])
+               for i in range(len(states))]
+        assert sum(op.duration for _, op in members) == pytest.approx(
+            overhead + weights + sum(own), rel=1e-12)
+        for i, op in members:
+            share = rows[i] / sum(rows)
+            assert op.duration == pytest.approx(
+                (overhead + weights) * share + own[i], rel=1e-12)
+
+    routers = {}
+    for label, members in launches.items():
+        charged = sum(rows[i] for i, _ in members)
+        kernel = overhead + cost.gate_time(gpu, charged)
+        assert sum(op.duration for _, op in members) == pytest.approx(
+            kernel, rel=1e-12)
+        for i, op in members:
+            assert op.duration == pytest.approx(
+                kernel * rows[i] / charged, rel=1e-12)
+        routers[label] = [i for i, _ in members]
+    return routers
+
+
+def test_decode_cohort_of_four_shares_attention_and_router_launches(
+        tiny_bundle, platform, tiny_calibration):
+    engine = build_engine("fiddler", tiny_bundle, platform, 0.5,
+                          tiny_calibration)
+    states = _cohort(engine, [_prompt(tiny_bundle, seed)
+                              for seed in range(4)])
+    for state in states:
+        engine.step(state)
+    routers = _launch_shares(engine, states, engine.step_batch)
+    assert routers == {f"gate B{block}": [0, 1, 2, 3]
+                       for block in range(engine.model.n_blocks)}
+
+
+def test_mixed_length_prefill_cohort_shares_launches(daop, tiny_bundle):
+    states = _cohort(daop, [_prompt(tiny_bundle, seed, n)
+                            for seed, n in ((0, 6), (1, 16), (2, 10))])
+    routers = _launch_shares(daop, states, daop.step_prefill_batch)
+    assert routers == {f"gate B{block}": [0, 1, 2]
+                       for block in range(daop.model.n_blocks)}
+
+
+def test_daop_predicted_blocks_do_not_charge_their_own_router(
+        daop, tiny_bundle):
+    """A predicted block reads its own gate only for the oracle trace;
+    the router launches are the true gates of unpredicted blocks and the
+    pred-gates of the blocks after each predicting one."""
+    states = _cohort(daop, [_prompt(tiny_bundle, seed) for seed in range(3)])
+    for state in states:
+        daop.step(state)
+    routers = _launch_shares(daop, states, daop.step_batch)
+    predictor = daop.predictor
+    n_blocks = daop.model.n_blocks
+    predicting = [block for block in range(n_blocks)
+                  if predictor.can_predict_from(block)]
+    assert predicting
+    predicted = {block + 1 for block in predicting}
+    expected = {f"gate B{block}": [0, 1, 2]
+                for block in range(n_blocks) if block not in predicted}
+    expected.update({f"pred-gate B{block}": [0, 1, 2]
+                     for block in predicted})
+    assert routers == expected
+
+
+def test_router_rows_count_only_charging_members(daop, tiny_bundle):
+    """One round where a member reads a gate it does not charge: the
+    router's row total counts the charging member alone."""
+    states = _cohort(daop, [_prompt(tiny_bundle, seed) for seed in range(2)])
+    for state in states:
+        daop.step(state)
+    h = np.zeros((1, tiny_bundle.model.profile.sim.d_model), dtype=np.float32)
+    requests = [
+        AttentionRequest(block_idx=0, h=h,
+                         positions=state.position + np.arange(1), deps=(),
+                         gate_blocks=(0, 1), charged_gates=charged)
+        for state, charged in zip(states, [(0, 1), (1,)])
+    ]
+    replies = daop._attention_round(states, requests, "decode")
+    assert [gate_rows for _, _, gate_rows, _ in replies] == [[1, 2], [1, 2]]

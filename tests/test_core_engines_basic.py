@@ -148,8 +148,7 @@ def test_duplicate_expert_ids_fill_every_slot(tiny_bundle, platform):
             for block_idx in range(engine.model.n_blocks):
                 # Every block opens with its attention request.
                 yield from engine._attention(
-                    ctx, block_idx, h_att[:1], list(deps), "decode",
-                    (block_idx,),
+                    ctx, block_idx, h_att[:1], list(deps), (block_idx,),
                 )
                 h, ops = yield from engine._routed_block_work(
                     ctx, block_idx, h_att, dup_experts, weights, list(deps)

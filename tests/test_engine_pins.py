@@ -57,36 +57,36 @@ VARIANT_PINS = {
 #: ``ContinuousBatchScheduler(max_batch=4)`` run at ECR 0.25.
 BATCH_PINS = {
     "moe-ondemand": [
-        "2913e93603cb725b59e3479aa467b13b31c88fff63559c7170b17f0a6c678db1",
-        "2fdf4884aad51715d8aef9a54e0675999913053a7449d27f4d33d2d47f955a49",
-        "725f7ae8def942c33e3a5dedeac8a6e60f7b6b63f6bbc2a19fb5f8e1d4db3ba6",
-        "065ad8913bba72fa092365c9de90d062fde8b231ff77d7d2fd5c0ff747226a93",
-        "cd4343cba5e6e2818c47415ccbe1e0f7d17799df4b72138b0d4d586172aaee8a",
-        "5524662b2bb75c03c49b4b6689384db7d34df8eaf65e1e315d50fc45486142e0",
+        "a0ff7d97712d34c4361a8aae16bfe27926f5bfa8f02f9a6d3708233eda8721b7",
+        "3c47b19ac5631d68e1b5bc98a072e68e35ddf57e4af04aa67961d2b29356091f",
+        "59a5b84bf7c290393623d3ddefdfcc513d3e4534282e8001023445b082ced620",
+        "88628647f3fbe8d26f2646e00c720152d23393493d8e2aafab34b87472d7c871",
+        "6189b5edd80b819aa877d5351dc66d307c21804ab4cf6a80c9664af46399bfe5",
+        "5dc5570ffbaac19ff9ef65486581c14f0359050d9185b1fdda189c8e604912ac",
     ],
     "mixtral-offloading": [
-        "c197aa4f80fceecd7476c05bd5e7be4c25bc65e29f706c5c7ce995e4b4214a6a",
-        "c6cc3f95c23ed36409e0823a3dfacd8effccee6f1c3ea511e2001e54b9489464",
-        "f82a76ad4c5158b64ae01945ea7885d75f3b871dc17c4aff62390491d69bc4a6",
-        "1bedcab8dae5d3d12047613b76df18152be7810f4cc4113e11c94be583c22746",
-        "2caa9687ac754bbddc03860e63c3d5273c14c2e2e9acc610929986d538704884",
-        "f46bb5745beeffe0516f48008158eaaf44bce641f382a30dc4d6d9a1e3277bec",
+        "750164a1d8d9b6f0a7f51e9515038d36ede9e86ac84e26885fc1fe1ce9d18a5f",
+        "c624973dd81323c66b403e86491445b174dc8cafac5718f10046606bb334c973",
+        "66ae6be978173c1751fc7e4ab9e760dc62986f2985dc8f892956d9b7e062aae7",
+        "7f7f600605db0d13b12ea4b464932e5d50257b34a50d9ada4c0413903d5e7913",
+        "9a21bebc89741b08aec63823ecb6429edba584b894bc0f40593ed1621d0ca409",
+        "53c4d3033fb47c8b5bb7937c2f55a8d8d9415ddce29d491f22b002dc5944ceb8",
     ],
     "pregated-moe": [
-        "bd5cb63713bff11a292a4837ef888e28fef7c290ac2c28b6f2c397fcd40671d8",
-        "fb1492f65caba02053d56470dc963c1c8277f9fa953978103ee9b0b8c35ff4d4",
-        "13576f226bd0025a205bfb918715c2d1de93a7cc76e0612ee002a56095b500b5",
-        "6bf14b95538888254e8b96dc38837863fcbd978736f96650656eef0a07825f4f",
-        "a08c3c9f323fc66fc76d54082fd9d6162cca553b6d187d8140c03213da179274",
-        "bc165c2cd1fb0e342bb39e2b1555e7fa137509c9c3e9ea0e9c8aa648a110dfb3",
+        "edb41a8e112304178b37b6773305ed7f4e2e0f04638caec35d3d900ab342e5c6",
+        "b79eaf9d697c4dc86df8aa3740054f4f029291a6b5eaa32da2e2d8ad1583a706",
+        "353c4b06a4241eae0aaec723769ba5772ea1e247600e59d040f945d78ad01456",
+        "e19fdfd3ed49c8d70e3070c062d70e1ad2efbe8db73a88c5e23b36d253d5d4c1",
+        "ec37ade6cff06f3a8a76c4f97d3b33363eb3ee8649e7bf45937d50f3380d8b76",
+        "4b82bbfc3de66be30150761ab8e1170745c8f609f11c2a4a6f23096594bb9b4b",
     ],
     "moe-infinity": [
-        "e5d1f7d580f7e04b8a5b0efc1eecbb253784f8ffae7d9f556cb1e44560a95b10",
-        "3d975bc19fb8b22da29d4b5cc63133a5ce5685e09e1dca9479916040a2c27e58",
-        "50fef3dc5875d90f47074f323fc80cf1cf8655b2881da7f13176e2af4a791b1e",
-        "467f246805bab8700bac6d5408e857bb1e3ec27803396d29068fdbac3f307e7a",
-        "25c864e168f2dcdeea2d9aa6fd086a667cca84586e03e9f910d4abcdba792253",
-        "0454c957ae37673dcc69d4abea19c4d52fb37edb22d887d4d6b9b78fa225f40f",
+        "ab11f9a376daa8bd96af18568c4d7648e1d81d9a110829c7b2bb21f75bd62f6e",
+        "5d01032682d09925ceb770898569d97b0392b9b1de05ac762456f3b9c7e7cf82",
+        "75cd798fe9aaa55485935e59a6ce02d45f643888a8e813142ce1c2f8d32db822",
+        "6561d87cd05e8578a17b1964fc83acde1bd4a7194d6afe8683c508800afd6c55",
+        "e50b6feb301dd9aba563917a385898ca5138e3b58fa224a888410c67f29bbbab",
+        "400c9ab0cf2e35c4d19141cb7b2f3337b3df6da03c53c75bb3815cef3f1fab45",
     ],
 }
 

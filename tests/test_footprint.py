@@ -6,6 +6,7 @@ count ``tracemalloc`` bytes (deterministic, unlike RSS) per item while
 the record is still alive.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,10 @@ N_ITEMS = 20_000
 
 #: Bytes per op; an object per op with its own label cost ~260-310.
 MAX_BYTES_PER_OP = 96
-#: Bytes per routing event; a ``__dict__`` event with its own expert
-#: tuples cost ~210-225.
-MAX_BYTES_PER_EVENT = 160
+#: Bytes per routing event, recorded or restored from a checkpoint; a
+#: ``__dict__`` event with its own expert tuples cost ~210-225, and a
+#: restored event that rebuilt its own tuples ~145.
+MAX_BYTES_PER_EVENT = 128
 
 
 def _bytes_per_item(build) -> float:
@@ -64,3 +66,9 @@ def test_timeline_bytes_per_op():
 
 def test_trace_bytes_per_event():
     assert _bytes_per_item(_trace) <= MAX_BYTES_PER_EVENT
+    # A resumed run restores its trace from checkpoint JSON.
+    payload = json.loads(json.dumps(_trace().to_state_dict()))
+    restored = _bytes_per_item(
+        lambda: ActivationTrace.from_state_dict(payload)
+    )
+    assert restored <= MAX_BYTES_PER_EVENT

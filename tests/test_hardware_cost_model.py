@@ -94,41 +94,56 @@ class TestCapacity:
         assert ecr == pytest.approx(0.469, abs=0.05)
 
 
+def batch_efficiency(cm, curve, n_rows, overhead_s=0.0):
+    """Per-row cost of one launch over ``n_rows`` relative to ``n_rows``
+    solo launches of the stage ``curve`` names, each paying
+    ``overhead_s``: the amortization a gathered kernel's shares buy."""
+    stage_time = getattr(cm, STAGE_TIMES[curve])
+    gpu = cm.platform.gpu
+    return ((overhead_s + stage_time(gpu, n_rows))
+            / (n_rows * (overhead_s + stage_time(gpu, 1))))
+
+
+#: The time method behind each gathered stage's curve.
+STAGE_TIMES = {
+    "expert_batch_efficiency": "expert_time",
+    "lm_head_batch_efficiency": "lm_head_time",
+    "attention_batch_efficiency": "attention_weight_time",
+    "gate_batch_efficiency": "gate_time",
+}
+
+
 class TestBatchEfficiency:
     """Batch-efficiency curves backing gathered cross-sequence kernels."""
 
     def test_single_row_is_unity(self, cm):
-        assert cm.expert_batch_efficiency(cm.platform.gpu, 1) == 1.0
-        assert cm.lm_head_batch_efficiency(cm.platform.gpu, 1) == 1.0
+        assert batch_efficiency(cm, "expert_batch_efficiency", 1) == 1.0
+        assert batch_efficiency(cm, "lm_head_batch_efficiency", 1) == 1.0
 
     def test_ratio_bounded_and_decreasing(self, cm):
         prev = 1.0
         for n in (2, 4, 8, 16):
-            eff = cm.expert_batch_efficiency(cm.platform.gpu, n)
+            eff = batch_efficiency(cm, "expert_batch_efficiency", n)
             assert 0.0 < eff <= 1.0
             assert eff < prev
             prev = eff
 
     def test_bandwidth_bound_regime_is_nearly_free(self, cm):
         """In the decode regime, 4 gathered rows cost far less than 4 ops."""
-        eff = cm.expert_batch_efficiency(cm.platform.gpu, 4)
+        eff = batch_efficiency(cm, "expert_batch_efficiency", 4)
         # Weight bytes dominate: amortization should approach 1/4.
         assert eff < 0.5
 
     def test_overhead_amortizes(self, cm):
-        plain = cm.expert_batch_efficiency(cm.platform.gpu, 4)
-        with_overhead = cm.expert_batch_efficiency(
-            cm.platform.gpu, 4, overhead_s=1e-3
+        plain = batch_efficiency(cm, "expert_batch_efficiency", 4)
+        with_overhead = batch_efficiency(
+            cm, "expert_batch_efficiency", 4, overhead_s=1e-3
         )
         # A fixed per-op overhead is paid once instead of n times, so it
         # only improves the gathered-to-solo ratio.
         assert with_overhead < plain
 
-    def test_rejects_nonpositive_rows(self, cm):
-        with pytest.raises(ValueError):
-            cm.batch_efficiency(cm.platform.gpu, cm.arch.expert_params, 0)
-
-    # (curve method, ArchSpec weight field) for every priced stage.
+    # (curve, ArchSpec weight field) for every priced stage.
     STAGE_CURVES = (
         ("expert_batch_efficiency", "expert_params"),
         ("lm_head_batch_efficiency", "embedding_params"),
@@ -143,7 +158,7 @@ class TestBatchEfficiency:
     ):
         """Gathering one more row never makes the per-row cost worse."""
         eff = [
-            getattr(cm, curve)(cm.platform.gpu, n, overhead_s=overhead)
+            batch_efficiency(cm, curve, n, overhead_s=overhead)
             for n in range(1, 65)
         ]
         assert eff[0] == 1.0
@@ -170,5 +185,19 @@ class TestBatchEfficiency:
         )
         floor = (2.0 * weights / gpu.effective_flops) / solo
         for n in (1, 2, 4, 8, 32, 256, 4096):
-            eff = getattr(cm, curve)(cm.platform.gpu, n, overhead_s=overhead)
+            eff = batch_efficiency(cm, curve, n, overhead_s=overhead)
             assert eff >= floor - 1e-15
+
+
+def test_non_moe_time_splits_into_weight_and_context(cm):
+    """A solo attention op (projections plus its own context work) is
+    priced exactly as the sum of the two parts a cohort prices apart."""
+    for device in (cm.platform.gpu, cm.platform.cpu):
+        for n_tokens, context_len in ((1, 1), (1, 300), (128, 128)):
+            assert cm.non_moe_time(device, n_tokens, context_len) == (
+                cm.attention_weight_time(device, n_tokens)
+                + cm.attention_context_time(device, n_tokens, context_len)
+            )
+    # Context work grows with the context; the projections do not see it.
+    assert (cm.attention_context_time(cm.platform.gpu, 1, 4096)
+            > cm.attention_context_time(cm.platform.gpu, 1, 128))

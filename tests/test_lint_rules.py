@@ -23,7 +23,7 @@ def codes(diagnostics):
 def test_registry_exposes_all_rule_families():
     registered = {rule.code for rule in all_rules()}
     assert {"DET001", "DET002", "DET003", "LAY001", "ENG001", "ENG002",
-            "ENG003", "ENG004", "ENG005", "ENG006", "API001", "API002",
+            "ENG003", "ENG005", "ENG006", "API001", "API002",
             "API003", "API004", "TL001", "DOC001", "NUM001"} <= registered
     assert get_rule("stdlib-random").code == "DET001"
     assert get_rule("checkpoint-hook-pair").code == "ENG006"
@@ -221,55 +221,6 @@ def test_private_substrate_access_flagged_only_off_self():
     assert "timeline._resource_free" in diags[0].message
 
 
-def test_sequence_extra_access_flagged_in_engine_code():
-    source = '''\
-        """Doc."""
-
-        class Engine:
-            """Doc."""
-
-            def _prepare_decode_block(self, ctx, block_idx, experts):
-                """Doc."""
-                ctx.extra["force_gpu"] = set(experts)
-                return ctx.extra.pop("deps", {})
-        '''
-    for path in (CORE, BASELINE):
-        diags = lint(source, path=path, select=["sequence-extra-access"])
-        assert codes(diags) == {"ENG004"}
-        assert len(diags) == 2
-        assert "ctx.extra" in diags[0].message
-
-
-def test_sequence_extra_access_allowed_in_engine_py_and_elsewhere():
-    source = '''\
-        """Doc."""
-
-        def touch(state):
-            """Doc."""
-            return state.extra
-        '''
-    # engine.py owns the scratch dict; code outside repro/core is out
-    # of the rule's scope entirely.
-    for path in ("src/repro/core/engine.py", "src/repro/sched/sample.py"):
-        assert lint(source, path=path,
-                    select=["sequence-extra-access"]) == []
-
-
-def test_policy_state_not_flagged_by_extra_rule():
-    source = '''\
-        """Doc."""
-
-        class Engine:
-            """Doc."""
-
-            def _after_decode_token(self, ctx, token):
-                """Doc."""
-                ctx.policy.window.append(token)
-        '''
-    assert lint(source, path=CORE,
-                select=["sequence-extra-access"]) == []
-
-
 # ---- API hygiene ---------------------------------------------------------------
 
 
@@ -404,6 +355,25 @@ def test_timeline_column_mutations_flagged():
     assert codes(diags) == {"TL001"}
     assert len(diags) == 4
     assert lint('"""Doc."""\nlast = max(t.ends) + t.starts[0]\n',
+                select=["timeline-ops-mutation"]) == []
+
+
+def test_timeline_op_handle_writes_flagged():
+    """An op handle's setters write its row of the record."""
+    source = '''\
+        """Doc."""
+
+        def tamper(timeline, session):
+            """Doc."""
+            timeline.ops[0].start = -1.0
+            session.timeline.ops[-1].end += 1.0
+            del timeline.ops[0].label
+        '''
+    diags = lint(source, path=CORE, select=["timeline-ops-mutation"])
+    assert codes(diags) == {"TL001"}
+    assert len(diags) == 3
+    assert "timeline.ops[...].start" in diags[0].message
+    assert lint(source, path=HARDWARE,
                 select=["timeline-ops-mutation"]) == []
 
 

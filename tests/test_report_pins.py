@@ -32,7 +32,7 @@ PINS = {
         None,
     ),
     ("mixed-interactive-batch", "serving-c2"): (
-        "1b25cfe921dd62c694b6430c673ea1cc45330fe35653b73c01879f90e41a382e",
+        "b2100c81181fa565bd1a1960d29d642a2afeae114d2255e0f3945564deeb7563",
         None,
     ),
     ("multi-tenant-slo", "cluster-r2-c2"): (
