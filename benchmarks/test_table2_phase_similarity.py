@@ -30,8 +30,7 @@ def phase_similarity(bundle, dataset, n_sequences, prompt_len=64,
         caches = model.new_caches()
         _, decisions = model.forward_exact(sequence.prompt_tokens, caches)
         for b, decision in enumerate(decisions):
-            for t in range(decision.n_tokens):
-                trace.record("prefill", b, t, decision.experts[t])
+            trace.record_rows("prefill", b, 0, decision.experts)
         position = sequence.prompt_tokens.size
         for token in sequence.continuation_tokens:
             _, decisions = model.forward_exact(

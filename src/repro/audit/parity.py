@@ -48,6 +48,7 @@ def value_differences(reference: GenerationResult,
     problems = []
     if not np.array_equal(reference.tokens, candidate.tokens):
         problems.append("token stream differs")
+    # Compares the traces' columns (equal exactly when the events are).
     if reference.trace.events != candidate.trace.events:
         problems.append("trace events differ")
     if reference.stats.counters != candidate.stats.counters:

@@ -89,6 +89,5 @@ def plan_block_swaps(
 def activity_from_routing(experts: np.ndarray, n_experts: int) -> np.ndarray:
     """Token counts per expert from a routing matrix ``(n_tokens, top_k)``."""
     counts = np.zeros(n_experts, dtype=np.float64)
-    for expert in np.asarray(experts).ravel():
-        counts[int(expert)] += 1.0
+    np.add.at(counts, np.asarray(experts).ravel(), 1.0)
     return counts

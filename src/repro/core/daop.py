@@ -239,17 +239,11 @@ class DAOPEngine(BaseEngine):
         """Decode re-allocation extension hook (no-op when disabled)."""
         if self.decode_realloc_interval is None:
             return
-        counts = np.zeros(
-            (self.model.n_blocks, self.model.n_experts), dtype=np.float64
-        )
         # The current token's events sit at the tail of the trace (one per
-        # block, appended by this decode step), so an O(n_blocks) reverse
-        # scan collects them without re-reading the whole history.
-        for event in reversed(ctx.trace.events):
-            if event.phase != DECODE or event.token_pos != ctx.position - 1:
-                break
-            for expert in event.experts:
-                counts[event.block, expert] += 1.0
+        # block, appended by this decode step).
+        counts = ctx.trace.trailing_counts(
+            DECODE, ctx.position - 1
+        ).astype(np.float64)
         policy = ctx.policy
         residency = ctx.residency
         policy.window.append(counts)

@@ -1180,13 +1180,16 @@ class BaseEngine:
     def _record_activation_counters(self, ctx: SequenceState,
                                     block_idx: int,
                                     experts: np.ndarray | list[int]) -> None:
-        """Update GPU-residency hit counters for activated experts."""
-        counters = ctx.counters
-        placement = ctx.residency.placement
-        for expert in np.atleast_1d(experts).tolist():
-            counters.activated_total += 1
-            if placement.is_on_gpu(block_idx, expert):
-                counters.activated_gpu_resident += 1
+        """Update GPU-residency hit counters for activated experts.
+
+        ``experts`` is one token's expert ids or a block's whole
+        ``(tokens, top_k)`` selection; every id counts once.
+        """
+        resident = ctx.residency.placement.gpu_mask(block_idx, experts)
+        ctx.counters.activated_total += resident.size
+        ctx.counters.activated_gpu_resident += int(
+            np.count_nonzero(resident)
+        )
 
     # ---- standard prefill / decode skeletons ------------------------------------
     #
@@ -1256,9 +1259,8 @@ class BaseEngine:
             )
             gate_op = self._gate(ctx, block_idx, logits, rows, [attn_op])
             routing = self.model.blocks[block_idx].route_from_logits(logits)
-            selected = routing.experts.tolist()
-            for t, experts in enumerate(selected):
-                ctx.trace.record(PREFILL, block_idx, ctx.position + t, experts)
+            ctx.trace.record_rows(PREFILL, block_idx, ctx.position,
+                                  routing.experts)
             activity = activity_from_routing(
                 routing.experts, self.model.n_experts
             )
@@ -1271,8 +1273,7 @@ class BaseEngine:
                 [gate_op], plan.extra_deps, plan.force_gpu, plan.uploads,
             )
             # After the round: the plan's uploads are resident by now.
-            for experts in selected:
-                self._record_activation_counters(ctx, block_idx, experts)
+            self._record_activation_counters(ctx, block_idx, routing.experts)
             last_ops = expert_ops
         ctx.position += n_tokens
         done = ctx.timeline.add(

@@ -48,6 +48,23 @@ class ExpertPlacement:
         self._check(block, expert)
         return bool(self._on_gpu[block, expert])
 
+    def gpu_mask(self, block: int, experts) -> np.ndarray:
+        """GPU residence of an array of one block's experts.
+
+        One indexed read of the residence matrix; returns a bool array
+        shaped like ``experts``, True where the expert is GPU-resident.
+
+        Raises:
+            IndexError: for an out-of-range block or expert id,
+                including a negative one (which numpy would wrap).
+        """
+        try:
+            # Raises for any coordinate outside the matrix, negative too.
+            flat = np.ravel_multi_index((block, experts), self._on_gpu.shape)
+        except ValueError:
+            raise IndexError("block or expert out of range") from None
+        return self._on_gpu.take(flat)
+
     def device_of(self, block: int, expert: int) -> DeviceKind:
         """Current residence as a :class:`DeviceKind`."""
         return DeviceKind.GPU if self.is_on_gpu(block, expert) else DeviceKind.CPU

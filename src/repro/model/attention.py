@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 
 from repro.model.config import SimSpec
-from repro.model.layers import Linear, softmax
+from repro.model.layers import Linear
 from repro.model.rope import RotaryEmbedding
 from repro.model.rows import stack
 from repro.model.serialization import decode_array, encode_array
@@ -149,7 +149,14 @@ class GroupedQueryAttention:
         self.wo = Linear(d, d, rng)
         self.rope = RotaryEmbedding(sim.head_dim, sim.rope_base)
         self._group = sim.n_heads // sim.n_kv_heads
-        self._scale = np.sqrt(sim.head_dim)
+        scale = np.sqrt(sim.head_dim)
+        # Dividing float32 scores by a float64 scalar runs a float64 loop
+        # that rounds each quotient back to float32.  When the scale is
+        # exact in float32 (any power-of-four head_dim) a float32 divisor
+        # gives the same bytes (a float64 quotient of float32 operands
+        # rounds to the float32 quotient) without the casting loop.
+        self._scale = np.float32(scale) if np.float32(scale) == scale \
+            else scale
 
     def new_cache(self) -> KVCache:
         """Create an empty KV cache matching this attention's geometry."""
@@ -240,10 +247,14 @@ class GroupedQueryAttention:
             n_total = keys.shape[2]
             key_pos = np.arange(n_total)
             query_pos = n_total - n_new + np.arange(n_new)
-            scores = np.where(key_pos[None, :] > query_pos[:, None],
-                              -1e9, scores)
-        weights = softmax(scores, axis=-1)
-        out = (weights @ values[:, :, None]).reshape(
+            np.copyto(scores, np.float32(-1e9),
+                      where=key_pos[None, :] > query_pos[:, None])
+        # layers.softmax's ufuncs in its order, in place on the scores
+        # this method owns (same bytes, no full-size temporaries).
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+        out = (scores @ values[:, :, None]).reshape(
             m, n_heads, n_new, head_dim
         )
         return np.transpose(out, (0, 2, 1, 3))

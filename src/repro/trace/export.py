@@ -39,25 +39,9 @@ def timeline_to_dict(timeline: Timeline) -> dict:
 
 
 def trace_to_dict(trace: ActivationTrace) -> dict:
-    """Plain-data representation of a routing trace."""
-    return {
-        "n_blocks": trace.n_blocks,
-        "n_experts": trace.n_experts,
-        "events": [
-            {
-                "phase": event.phase,
-                "block": event.block,
-                "token_pos": event.token_pos,
-                "experts": list(event.experts),
-                "executed_experts": (
-                    None if event.executed_experts is None
-                    else list(event.executed_experts)
-                ),
-                "predicted": event.predicted,
-            }
-            for event in trace.events
-        ],
-    }
+    """Plain-data representation of a routing trace (its checkpoint
+    payload)."""
+    return trace.to_state_dict()
 
 
 def timeline_to_chrome_trace(timeline: Timeline,

@@ -233,16 +233,16 @@ class TestResumeParityAudit:
         that drops it keeps tokens, counters and timeline intact, so
         only the trace comparison can see it.
         """
-        from dataclasses import replace
+        from repro.trace.recorder import ActivationTrace
 
-        from repro.trace.recorder import RoutingEvent
-
-        original = RoutingEvent.from_state_dict.__func__
+        original = ActivationTrace.from_state_dict.__func__
 
         def erasing(cls, payload):
-            return replace(original(cls, payload), predicted=False)
+            events = [dict(event, predicted=False)
+                      for event in payload["events"]]
+            return original(cls, dict(payload, events=events))
 
-        monkeypatch.setattr(RoutingEvent, "from_state_dict",
+        monkeypatch.setattr(ActivationTrace, "from_state_dict",
                             classmethod(erasing))
         report = run_resume_parity_audit(
             tiny_bundle, platform, engine_names=["daop"],

@@ -47,6 +47,32 @@ def test_bounds_checked():
         p.is_on_gpu(0, 4)
 
 
+def test_gpu_mask_reads_residence():
+    p = ExpertPlacement(2, 4)
+    p.set_device(1, 2, DeviceKind.GPU)
+    p.set_device(1, 3, DeviceKind.GPU)
+    np.testing.assert_array_equal(p.gpu_mask(1, [2, 0]), [True, False])
+    selection = np.array([[3, 1], [0, 2], [2, 3]])
+    mask = p.gpu_mask(1, selection)
+    assert mask.shape == selection.shape
+    for (t, slot), expert in np.ndenumerate(selection):
+        assert mask[t, slot] == p.is_on_gpu(1, int(expert))
+    assert not p.gpu_mask(0, selection).any()
+
+
+@pytest.mark.parametrize("block, experts", [
+    (0, [1, 4]),              # expert past the end
+    (0, [1, -1]),             # negative expert (numpy would wrap it)
+    (0, np.array([[0, -4]])),
+    (2, [0]),                 # block past the end
+    (-1, [0]),                # negative block
+])
+def test_gpu_mask_bounds_checked(block, experts):
+    p = ExpertPlacement.all_on_gpu(2, 4)
+    with pytest.raises(IndexError):
+        p.gpu_mask(block, experts)
+
+
 def test_copy_is_independent():
     p = ExpertPlacement(2, 4)
     q = p.copy()

@@ -297,3 +297,77 @@ def test_lm_logits_rows_equal_per_row_reference(rng):
         for row, got in zip(rows, model.lm_logits_rows(rows)):
             ref = _rms(row[None], model.final_norm.gain) @ model.embedding.T
             assert got.tobytes() == ref[0].tobytes()
+
+
+# ---- the in-place masked softmax ---------------------------------------------
+
+
+def _where_softmax_attend(attn, q, caches):
+    """``GroupedQueryAttention._attend`` with its former float64 scale
+    divisor, out-of-place mask (``np.where``) and softmax
+    (``layers.softmax``)."""
+    from repro.model.layers import softmax
+    from repro.model.rows import stack
+
+    m, n_heads, n_new, head_dim = q.shape
+    keys = stack([cache.keys for cache in caches])
+    values = stack([cache.values for cache in caches])
+    q = q.reshape(m, attn.sim.n_kv_heads, attn._group, n_new, head_dim)
+    scores = q @ np.transpose(keys, (0, 1, 3, 2))[:, :, None]
+    scores /= np.sqrt(attn.sim.head_dim)
+    if n_new > 1:
+        n_total = keys.shape[2]
+        key_pos = np.arange(n_total)
+        query_pos = n_total - n_new + np.arange(n_new)
+        scores = np.where(key_pos[None, :] > query_pos[:, None], -1e9,
+                          scores)
+    weights = softmax(scores, axis=-1)
+    out = (weights @ values[:, :, None]).reshape(m, n_heads, n_new, head_dim)
+    return np.transpose(out, (0, 2, 1, 3))
+
+
+#: (members m, cached rows before the append n_prev, new rows n_new).
+ATTEND_CASES = {
+    "prefill": (1, 0, 6),
+    "chunked-append": (1, 5, 4),
+    "decode": (1, 9, 1),
+    "stack-prefill": (3, 0, 5),
+    "stack-chunked": (4, 7, 3),
+    "stack-decode": (4, 12, 1),
+}
+
+
+#: head_dim 16 and 64 have scales exact in float32 (divided as float32);
+#: head_dim 8's (sqrt 8) is not and stays a float64 divisor.
+ATTEND_SPECS = {
+    **SPECS,
+    "head-dim-8": SimSpec(d_model=32, n_heads=4, n_kv_heads=2, d_ff=48,
+                          vocab_size=128),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ATTEND_SPECS))
+@pytest.mark.parametrize("case", sorted(ATTEND_CASES))
+def test_in_place_softmax_equals_where_softmax(spec, case, rng):
+    """The in-place causal mask and softmax, after the scale division,
+    give the bytes of the float64-scale ``np.where`` +
+    ``layers.softmax`` spelling."""
+    m, n_prev, n_new = ATTEND_CASES[case]
+    block = MoEBlock(ATTEND_SPECS[spec], n_experts=4, top_k=2,
+                     rng=np.random.default_rng(3), block_idx=1)
+    sim, attn = block.sim, block.attention
+    caches = []
+    for _ in range(m):
+        cache = _filled_cache(block, rng, n_prev)
+        shape = (sim.n_kv_heads, n_new, sim.head_dim)
+        cache.append(rng.standard_normal(shape).astype(np.float32),
+                     rng.standard_normal(shape).astype(np.float32))
+        caches.append(cache)
+    q = rng.standard_normal(
+        (m, sim.n_heads, n_new, sim.head_dim)).astype(np.float32)
+    got = attn._attend(q, caches)
+    want = _where_softmax_attend(attn, q, caches)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.ascontiguousarray(got).tobytes() == \
+        np.ascontiguousarray(want).tobytes()
