@@ -55,7 +55,7 @@ from repro.core.engine import GenerationResult, SequenceRequest
 from repro.hardware.platform import Platform
 from repro.model.zoo import ModelBundle
 from repro.sched.scheduler import ContinuousBatchScheduler
-from repro.trace.recorder import DECODE
+from repro.trace.recorder import DECODE, PHASES, ActivationTrace, column_view
 from repro.workloads import C4, SequenceGenerator
 
 #: The engine whose output defines correctness (ECR 100 %, exact math).
@@ -160,26 +160,35 @@ def compare_token_streams(oracle_tokens: np.ndarray,
     return n_divergent, n
 
 
+def _columns(trace) -> ActivationTrace:
+    """``trace`` as typed columns: itself, or, for any other object
+    exposing ``events``, a trace recording those events."""
+    if isinstance(trace, ActivationTrace):
+        return trace
+    columns = ActivationTrace(n_blocks=0, n_experts=0)
+    for event in trace.events:
+        columns.record(event.phase, event.block, event.token_pos,
+                       event.experts, event.executed_experts, event.predicted)
+    return columns
+
+
 def block_divergence_accounting(result: GenerationResult) -> list:
     """Per-block decode divergence summary of one generation's trace."""
-    per_block: dict = {}
-    for event in result.trace.events:
-        if event.phase != DECODE:
-            continue
-        stats = per_block.setdefault(event.block, [0, 0, 0])
-        stats[0] += 1
-        if event.predicted:
-            stats[1] += 1
-            executed = (event.executed_experts
-                        if event.executed_experts is not None
-                        else event.experts)
-            if set(executed) != set(event.experts):
-                stats[2] += 1
+    trace = _columns(result.trace)
+    decode = column_view(trace.phases) == PHASES.index(DECODE)
+    predicted = column_view(trace.predicted).astype(bool)[decode]
+    blocks, per_event = np.unique(column_view(trace.blocks)[decode],
+                                  return_inverse=True)
+    tallies = [
+        np.bincount(per_event, weights=weights, minlength=blocks.size)
+        for weights in (None, predicted, predicted & trace.diverged()[decode])
+    ]
     return [
-        BlockDivergence(block=block, decode_events=stats[0],
-                        predicted_events=stats[1],
-                        mispredicted_events=stats[2])
-        for block, stats in sorted(per_block.items())
+        BlockDivergence(block=block, decode_events=int(events),
+                        predicted_events=int(n_predicted),
+                        mispredicted_events=int(n_mispredicted))
+        for block, events, n_predicted, n_mispredicted
+        in zip(blocks.tolist(), *tallies)
     ]
 
 
@@ -214,7 +223,7 @@ def _compare(engine, name: str, seed: int, oracle: GenerationResult,
             f"generated {result.tokens.size} tokens but the oracle "
             f"generated {oracle.tokens.size}"
         )
-    has_predicted = any(e.predicted for e in result.trace.events)
+    has_predicted = 1 in _columns(result.trace).predicted
     if not comparison.predictive:
         if n_divergent:
             comparison.problems.append(

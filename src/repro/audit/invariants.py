@@ -37,14 +37,23 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.engine import GenerationResult
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import Platform
 from repro.hardware.timeline import RESOURCES
 from repro.memory.placement import ExpertPlacement
-from repro.trace.recorder import DECODE, PREFILL
+from repro.trace.recorder import (
+    DECODE,
+    PHASES,
+    PREFILL,
+    column_view,
+    pair_keys,
+)
 
 #: Op kinds that execute one expert FFN.
 EXPERT_OP_KINDS = ("expert_gpu", "expert_cpu")
@@ -103,13 +112,32 @@ def _isclose(a: float, b: float) -> bool:
 
 def check_timeline_causality(result: GenerationResult,
                              report: AuditReport) -> None:
-    """Dependencies end before dependents start; lanes never overlap."""
+    """Dependencies end before dependents start; lanes never overlap.
+
+    The timeline's columns are screened as arrays; only an op the screen
+    flags is checked through its handle, which words the violations.
+    """
     report.checks_run.append("timeline-causality")
-    ops = result.timeline.ops
-    for i, op in enumerate(ops):
-        if op.index != i:
-            report.add("timeline-causality",
-                       f"op at position {i} carries index {op.index}")
+    timeline = result.timeline
+    durations = column_view(timeline.durations)
+    starts = column_view(timeline.starts)
+    ends = column_view(timeline.ends)
+    offsets = column_view(timeline.dep_offsets)
+    deps = column_view(timeline.dep_flat)
+    owners = np.repeat(np.arange(starts.size), np.diff(offsets))
+    in_range = (deps >= 0) & (deps < owners)
+    late = np.zeros(deps.size, dtype=bool)
+    late[in_range] = ends[deps[in_range]] \
+        > starts[owners[in_range]] + TIME_TOLERANCE_S
+    with np.errstate(invalid="ignore"):
+        drift = np.abs(ends - (starts + durations))
+    # A superset of the ops with a finding (NaN compares False):
+    # ``_isclose`` never fails within the absolute tolerance.
+    flagged = (durations < 0) | ~(drift <= TIME_TOLERANCE_S)
+    flagged[owners[~in_range | late]] = True
+    ops = timeline.ops
+    for index in np.flatnonzero(flagged).tolist():
+        op = ops[index]
         if op.duration < 0:
             report.add("timeline-causality",
                        f"op {op.index} ({op.label!r}) has negative "
@@ -133,15 +161,16 @@ def check_timeline_causality(result: GenerationResult,
                            f"{dep.index} ({dep.label!r}) ends at "
                            f"{dep.end}")
     for resource in RESOURCES:
-        previous = None
-        for op in result.timeline.ops_on(resource):
-            if previous is not None and \
-                    op.start + TIME_TOLERANCE_S < previous.end:
-                report.add("timeline-causality",
-                           f"ops {previous.index} and {op.index} overlap "
-                           f"on {resource}: [{previous.start}, "
-                           f"{previous.end}] vs [{op.start}, {op.end}]")
-            previous = op
+        lane = [index for index, name in enumerate(timeline.resources)
+                if name == resource]
+        overlaps = starts[lane[1:]] + TIME_TOLERANCE_S < ends[lane[:-1]]
+        for position in np.flatnonzero(overlaps).tolist():
+            previous = ops[lane[position]]
+            op = ops[lane[position + 1]]
+            report.add("timeline-causality",
+                       f"ops {previous.index} and {op.index} overlap "
+                       f"on {resource}: [{previous.start}, "
+                       f"{previous.end}] vs [{op.start}, {op.end}]")
 
 
 def _expected_exec_count(result: GenerationResult) -> int:
@@ -151,20 +180,17 @@ def _expected_exec_count(result: GenerationResult) -> int:
     executes each *distinct* activated expert of the block once; each
     decode event executes its (executed) expert set for one token.
     """
-    prefill_experts: dict = {}
-    decode_execs = 0
-    for event in result.trace.events:
-        if event.phase == PREFILL:
-            prefill_experts.setdefault(event.block, set()).update(
-                event.experts
-            )
-        else:
-            executed = (event.executed_experts
-                        if event.executed_experts is not None
-                        else event.experts)
-            decode_execs += len(set(executed))
-    prefill_execs = sum(len(s) for s in prefill_experts.values())
-    return prefill_execs + decode_execs
+    trace = result.trace
+    prefill = column_view(trace.phases) == PHASES.index(PREFILL)
+    rows, ids = trace.id_rows()
+    take = prefill[rows]
+    prefill_pairs = np.unique(
+        pair_keys(column_view(trace.blocks)[rows[take]], ids[take])
+    )
+    rows, ids = trace.id_rows(executed=True)
+    take = ~prefill[rows]
+    decode_pairs = np.unique(pair_keys(rows[take], ids[take]))
+    return prefill_pairs.size + decode_pairs.size
 
 
 def check_counter_conservation(result: GenerationResult,
@@ -172,9 +198,7 @@ def check_counter_conservation(result: GenerationResult,
     """Counters, timeline ops, and trace events must agree."""
     report.checks_run.append("counter-conservation")
     counters = result.stats.counters
-    ops_by_kind: dict = {}
-    for op in result.timeline.ops:
-        ops_by_kind[op.kind] = ops_by_kind.get(op.kind, 0) + 1
+    ops_by_kind = Counter(result.timeline.kinds)
 
     pairs = (
         ("gpu_expert_execs", counters.gpu_expert_execs,
@@ -197,11 +221,7 @@ def check_counter_conservation(result: GenerationResult,
                    f"{total_execs} expert execs counted but the trace "
                    f"implies {expected}")
 
-    activated = sum(
-        len(event.executed_experts
-            if event.executed_experts is not None else event.experts)
-        for event in result.trace.events
-    )
+    activated = result.trace.id_rows(executed=True)[1].size
     if counters.activated_total != activated:
         report.add("counter-conservation",
                    f"counters.activated_total = "
@@ -221,14 +241,16 @@ def check_upload_placement(result: GenerationResult,
     """Experts that became GPU-resident must have been uploaded."""
     report.checks_run.append("upload-placement")
     uploaded = set()
-    for op in result.timeline.ops:
-        if op.kind != "expert_upload":
+    timeline = result.timeline
+    for index, kind in enumerate(timeline.kinds):
+        if kind != "expert_upload":
             continue
-        match = _UPLOAD_LABEL.search(op.label)
+        label = timeline.labels[index]
+        match = _UPLOAD_LABEL.search(label)
         if match is None:
             report.add("upload-placement",
-                       f"upload op {op.index} has unparseable label "
-                       f"{op.label!r}")
+                       f"upload op {index} has unparseable label "
+                       f"{label!r}")
             continue
         uploaded.add((int(match.group(2)), int(match.group(1))))
     final = result.placement.as_matrix()
@@ -238,14 +260,11 @@ def check_upload_placement(result: GenerationResult,
                    f"placement shape {final.shape} differs from initial "
                    f"{initial.shape}")
         return
-    n_blocks, n_experts = final.shape
-    for block in range(n_blocks):
-        for expert in range(n_experts):
-            if final[block, expert] and not initial[block, expert] \
-                    and (block, expert) not in uploaded:
-                report.add("upload-placement",
-                           f"E{expert}@B{block} is GPU-resident at the "
-                           "end but was never uploaded")
+    for block, expert in np.argwhere(final & ~initial).tolist():
+        if (block, expert) not in uploaded:
+            report.add("upload-placement",
+                       f"E{expert}@B{block} is GPU-resident at the "
+                       "end but was never uploaded")
 
 
 def check_energy_consistency(result: GenerationResult,
@@ -291,13 +310,15 @@ def check_prefill_only_migration(result: GenerationResult,
     transfer ran on an idle copy lane before prefill ended.
     """
     report.checks_run.append("prefill-only-migration")
-    ops = result.timeline.ops
-    prefill_end = next((op.index for op in ops if op.kind == "lm_head"),
-                       len(ops))
+    kinds = result.timeline.kinds
+    prefill_end = next((index for index, kind in enumerate(kinds)
+                        if kind == "lm_head"), len(kinds))
     cutoff = result.stats.prefill_time_s + TIME_TOLERANCE_S
-    for op in ops:
-        if op.kind != "expert_upload":
+    ops = result.timeline.ops
+    for index, kind in enumerate(kinds):
+        if kind != "expert_upload":
             continue
+        op = ops[index]
         if op.index > prefill_end:
             report.add("prefill-only-migration",
                        f"upload op {op.index} ({op.label!r}) was issued "
@@ -314,7 +335,13 @@ def check_divergence_provenance(result: GenerationResult,
                                 report: AuditReport) -> None:
     """Executed experts may deviate from the gate only when predicted."""
     report.checks_run.append("divergence-provenance")
-    for event in result.trace.events:
+    trace = result.trace
+    predicted = column_view(trace.predicted).astype(bool)
+    flagged = (predicted & (column_view(trace.phases) != PHASES.index(DECODE))) \
+        | (trace.diverged() & ~predicted)
+    events = trace.events
+    for index in np.flatnonzero(flagged).tolist():
+        event = events[index]
         if event.predicted and event.phase != DECODE:
             report.add("divergence-provenance",
                        f"predicted event at block {event.block}, token "

@@ -150,7 +150,8 @@ class GroupedQueryAttention:
         self.rope = RotaryEmbedding(sim.head_dim, sim.rope_base)
         self._group = sim.n_heads // sim.n_kv_heads
         scale = np.sqrt(sim.head_dim)
-        # Dividing float32 scores by a float64 scalar runs a float64 loop
+        # The scores are float32 (so are the weights and the cache).
+        # Dividing them in place by a float64 scalar runs a float64 loop
         # that rounds each quotient back to float32.  When the scale is
         # exact in float32 (any power-of-four head_dim) a float32 divisor
         # gives the same bytes (a float64 quotient of float32 operands

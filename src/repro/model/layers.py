@@ -48,7 +48,11 @@ class Linear:
                  scale: float | None = None) -> None:
         if scale is None:
             scale = 1.0 / np.sqrt(d_in)
-        self.weight = rng.standard_normal((d_out, d_in)).astype(np.float32) * scale
+        # A float64 scale (``np.sqrt`` returns one) would promote the
+        # product to float64 under NumPy 2's NEP 50 rules; the model runs
+        # in float32 throughout.
+        self.weight = (rng.standard_normal((d_out, d_in)).astype(np.float32)
+                       * np.float32(scale))
         self.d_in = d_in
         self.d_out = d_out
 

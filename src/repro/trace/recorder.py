@@ -54,8 +54,8 @@ def _ids(experts) -> list:
     return np.atleast_1d(experts).tolist()
 
 
-def _view(column: array) -> np.ndarray:
-    """Zero-copy numpy view of one column.
+def column_view(column: array) -> np.ndarray:
+    """Zero-copy numpy view of one typed ``array`` column.
 
     The view pins the column's buffer (an ``array`` cannot grow while
     exported), so it must not outlive the method that made it.
@@ -66,6 +66,12 @@ def _view(column: array) -> np.ndarray:
 def _owners(offsets: np.ndarray) -> np.ndarray:
     """Row index of every flattened id, given the rows' offsets."""
     return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def pair_keys(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """One int64 per ``(row, id)`` pair of int16 ids, ordered by row;
+    ``key >> 16`` is the row."""
+    return (rows.astype(np.int64) << 16) + (ids.astype(np.int64) + (1 << 15))
 
 
 class EventsView(Sequence):
@@ -254,19 +260,40 @@ class ActivationTrace:
 
     def _phase_mask(self, phase: str | None) -> np.ndarray:
         """Per-event flag: the event is in ``phase`` (any for ``None``)."""
-        phases = _view(self.phases)
+        phases = column_view(self.phases)
         if phase is None:
             return np.ones(phases.size, dtype=bool)
         return phases == _PHASE_CODES.get(phase, -1)
 
-    def _add_counts(self, counts: np.ndarray, ids: array, offsets: array,
-                    keep: np.ndarray) -> None:
-        """Add one per id of the events flagged in ``keep`` to
-        ``counts[block, expert]``."""
-        owner = _owners(_view(offsets))
-        take = keep[owner]
-        np.add.at(counts, (_view(self.blocks)[owner[take]], _view(ids)[take]),
-                  1)
+    def id_rows(self, executed: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Every recorded expert id with the index of its event.
+
+        Returns ``(rows, ids)``: the selected ids of every event, or with
+        ``executed`` the executed ids of the events that recorded an
+        executed set and the selected ids of the rest.
+        """
+        rows = _owners(column_view(self.expert_offsets))
+        ids = column_view(self.experts)
+        if not executed:
+            return rows, ids.copy()
+        has_executed = column_view(self.has_executed).astype(bool)
+        done = _owners(column_view(self.executed_offsets))
+        keep_done = has_executed[done]
+        keep = ~has_executed[rows]
+        return (np.concatenate((rows[keep], done[keep_done])),
+                np.concatenate((ids[keep],
+                                column_view(self.executed)[keep_done])))
+
+    def diverged(self) -> np.ndarray:
+        """Per-event flag: an executed set was recorded and it differs,
+        as a set, from the selection."""
+        flags = np.zeros(len(self.phases), dtype=bool)
+        # Distinct (event, id) pairs of each view; a pair in only one of
+        # them marks its event.
+        odd = np.setxor1d(pair_keys(*self.id_rows()),
+                          pair_keys(*self.id_rows(executed=True)))
+        flags[odd >> 16] = True
+        return flags
 
     def activation_counts(self, phase: str | None = None,
                           executed: bool = False) -> np.ndarray:
@@ -278,13 +305,9 @@ class ActivationTrace:
                 degradation) instead of the gate's selections.
         """
         counts = np.zeros((self.n_blocks, self.n_experts), dtype=np.int64)
-        keep = self._phase_mask(phase)
-        if executed:
-            has_executed = _view(self.has_executed).astype(bool)
-            self._add_counts(counts, self.executed, self.executed_offsets,
-                             keep & has_executed)
-            keep = keep & ~has_executed
-        self._add_counts(counts, self.experts, self.expert_offsets, keep)
+        rows, ids = self.id_rows(executed)
+        take = self._phase_mask(phase)[rows]
+        np.add.at(counts, (column_view(self.blocks)[rows[take]], ids[take]), 1)
         return counts
 
     def activation_matrix(self, phase: str | None = None,
@@ -303,8 +326,8 @@ class ActivationTrace:
 
     def token_count(self, phase: str | None = None) -> int:
         """Distinct token positions recorded (at block 0) for a phase."""
-        keep = self._phase_mask(phase) & (_view(self.blocks) == 0)
-        return int(np.unique(_view(self.positions)[keep]).size)
+        keep = self._phase_mask(phase) & (column_view(self.blocks) == 0)
+        return int(np.unique(column_view(self.positions)[keep]).size)
 
     def trailing_counts(self, phase: str, token_pos: int) -> np.ndarray:
         """Per-(block, expert) selection counts of the trace's tail.
@@ -319,11 +342,11 @@ class ActivationTrace:
         while start and phases[start - 1] == code \
                 and positions[start - 1] == token_pos:
             start -= 1
-        offsets = _view(self.expert_offsets)[start:]
+        offsets = column_view(self.expert_offsets)[start:]
         counts = np.zeros((self.n_blocks, self.n_experts), dtype=np.int64)
-        np.add.at(counts, (np.repeat(_view(self.blocks)[start:],
+        np.add.at(counts, (np.repeat(column_view(self.blocks)[start:],
                                      np.diff(offsets)),
-                           _view(self.experts)[offsets[0]:]), 1)
+                           column_view(self.experts)[offsets[0]:]), 1)
         return counts
 
     def decode_window_matrices(self, window: int) -> list[np.ndarray]:
@@ -335,21 +358,21 @@ class ActivationTrace:
         if window < 1:
             raise ValueError("window must be positive")
         decode = self._phase_mask(DECODE)
-        positions = _view(self.positions)
-        blocks = _view(self.blocks)
+        positions = column_view(self.positions)
+        blocks = column_view(self.blocks)
         decode_positions = np.unique(positions[decode])
         if not decode_positions.size:
             return []
         n_windows = (decode_positions.size + window - 1) // window
         window_of = np.searchsorted(decode_positions, positions) // window
-        owner = _owners(_view(self.expert_offsets))
+        owner = _owners(column_view(self.expert_offsets))
         take = decode[owner]
         owner = owner[take]
         counts = np.zeros(
             (n_windows, self.n_blocks, self.n_experts), dtype=np.float64
         )
         np.add.at(counts, (window_of[owner], blocks[owner],
-                           _view(self.experts)[take]), 1.0)
+                           column_view(self.experts)[take]), 1.0)
         block0 = np.unique(positions[decode & (blocks == 0)])
         window_tokens = np.bincount(
             np.searchsorted(decode_positions, block0) // window,

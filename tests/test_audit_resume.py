@@ -25,14 +25,14 @@ from repro.workloads import C4, SequenceGenerator
 #: recipe in :func:`checkpoint_after_three_steps` (fixture model:
 #: tiny-MoE seed 0, 8 blocks; calibration seed 0).
 GOLDEN_CHECKPOINT_DIGESTS = {
-    "official": "279bce53757018444936ecd5119fffc8",
-    "moe-ondemand": "9ace48dea0d3b44d2ad07a0334162533",
-    "deepspeed-mii": "c94734c4c654cfb2a023ca1ad011887e",
-    "mixtral-offloading": "1855bfe0d2dece10cd9349797aa42f56",
-    "moe-infinity": "43af33d3ff0170e32c78629da1199383",
-    "fiddler": "eaea0d832ca6c0b8444db86ab7c226f0",
-    "pregated-moe": "601b380c1d5ff7f3bc81a10421410505",
-    "daop": "6fc4b8f1c607b1f77112b159486f9a1d",
+    "official": "120a2be710c6c02c65353d3f6104586b",
+    "moe-ondemand": "9c769bffe15dc5ab63690f3b3eccd20d",
+    "deepspeed-mii": "472b9165c2b64c802591c4f1c114b53f",
+    "mixtral-offloading": "276a54e6b5592befaf3019368748ddbc",
+    "moe-infinity": "0b4911c79544fb0f93925e4203431269",
+    "fiddler": "6fb44ce1cc0932902cb115defe486432",
+    "pregated-moe": "ec7d22097c933d226796c34198809ae4",
+    "daop": "8ab4f7bd8025e86496227eb2aaae7a13",
 }
 
 

@@ -1,9 +1,11 @@
-"""Deterministic memory gates for the per-op and per-event records.
+"""Deterministic memory gates for the model weights and the per-op and
+per-event records.
 
 The paper sweep keeps every simulated op and routing event of a run
 alive, so their per-item footprint bounds its peak memory.  The gates
 count ``tracemalloc`` bytes (deterministic, unlike RSS) per item while
-the record is still alive.
+the record is still alive.  The weights are float32: 4 bytes per
+parameter.
 """
 
 import json
@@ -11,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 
+from repro import build_mixtral_8x7b_sim
 from repro.hardware.timeline import CPU, GPU, Timeline
 from repro.trace.recorder import DECODE, PREFILL, ActivationTrace
 
@@ -87,3 +90,12 @@ def test_trace_bytes_per_event():
         lambda: ActivationTrace.from_state_dict(payload)
     )
     assert restored <= MAX_BYTES_PER_EVENT
+
+
+def test_weight_bytes_per_parameter():
+    """Mixtral-sim's 6.7 M parameters take 25.7 MiB (51.3 MiB if float64)."""
+    model = build_mixtral_8x7b_sim(seed=0).model
+    arrays = [model.embedding, model.final_norm.gain]
+    for block in model.blocks:
+        arrays.extend(block.weight_arrays())
+    assert sum(array.nbytes for array in arrays) == 4 * model.n_params

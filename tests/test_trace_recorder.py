@@ -92,3 +92,34 @@ def test_record_stores_plain_int_tuples(trace):
     assert all(type(e) is int for e in second.experts + second.executed_experts)
     trace.record(DECODE, 1, 0, np.int64(3))
     assert trace.events[-1].experts == (3,)
+
+
+def test_id_rows_and_diverged_match_the_events():
+    """The column reads the audits use agree with a loop over events."""
+    trace = ActivationTrace(n_blocks=3, n_experts=4)
+    trace.record_rows(PREFILL, 0, 0, np.array([[0, 1], [2, 1]]))
+    trace.record(DECODE, 1, 2, [0, 1])
+    trace.record(DECODE, 1, 3, [0, 1], executed_experts=[1, 0])
+    trace.record(DECODE, 2, 3, [0, 1], executed_experts=[0, 3],
+                 predicted=True)
+    trace.record(DECODE, 2, 4, [2, 3], executed_experts=[2])
+    trace.record(DECODE, 0, 4, [1, 2], executed_experts=[2, 1, 1])
+    events = list(trace.events)
+
+    def pairs(executed):
+        rows, ids = trace.id_rows(executed)
+        return sorted(zip(rows.tolist(), ids.tolist()))
+
+    assert pairs(False) == sorted(
+        (i, e) for i, event in enumerate(events) for e in event.experts
+    )
+    assert pairs(True) == sorted(
+        (i, e) for i, event in enumerate(events)
+        for e in (event.experts if event.executed_experts is None
+                  else event.executed_experts)
+    )
+    assert trace.diverged().tolist() == [
+        event.executed_experts is not None
+        and set(event.executed_experts) != set(event.experts)
+        for event in events
+    ] == [False, False, False, False, True, True, False]
