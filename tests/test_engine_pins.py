@@ -5,7 +5,8 @@ Each pin is the sha256 of one finished result's token stream, timeline
 events, ``EngineCounters`` and final placement matrix.  The runs cover
 each engine's residency paths: cache hits, evictions, stream-through at
 zero capacity, prefetches, eviction policies, DAOP's decode
-re-allocation, and a continuous batch per caching baseline.  A refactor
+re-allocation, DAOP without pre-calculation, and a continuous batch per
+caching baseline and for DAOP.  A refactor
 of residency bookkeeping must reproduce every byte; a declared
 behaviour change re-pins the affected runs and explains the delta.
 """
@@ -51,11 +52,21 @@ VARIANT_PINS = {
     "moe-ondemand-lfu": "ff35b1dea76c008718f9515a32b824433a5339da3e4f5ab89f1547692e90c879",
     "moe-ondemand-priority": "75d1818ab452a298b2807d86658227cde7d5456561bc70d5a1cef8d0f4d759a8",
     "daop-realloc-2": "67c55328c1dcfbd9956a7dbd4c74e0855bd9338e23070c874ced87b7cfa2fb5d",
+    "daop-no-precalc": "5662862bbc0709ddf4c6975883ecbda76a221dae4e662aec3b67beeec3ba3078",
 }
 
 #: ``engine -> [digest per record, in seq_id order]`` of a
-#: ``ContinuousBatchScheduler(max_batch=4)`` run at ECR 0.25.
+#: ``ContinuousBatchScheduler(max_batch=4)`` run at ECR 0.25: every
+#: caching baseline, and DAOP's gathered pre-calculation rounds.
 BATCH_PINS = {
+    "daop": [
+        "7600dd511a3ab72f61aa5a29dd2db2016024b531dc2e9f74b674b25bfaf27a32",
+        "0fad9d71c6368178177e4087d486b35cb48f5a00f65261cb3fca31037f57fb2e",
+        "82bc0fd8bcbd36ba06a03d2fa023286a75996a2c22ab7c3d57a2037a037a65d0",
+        "5de991af2be04caae0736b9dd228960af61aa1732f7a981dc49a941d7925c2a6",
+        "a39fffe6a9bfc917cd4d336593ed03db35e2235789b78a631f137c77394b9d3e",
+        "bbcaa283c9af4436212a15d5e99d7b670501cad190227abe1b6dfbb2e9001c0b",
+    ],
     "moe-ondemand": [
         "a0ff7d97712d34c4361a8aae16bfe27926f5bfa8f02f9a6d3708233eda8721b7",
         "3c47b19ac5631d68e1b5bc98a072e68e35ddf57e4af04aa67961d2b29356091f",
@@ -132,7 +143,7 @@ def batch_requests(bundle):
 
 def test_pins_cover_every_engine():
     assert {name for name, _ in GENERATE_PINS} == set(ENGINE_NAMES)
-    assert set(BATCH_PINS) == set(CACHING_BASELINES)
+    assert set(BATCH_PINS) == set(CACHING_BASELINES) | {"daop"}
 
 
 @pytest.mark.parametrize("name,ecr", sorted(GENERATE_PINS))
@@ -152,6 +163,10 @@ def _variant(label, bundle, platform, calibration):
         engine = build_engine("moe-ondemand", bundle, platform, 0.5,
                               calibration, eviction_policy=PRIORITY)
         return golden_generate(engine)
+    if label == "daop-no-precalc":
+        engine = build_engine("daop", bundle, platform, 0.5, calibration,
+                              enable_precalc=False)
+        return golden_generate(engine)
     # DAOP's decode re-allocation: 16 tokens give it three swaps.
     engine = build_engine("daop", bundle, platform, 0.5, calibration,
                           decode_realloc_interval=2)
@@ -162,13 +177,13 @@ def _variant(label, bundle, platform, calibration):
 
 @pytest.mark.parametrize("label", ["moe-ondemand-lfu",
                                    "moe-ondemand-priority",
-                                   "daop-realloc-2"])
+                                   "daop-realloc-2", "daop-no-precalc"])
 def test_variant_pin(label, tiny_bundle, platform, tiny_calibration):
     result = _variant(label, tiny_bundle, platform, tiny_calibration)
     assert result_digest(result) == VARIANT_PINS[label]
 
 
-@pytest.mark.parametrize("name", CACHING_BASELINES)
+@pytest.mark.parametrize("name", CACHING_BASELINES + ("daop",))
 def test_batch_pin(name, tiny_bundle, platform, tiny_calibration):
     engine = build_engine(name, tiny_bundle, platform, 0.25,
                           tiny_calibration)
