@@ -31,11 +31,11 @@ from repro.core.engine import GenerationResult
 
 
 def timeline_signature(timeline) -> list:
-    """Per-op tuple view of a timeline for bitwise comparison."""
-    return [
-        (op.resource, op.duration, op.start, op.end, op.kind, op.label)
-        for op in timeline.ops
-    ]
+    """Per-op ``(resource, duration, start, end, kind, label)`` tuples of
+    a timeline, read from its columns, for bitwise comparison."""
+    return list(zip(timeline.resources, timeline.durations,
+                    timeline.starts, timeline.ends, timeline.kinds,
+                    timeline.labels))
 
 
 def value_differences(reference: GenerationResult,

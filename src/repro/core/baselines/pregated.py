@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BaseEngine, SequenceState
+from repro.core.engine import BaseEngine, BlockPlan, SequenceState
 from repro.core.predictor import NextLayerPredictor
 from repro.hardware.platform import Platform
-from repro.hardware.timeline import GPU, Op
+from repro.hardware.timeline import Op
 from repro.memory.cache import CacheConfig
 from repro.memory.policies import LRU
 from repro.model.zoo import ModelBundle
-from repro.trace.recorder import DECODE as DECODE_PHASE
 
 
 class PreGatedMoEEngine(BaseEngine):
@@ -58,66 +57,38 @@ class PreGatedMoEEngine(BaseEngine):
 
     # ---- decode: predictive prefetch one block ahead --------------------------
 
-    def _decode_blocks(self, ctx: SequenceState, token: int,
-                       deps: list[Op]):
-        """Decode policy generator: prefetch ahead, then yield routed work."""
-        h = self.model.embed(np.asarray([token]))
-        last_ops = list(deps)
+    def _look_ahead(self, ctx: SequenceState, block_idx: int,
+                    h_att: np.ndarray, prediction, pred_gate: Op):
+        """Prefetch block ``block_idx + 1``'s predicted experts into the
+        sequence's pending uploads, overlapping this block's MoE."""
+        pending = ctx.residency.pending
+        prefetch = self._ensure_resident(
+            ctx, block_idx + 1, prediction.experts.tolist(), [pred_gate]
+        )
+        for expert, (op,) in prefetch.extra_deps.items():
+            pending[(block_idx + 1, expert)] = op
+        return (yield from ())  # a prefetch yields no work
+
+    def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
+                              activated: np.ndarray,
+                              deps: list[Op]) -> BlockPlan:
+        """Wait on pending prefetches; upload mispredictions on demand.
+
+        Every activated expert runs on the GPU.  Neither a prefetched
+        nor a resident expert refreshes the eviction cache here; only
+        prefetches and misses do.
+        """
         pending = ctx.residency.pending
         placement = ctx.residency.placement
-        for block_idx in range(self.model.n_blocks):
-            predicts = self.predictor.can_predict_from(block_idx)
-            h_att, logits, rows, attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops,
-                (block_idx, block_idx + 1) if predicts else (block_idx,),
-            )
-            # Issue the next block's prefetch as soon as this block's
-            # non-MoE output exists (overlaps with this block's MoE).
-            if predicts:
-                prediction = self.predictor.from_logits(block_idx,
-                                                        logits[1][0])
-                pred_gate = self._gate(
-                    ctx, block_idx + 1, logits[1], rows[1], [attn_op],
-                    label=f"pred-gate B{block_idx + 1}",
-                )
-                prefetch = self._ensure_resident(
-                    ctx, block_idx + 1, prediction.experts.tolist(),
-                    [pred_gate],
-                )
-                for expert, (op,) in prefetch.extra_deps.items():
-                    pending[(block_idx + 1, expert)] = op
-
-            gate_op = self._gate(ctx, block_idx, logits[0], rows[0],
-                                 [attn_op])
-            routing = self.model.blocks[block_idx].route_from_logits(
-                logits[0]
-            )
-            ctx.trace.record(
-                DECODE_PHASE, block_idx, ctx.position, routing.experts[0]
-            )
-            self._record_activation_counters(
-                ctx, block_idx, routing.experts[0]
-            )
-            # Neither a prefetched nor a resident expert refreshes the
-            # eviction cache here; only prefetches and misses do.
-            extra: dict[int, list[Op]] = {}
-            for expert in routing.experts[0].tolist():
-                prefetched = pending.pop((block_idx, expert), None)
-                if prefetched is not None:
-                    extra[expert] = [prefetched]
-                elif not placement.is_on_gpu(block_idx, expert):
-                    # Misprediction: on-demand upload on the critical path.
-                    extra.update(self._ensure_resident(
-                        ctx, block_idx, (expert,), [gate_op]
-                    ).extra_deps)
-            h, expert_ops = yield from self._routed_block_work(
-                ctx, block_idx, h_att, routing.experts, routing.weights,
-                [gate_op], extra,
-                force_gpu={int(e) for e in routing.experts[0]},
-            )
-            last_ops = expert_ops
-        ctx.position += 1
-        done = ctx.timeline.add(
-            GPU, 0.0, deps=last_ops, label="decode done", kind="sync"
-        )
-        return h[-1], done
+        experts = activated.tolist()
+        extra: dict[int, list[Op]] = {}
+        for expert in experts:
+            prefetched = pending.pop((block_idx, expert), None)
+            if prefetched is not None:
+                extra[expert] = [prefetched]
+            elif not placement.is_on_gpu(block_idx, expert):
+                # Misprediction: on-demand upload on the critical path.
+                extra.update(self._ensure_resident(
+                    ctx, block_idx, (expert,), deps
+                ).extra_deps)
+        return BlockPlan(extra_deps=extra, force_gpu=set(experts))

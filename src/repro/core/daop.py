@@ -44,7 +44,7 @@ from repro.core.predictor import (
     NextLayerPredictor,
 )
 from repro.hardware.platform import Platform
-from repro.hardware.timeline import GPU, Op
+from repro.hardware.timeline import Op
 from repro.memory.cache import CacheConfig
 from repro.model.gating import Router
 from repro.model.serialization import decode_array, encode_array
@@ -92,8 +92,8 @@ class DAOPEngine(BaseEngine):
         decode_realloc_min_activity: float = 4.0,
         decode_realloc_max_swaps_per_block: int = 1,
     ) -> None:
-        """See class docstring; the last two arguments enable the
-        decode-phase re-allocation extension.
+        """See class docstring; the five ``decode_realloc_*`` arguments
+        configure the decode-phase re-allocation extension.
 
         The paper restricts migration to prefill and observes (§VI-B)
         that GSM8K-style within-sequence drift then defeats a small
@@ -120,9 +120,11 @@ class DAOPEngine(BaseEngine):
         if decode_realloc_window < 1:
             raise ValueError("decode_realloc_window must be positive")
         self.swap_threshold = swap_threshold
-        self.predictor = NextLayerPredictor(
-            self.model, start_block=prediction_start_block
-        )
+        if enable_precalc:
+            self.predictor = NextLayerPredictor(
+                self.model, start_block=prediction_start_block
+            )
+            self.approximate_routing = True
         self.graceful_degradation = graceful_degradation
         self.max_cpu_experts = max_cpu_experts
         self.enable_seq_allocation = enable_seq_allocation
@@ -183,57 +185,18 @@ class DAOPEngine(BaseEngine):
 
     # ---- decode: predictive pre-calculation ---------------------------------------
 
-    def _decode_blocks(self, ctx: SequenceState, token: int,
-                       deps: list[Op]):
-        """DAOP decode policy as a block-work generator.
-
-        Yields one attention request and one
-        :class:`~repro.core.batching.BlockWork` per block;
-        :meth:`~repro.core.engine.BaseEngine._step_cohort` evaluates the
-        requests stacked across a cohort — a predicting block's request
-        also names the next block's gate, which the predictor reads, and
-        a predicted block's own gate is read for the oracle trace but
-        not charged — and gathers the routed expert executions across
-        the cohort's sequences (in a cohort of one, in slot order).  A
-        predicting block with CPU-resident predictions yields a
-        :class:`~repro.core.batching.PrecalcWork` in between
-        (:meth:`_issue_precalc`), which the driver gathers across the
-        cohort's pre-calculating members the same way.
-        """
-        if not self.enable_precalc:
-            return (yield from self._decode_blocks_standard(ctx, token, deps))
-
-        h = self.model.embed(np.asarray([token]))
-        last_ops = list(deps)
-        carry = None  # prediction made at the previous block for this one
-        for block_idx in range(self.model.n_blocks):
-            predicts = self.predictor.can_predict_from(block_idx)
-            gate_blocks = ((block_idx, block_idx + 1) if predicts
-                           else (block_idx,))
-            h_att, logits, rows, attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, gate_blocks,
-                gate_blocks if carry is None else gate_blocks[1:],
-            )
-            next_carry = (
-                (yield from self._issue_precalc(ctx, block_idx, h_att,
-                                                logits[1], rows[1], attn_op))
-                if predicts else None
-            )
-            if carry is None:
-                h, last_ops = yield from self._true_gated_work(
-                    ctx, block_idx, h_att, logits[0], rows[0], attn_op
-                )
-            else:
-                h, last_ops = yield from self._predicted_work(
-                    ctx, block_idx, h_att, logits[0], attn_op, carry
-                )
-            carry = next_carry
-        ctx.position += 1
-        done = ctx.timeline.add(
-            GPU, 0.0, deps=last_ops, label="decode done", kind="sync"
-        )
-        self._after_decode_token(ctx, done)
-        return h[-1], done
+    def _prepare_decode_block(self, ctx: SequenceState, block_idx: int,
+                              activated: np.ndarray,
+                              deps: list[Op]) -> BlockPlan:
+        """A true-gated block waits on its in-flight decode-migration
+        uploads."""
+        pending = ctx.residency.pending
+        extra: dict[int, list[Op]] = {}
+        for expert in activated.tolist():
+            upload = pending.pop((block_idx, expert), None)
+            if upload is not None:
+                extra[expert] = [upload]
+        return BlockPlan(extra_deps=extra)
 
     def _after_decode_token(self, ctx: SequenceState, done: Op) -> None:
         """Decode re-allocation extension hook (no-op when disabled)."""
@@ -272,27 +235,18 @@ class DAOPEngine(BaseEngine):
                                         [done])
                 ctx.counters.decode_swaps += 1
 
-    def _issue_precalc(self, ctx: SequenceState, block_idx: int,
-                       h_att: np.ndarray, pred_logits: np.ndarray,
-                       pred_rows: int, attn_op: Op):
-        """Predict block ``block_idx + 1`` and start its CPU experts early.
+    def _look_ahead(self, ctx: SequenceState, block_idx: int,
+                    h_att: np.ndarray, prediction, pred_gate: Op):
+        """Start block ``block_idx + 1``'s predicted CPU experts early.
 
-        ``pred_logits`` is block ``block_idx + 1``'s gate evaluated on
-        ``h_att`` (from the round's stacked gate call), and
-        ``pred_rows`` that router launch's row total.  Generator: the
-        predicted CPU-resident experts, fed the *current* block's
-        non-MoE hidden states (one block stale -- the paper's
-        approximation), are yielded as one
-        :class:`~repro.core.batching.PrecalcWork` (none when every
-        prediction is GPU-resident).  Returns the carry consumed when
-        the loop reaches the next block:
-        ``(executed_experts, predicted_logits, cpu_results)``.  Use via
-        ``yield from``.
+        Generator: the predicted CPU-resident experts (after graceful
+        degradation), fed the *current* block's non-MoE hidden states
+        ``h_att`` (one block stale -- the paper's approximation), are
+        yielded as one :class:`~repro.core.batching.PrecalcWork` after
+        ``pred_gate`` (none when every prediction is GPU-resident).
+        Returns the carry :meth:`_predicted_block` consumes at the next
+        block: ``(executed_experts, predicted_logits, cpu_results)``.
         """
-        prediction = self.predictor.from_logits(block_idx, pred_logits[0])
-        pred_gate = self._gate(ctx, block_idx + 1, pred_logits, pred_rows,
-                               [attn_op],
-                               label=f"pred-gate B{block_idx + 1}")
         placement = ctx.residency.placement
         degradation = apply_graceful_degradation(
             block_idx + 1,
@@ -317,43 +271,9 @@ class DAOPEngine(BaseEngine):
                 cpu_results[call.expert] = (y[0], h2d)
         return degradation.experts, prediction.logits, cpu_results
 
-    def _true_gated_work(self, ctx: SequenceState, block_idx: int,
+    def _predicted_block(self, ctx: SequenceState, block_idx: int,
                          h_att: np.ndarray, logits: np.ndarray,
-                         gate_rows: int, attn_op: Op):
-        """Blocks without a usable prediction run the original gate.
-
-        Generator: yields the block's routed work and returns
-        ``(h, expert_ops)``; use via ``yield from``.
-        """
-        gate_op = self._gate(ctx, block_idx, logits, gate_rows, [attn_op])
-        routing = self.model.blocks[block_idx].route_from_logits(logits)
-        ctx.trace.record(
-            DECODE, block_idx, ctx.position, routing.experts[0],
-            executed_experts=routing.experts[0],
-        )
-        self._record_activation_counters(ctx, block_idx, routing.experts[0])
-        extra = self._consume_pending_uploads(ctx, block_idx,
-                                              routing.experts[0])
-        h, expert_ops = yield from self._routed_block_work(
-            ctx, block_idx, h_att, routing.experts, routing.weights,
-            [gate_op], extra,
-        )
-        return h, expert_ops
-
-    def _consume_pending_uploads(self, ctx: SequenceState, block_idx: int,
-                                 experts) -> dict[int, list[Op]]:
-        """Dependencies on in-flight decode-migration uploads."""
-        extra: dict[int, list[Op]] = {}
-        for expert in np.atleast_1d(experts):
-            pending = ctx.residency.pending.pop((block_idx, int(expert)),
-                                                None)
-            if pending is not None:
-                extra[int(expert)] = [pending]
-        return extra
-
-    def _predicted_work(self, ctx: SequenceState, block_idx: int,
-                        h_att: np.ndarray, logits: np.ndarray,
-                        attn_op: Op, carry):
+                         attn_op: Op, carry):
         """Execute a block whose expert set was predicted one block ago.
 
         Generator: pre-calculated CPU results are consumed directly;

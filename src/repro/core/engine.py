@@ -464,6 +464,19 @@ class BaseEngine:
     #: placement changes only where the engine moves experts itself.
     eviction_policy: str | None = None
 
+    #: Layer-ahead expert predictor
+    #: (:class:`~repro.core.predictor.NextLayerPredictor`).  A decode
+    #: block it can predict from also evaluates the next block's gate,
+    #: records that ``pred-gate`` router op and hands the prediction to
+    #: :meth:`_look_ahead`; ``None`` predicts nothing.
+    predictor = None
+
+    #: Whether decode blocks may execute a predicted expert set instead
+    #: of the true gate's (DAOP's pre-calculation).  Such an engine's
+    #: trace names the executed set of every decode event, true-gated
+    #: ones included.
+    approximate_routing = False
+
     def __init__(
         self,
         bundle: ModelBundle,
@@ -1191,11 +1204,13 @@ class BaseEngine:
             np.count_nonzero(resident)
         )
 
-    # ---- standard prefill / decode skeletons ------------------------------------
+    # ---- block hooks of the prefill / decode passes -----------------------------
     #
-    # Most engines share the same dataflow and differ only in what happens
-    # *before* each block's experts execute (migrations, uploads, swaps).
-    # The hooks below express exactly that difference.
+    # Every engine runs the same two passes (_prefill_blocks and
+    # _decode_blocks below).  Engines differ only in what happens
+    # *before* each block's experts execute (migrations, uploads, swaps)
+    # and in what a layer-ahead prediction triggers.  The hooks below
+    # express exactly that difference.
 
     def _prepare_prefill_block(self, ctx: SequenceState, block_idx: int,
                                activated: np.ndarray, activity: np.ndarray,
@@ -1220,6 +1235,38 @@ class BaseEngine:
         return self._ensure_resident(ctx, block_idx, activated.tolist(),
                                      deps)
 
+    def _look_ahead(self, ctx: SequenceState, block_idx: int,
+                    h_att: np.ndarray, prediction, pred_gate: Op):
+        """Hook: act on :attr:`predictor`'s prediction for the next block.
+
+        ``prediction`` (an
+        :class:`~repro.core.predictor.ExpertPrediction`) is block
+        ``block_idx + 1``'s gate evaluated on this block's
+        post-attention states ``h_att``; ``pred_gate`` is its router
+        op.  A generator: it may yield a
+        :class:`~repro.core.batching.PrecalcWork`, and returns the
+        carry :meth:`_predicted_block` receives at the next block.  The
+        default acts on nothing and returns ``None``.
+        """
+        return (yield from ())
+
+    def _predicted_block(self, ctx: SequenceState, block_idx: int,
+                         h_att: np.ndarray, logits: np.ndarray,
+                         attn_op: Op, carry):
+        """Hook: run a decode block on the ``carry`` its previous
+        block's :meth:`_look_ahead` returned (``logits``: its own gate,
+        for the trace only).  A generator returning
+        ``(h, expert_ops)``; an engine whose look-ahead returns a carry
+        implements it."""
+        raise NotImplementedError(
+            f"engine {self.name!r} returns a look-ahead carry but does "
+            "not implement _predicted_block"
+        )
+
+    def _after_decode_token(self, ctx: SequenceState, done: Op) -> None:
+        """Hook: runs once per decode token, after its sync op ``done``
+        (DAOP's decode re-allocation); the default does nothing."""
+
     def _transfer_expert(self, ctx: SequenceState, block_idx: int,
                          expert: int, deps: list[Op]) -> Op:
         """Hook: bring one expert's weights onto the GPU for
@@ -1233,20 +1280,21 @@ class BaseEngine:
 
     # ---- block-work protocol ------------------------------------------------------
     #
-    # Decode policies and the shared prefill pass are generators
-    # yielding one AttentionRequest (via _attention) and one BlockWork
-    # per block (see repro.core.batching); _step_cohort evaluates the
+    # The prefill and decode passes are generators yielding one
+    # AttentionRequest (via _attention) and one BlockWork per block
+    # (see repro.core.batching); _step_cohort evaluates the
     # requests stacked and executes the described expert work, gathered
     # with the same-expert calls of the cohort's other sequences.
 
-    def _prefill_blocks_standard(self, ctx: SequenceState,
-                                 prompt_tokens: np.ndarray):
-        """Shared prefill pass as a block-work generator.
+    def _prefill_blocks(self, ctx: SequenceState,
+                        prompt_tokens: np.ndarray):
+        """The prefill pass of every engine, as a block-work generator.
 
-        Per block: attend -> gate -> prepare -> describe the routed
-        expert executions.  Yields exactly ``n_blocks`` request/work
-        pairs and returns ``(h_last, done_op)``; a prefill cohort's
-        same-expert calls merge into shared kernels.
+        Per block: attend -> gate -> :meth:`_prepare_prefill_block` ->
+        describe the routed expert executions.  Yields exactly
+        ``n_blocks`` request/work pairs and returns
+        ``(h_last, done_op)``; a prefill cohort's same-expert calls
+        merge into shared kernels.
         """
         from repro.core.allocation import activity_from_routing
 
@@ -1336,36 +1384,88 @@ class BaseEngine:
         h_out = block.combine(h_att, outs, weights)
         return h_out, ops
 
-    def _decode_blocks_standard(self, ctx: SequenceState, token: int,
-                                deps: list[Op]):
-        """Shared decode policy: true gate, experts run where they live.
+    def _decode_blocks(self, ctx: SequenceState, token: int,
+                       deps: list[Op]):
+        """The decode pass of every engine, as a block-work generator.
 
-        A generator yielding exactly ``n_blocks`` request/work pairs and
-        returning ``(h_last, done_op)``.
+        Per block: attend, also evaluating the next block's gate where
+        :attr:`predictor` can predict from this block; such a block
+        records the ``pred-gate`` router op and hands the prediction to
+        :meth:`_look_ahead`, which returns the next block's carry.  The
+        block then runs on the true gate (:meth:`_decode_block`) or,
+        with a carry, on the look-ahead's decision
+        (:meth:`_predicted_block`), evaluating its own gate for the
+        trace without charging its router.  The sync op and
+        :meth:`_after_decode_token` end the pass.  Yields exactly
+        ``n_blocks`` request/work pairs (plus any look-ahead
+        :class:`~repro.core.batching.PrecalcWork`) and returns
+        ``(h_last, done_op)``.
         """
         h = self.model.embed(np.asarray([token]))
         last_ops = list(deps)
+        predictor = self.predictor
+        carry = None  # what the previous block's look-ahead returned
         for block_idx in range(self.model.n_blocks):
-            h_att, (logits,), (rows,), attn_op = yield from self._attention(
-                ctx, block_idx, h, last_ops, (block_idx,)
+            predicts = (predictor is not None
+                        and predictor.can_predict_from(block_idx))
+            gate_blocks = ((block_idx, block_idx + 1) if predicts
+                           else (block_idx,))
+            h_att, logits, rows, attn_op = yield from self._attention(
+                ctx, block_idx, h, last_ops, gate_blocks,
+                gate_blocks if carry is None else gate_blocks[1:],
             )
-            gate_op = self._gate(ctx, block_idx, logits, rows, [attn_op])
-            routing = self.model.blocks[block_idx].route_from_logits(logits)
-            selected = routing.experts[0].tolist()
-            ctx.trace.record(DECODE, block_idx, ctx.position, selected)
-            self._record_activation_counters(ctx, block_idx, selected)
-            plan = self._prepare_decode_block(
-                ctx, block_idx, routing.experts[0], [gate_op]
-            )
-            h, last_ops = yield from self._routed_block_work(
-                ctx, block_idx, h_att, routing.experts, routing.weights,
-                [gate_op], plan.extra_deps, plan.force_gpu,
-            )
+            next_carry = None
+            if predicts:
+                prediction = predictor.from_logits(block_idx, logits[1][0])
+                pred_gate = self._gate(
+                    ctx, block_idx + 1, logits[1], rows[1], [attn_op],
+                    label=f"pred-gate B{block_idx + 1}",
+                )
+                next_carry = yield from self._look_ahead(
+                    ctx, block_idx, h_att, prediction, pred_gate
+                )
+            if carry is None:
+                h, last_ops = yield from self._decode_block(
+                    ctx, block_idx, h_att, logits, rows, attn_op
+                )
+            else:
+                h, last_ops = yield from self._predicted_block(
+                    ctx, block_idx, h_att, logits[0], attn_op, carry
+                )
+            carry = next_carry
         ctx.position += 1
         done = ctx.timeline.add(
             GPU, 0.0, deps=last_ops, label="decode done", kind="sync"
         )
+        self._after_decode_token(ctx, done)
         return h[-1], done
+
+    def _decode_block(self, ctx: SequenceState, block_idx: int,
+                      h_att: np.ndarray, logits: list, rows: list,
+                      attn_op: Op):
+        """One true-gated decode block after its attention.
+
+        ``logits`` and ``rows`` are the block's gate logits and router
+        row totals, its own gate first.  Gate, trace, residency
+        counters, :meth:`_prepare_decode_block`, then the routed expert
+        work where each expert lives.  A generator returning
+        ``(h, expert_ops)``.
+        """
+        gate_op = self._gate(ctx, block_idx, logits[0], rows[0], [attn_op])
+        routing = self.model.blocks[block_idx].route_from_logits(logits[0])
+        selected = routing.experts[0].tolist()
+        ctx.trace.record(DECODE, block_idx, ctx.position, selected,
+                         executed_experts=(selected
+                                           if self.approximate_routing
+                                           else None))
+        self._record_activation_counters(ctx, block_idx, selected)
+        plan = self._prepare_decode_block(
+            ctx, block_idx, routing.experts[0], [gate_op]
+        )
+        return (yield from self._routed_block_work(
+            ctx, block_idx, h_att, routing.experts, routing.weights,
+            [gate_op], plan.extra_deps, plan.force_gpu,
+        ))
 
     # ---- cohort execution ---------------------------------------------------------
 
@@ -1553,29 +1653,3 @@ class BaseEngine:
                 gather_stats.prefill_lm_head_kernels += 1
                 gather_stats.prefill_lm_head_ops += n
         return logits_rows, [op for op, in ops]
-
-    # Default implementations: engines that follow the standard dataflow
-    # simply inherit these.
-
-    def _prefill_blocks(self, ctx: SequenceState,
-                        prompt_tokens: np.ndarray):
-        """Policy hook: the prefill block-work generator for one prompt.
-
-        An engine with a custom prefill policy overrides this.  Must
-        yield exactly ``n_blocks`` request/work pairs (an
-        :class:`~repro.core.batching.AttentionRequest` through
-        :meth:`_attention`, then a :class:`BlockWork`) and return
-        ``(h_last, done_op)``.
-        """
-        return (yield from self._prefill_blocks_standard(ctx, prompt_tokens))
-
-    def _decode_blocks(self, ctx: SequenceState, token: int,
-                       deps: list[Op]):
-        """Policy hook: the decode block-work generator for one token.
-
-        Engines with a custom decode policy (DAOP's predictive
-        pre-calculation, Pre-gated's prefetch) override this.  Must
-        yield exactly ``n_blocks`` request/work pairs and return
-        ``(h_last, done_op)``.
-        """
-        return (yield from self._decode_blocks_standard(ctx, token, deps))

@@ -47,13 +47,18 @@ _MIGRATION_MODULES = ("repro.core.allocation",)
 _MIGRATION_NAMES = frozenset({"plan_block_swaps", "SwapPlan"})
 
 #: BaseEngine substrate primitives baselines may use but never redefine.
-#: ``_decode_blocks`` and ``_prefill_blocks`` are deliberately absent:
-#: they are the *policy* hooks of the block-work protocol (engines
-#: describe routed expert work there), while the one step body that
-#: executes the described work (``_step_cohort``, its entries ``step``,
-#: ``step_batch``, ``step_prefill_batch``, its stacked attention round
-#: ``_advance``/``_attention_round``, which also drives the gathered
-#: pre-calculation sub-round) is substrate.
+#: The prefill and decode passes (``_prefill_blocks``,
+#: ``_decode_blocks``) and the true-gated decode block body
+#: (``_decode_block``) are substrate: every engine runs the same block
+#: loop and differs only in the policy hooks it calls (``predictor``
+#: with ``_look_ahead`` and ``_predicted_block``,
+#: ``_prepare_prefill_block``, ``_prepare_decode_block``,
+#: ``_transfer_expert``, ``_after_decode_token``), so no baseline can
+#: copy the loop and charge a block differently.  So is the one step
+#: body that executes the described work (``_step_cohort``, its entries
+#: ``step``, ``step_batch``, ``step_prefill_batch``, its stacked
+#: attention round ``_advance``/``_attention_round``, which also drives
+#: the gathered pre-calculation sub-round).
 _SUBSTRATE_METHODS = frozenset({
     "generate", "start", "step", "step_batch", "step_prefill_batch",
     "_step_cohort", "_advance", "_attention_round", "finish",
@@ -61,7 +66,7 @@ _SUBSTRATE_METHODS = frozenset({
     "_attention", "_gate", "_upload_expert", "_admit_expert",
     "_ensure_resident", "_lm_head_batch",
     "_record_activation_counters",
-    "_prefill_blocks_standard", "_decode_blocks_standard",
+    "_prefill_blocks", "_decode_blocks", "_decode_block",
     "_routed_block_work", "_execute_block_work_gathered",
     "_land_uploads", "_add_slices", "_device_spec",
 })

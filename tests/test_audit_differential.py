@@ -245,6 +245,7 @@ def test_cache_parity_requires_a_cache(tiny_bundle, platform):
 
 def test_cache_parity_problems_catch_divergence():
     from repro.audit import result_differences
+    from repro.hardware.timeline import Timeline
     from repro.memory.placement import ExpertPlacement
 
     a = SimpleNamespace(
@@ -252,7 +253,7 @@ def test_cache_parity_problems_catch_divergence():
         trace=SimpleNamespace(events=[]),
         stats=SimpleNamespace(counters={"expert_gpu": 4},
                               prefill_time_s=1.0, total_time_s=2.0),
-        timeline=SimpleNamespace(ops=[], makespan=2.0),
+        timeline=Timeline(),
         placement=ExpertPlacement.all_on_gpu(2, 4),
     )
     b = SimpleNamespace(
@@ -260,7 +261,7 @@ def test_cache_parity_problems_catch_divergence():
         trace=SimpleNamespace(events=[fake_event(predicted=True)]),
         stats=SimpleNamespace(counters={"expert_gpu": 5},
                               prefill_time_s=1.0, total_time_s=2.5),
-        timeline=SimpleNamespace(ops=[], makespan=2.5),
+        timeline=Timeline(),
         placement=ExpertPlacement.all_on_cpu(2, 4),
     )
     problems = result_differences(a, b)

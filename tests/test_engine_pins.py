@@ -6,9 +6,9 @@ events, ``EngineCounters`` and final placement matrix.  The runs cover
 each engine's residency paths: cache hits, evictions, stream-through at
 zero capacity, prefetches, eviction policies, DAOP's decode
 re-allocation, DAOP without pre-calculation, and a continuous batch per
-caching baseline and for DAOP.  A refactor
-of residency bookkeeping must reproduce every byte; a declared
-behaviour change re-pins the affected runs and explains the delta.
+caching baseline and for DAOP.  A refactor of residency bookkeeping
+must reproduce every byte; a declared behaviour change re-pins the
+affected runs and explains the delta.
 """
 
 import hashlib
@@ -53,6 +53,7 @@ VARIANT_PINS = {
     "moe-ondemand-priority": "75d1818ab452a298b2807d86658227cde7d5456561bc70d5a1cef8d0f4d759a8",
     "daop-realloc-2": "67c55328c1dcfbd9956a7dbd4c74e0855bd9338e23070c874ced87b7cfa2fb5d",
     "daop-no-precalc": "5662862bbc0709ddf4c6975883ecbda76a221dae4e662aec3b67beeec3ba3078",
+    "daop-no-precalc-realloc-2": "609f5b53723bd934b12efb19d2a12974611b48970df78ff3cad35cdb684cdf30",
 }
 
 #: ``engine -> [digest per record, in seq_id order]`` of a
@@ -167,9 +168,13 @@ def _variant(label, bundle, platform, calibration):
         engine = build_engine("daop", bundle, platform, 0.5, calibration,
                               enable_precalc=False)
         return golden_generate(engine)
-    # DAOP's decode re-allocation: 16 tokens give it three swaps.
-    engine = build_engine("daop", bundle, platform, 0.5, calibration,
-                          decode_realloc_interval=2)
+    # DAOP's decode re-allocation: 16 tokens give it three swaps, with
+    # pre-calculation on or off.
+    engine = build_engine(
+        "daop", bundle, platform, 0.5, calibration,
+        decode_realloc_interval=2,
+        enable_precalc=label != "daop-no-precalc-realloc-2",
+    )
     result = golden_generate(engine, n_new=16)
     assert result.stats.counters.decode_swaps > 0
     return result
@@ -177,10 +182,24 @@ def _variant(label, bundle, platform, calibration):
 
 @pytest.mark.parametrize("label", ["moe-ondemand-lfu",
                                    "moe-ondemand-priority",
-                                   "daop-realloc-2", "daop-no-precalc"])
+                                   "daop-realloc-2", "daop-no-precalc",
+                                   "daop-no-precalc-realloc-2"])
 def test_variant_pin(label, tiny_bundle, platform, tiny_calibration):
     result = _variant(label, tiny_bundle, platform, tiny_calibration)
     assert result_digest(result) == VARIANT_PINS[label]
+
+
+def test_realloc_runs_without_precalc(tiny_bundle, platform,
+                                      tiny_calibration, audit_result):
+    """Decode re-allocation does not depend on pre-calculation: with it
+    off, DAOP still swaps every ``decode_realloc_interval`` tokens, and
+    its true-gated blocks wait on the swap uploads."""
+    engine = build_engine("daop", tiny_bundle, platform, 0.5,
+                          tiny_calibration, enable_precalc=False,
+                          decode_realloc_interval=2)
+    result = golden_generate(engine, n_new=16)
+    assert result.stats.counters.decode_swaps > 0
+    audit_result(engine, result)
 
 
 @pytest.mark.parametrize("name", CACHING_BASELINES + ("daop",))

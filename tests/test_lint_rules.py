@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from repro.lint import all_rules, get_rule, lint_source
 
 CORE = "src/repro/core/sample.py"
@@ -202,6 +204,32 @@ def test_baseline_may_not_override_the_shared_residency_decision():
     assert codes(diags) == {"ENG002"}
     assert len(diags) == 1  # the transfer hook override is allowed
     assert "_ensure_resident" in diags[0].message
+
+
+@pytest.mark.parametrize("method", ["_decode_blocks", "_decode_block",
+                                    "_prefill_blocks"])
+def test_baseline_may_not_copy_the_block_loop(method):
+    """The prefill and decode passes are substrate: a baseline acts
+    through the block hooks, never through its own copy of the loop."""
+    source = f'''\
+        """Doc."""
+        from repro.core.engine import BaseEngine
+
+        class Sneaky(BaseEngine):
+            """Doc."""
+
+            def {method}(self, ctx, *args):
+                """Doc."""
+                return None
+
+            def _look_ahead(self, ctx, block_idx, h_att, prediction, gate):
+                """Doc."""
+                return None
+        '''
+    diags = lint(source, path=BASELINE, select=["substrate-override"])
+    assert codes(diags) == {"ENG002"}
+    assert len(diags) == 1  # the look-ahead hook override is allowed
+    assert method in diags[0].message
 
 
 def test_private_substrate_access_flagged_only_off_self():
